@@ -7,9 +7,9 @@
 // overlap while graphs common to several runners are generated once. A
 // cross-experiment simulation-cell cache (DESIGN.md §12) additionally
 // dedups identical (machine config, dataset, workload) simulations
-// across experiments — disable with -no-cell-cache, inspect with
-// -cell-stats. With -sched-hints, per-experiment wall times from the
-// previous run schedule the pool longest-job-first.
+// across experiments — inspect with -cell-stats. With -sched-hints,
+// per-experiment wall times from the previous run schedule the pool
+// longest-job-first.
 // Output ordering is unchanged from the sequential harness: tables are
 // flushed in registry order as soon as every earlier experiment has
 // finished, and live per-experiment progress goes to stderr.
@@ -31,7 +31,6 @@
 //	omega-bench -timeout 2m         # per-experiment watchdog
 //	omega-bench -metrics out.jsonl  # stream per-iteration metric samples
 //	omega-bench -json suite.json    # machine-readable suite summary
-//	omega-bench -no-cell-cache      # re-simulate every cell (perf A/B)
 //	omega-bench -cell-stats         # cell-cache hit/dedup breakdown
 //	omega-bench -compare old.json   # min/mean deltas vs a prior bench JSON
 //	omega-bench -sched-hints h.json # longest-job-first suite scheduling
@@ -81,12 +80,9 @@ func run() error {
 		checkMet = flag.Bool("check-metrics", false, "schema-validate the -metrics JSONL after the run")
 		htmlPath = flag.String("html", "", "write a self-contained HTML report")
 		timeout  = flag.Duration("timeout", 10*time.Minute, "per-experiment watchdog timeout (0 disables)")
-		serialVr = flag.Bool("serial-variants", false, "run machine variants inside each experiment sequentially (identical tables)")
-		noBatch  = flag.Bool("no-batch", false, "disable run-fold access batching on every machine (identical tables; for equivalence checks and perf A/B)")
 		runs     = flag.Int("runs", 1, "repeat the suite N times and report per-run wall times (tables print once)")
 		benchOut = flag.String("bench-json", "", "write the -runs timing report as JSON to this file")
 		compare  = flag.String("compare", "", "compare the timing report against a previous bench JSON file")
-		noCells  = flag.Bool("no-cell-cache", false, "disable the cross-experiment simulation-cell cache (identical tables; for equivalence checks and perf A/B)")
 		cellStat = flag.Bool("cell-stats", false, "print a detailed cell-cache report after the suite")
 		hintPath = flag.String("sched-hints", "", "JSON file of per-experiment wall-time hints for longest-job-first scheduling (read if present, rewritten after the run)")
 		campaign = flag.Bool("campaign", false, "run only the Resilience R2 fault campaign")
@@ -160,8 +156,7 @@ func run() error {
 	opts := experiments.Options{
 		Scale: *scale, Seed: *seed, Coverage: *coverage,
 		Parallelism: *parallel, Timeout: *timeout,
-		SerialVariants: *serialVr, FaultSeed: *faultSd,
-		SerialAccess: *noBatch, NoCellCache: *noCells,
+		FaultSeed: *faultSd,
 	}
 	if *runs < 1 {
 		return fmt.Errorf("-runs must be at least 1")
@@ -276,12 +271,9 @@ func run() error {
 			walls = append(walls, rr.Wall.Seconds())
 		}
 		rep := benchReport(os.Args[1:], benchConfig{
-			GOMAXPROCS:     runtime.GOMAXPROCS(0),
-			Parallelism:    *parallel,
-			Scale:          *scale,
-			NoBatch:        *noBatch,
-			NoCellCache:    *noCells,
-			SerialVariants: *serialVr,
+			GOMAXPROCS:  runtime.GOMAXPROCS(0),
+			Parallelism: *parallel,
+			Scale:       *scale,
 		}, walls)
 		data, err := json.MarshalIndent(rep, "", "  ")
 		if err != nil {
@@ -312,10 +304,6 @@ func run() error {
 // printCellStats renders the -cell-stats report: totals, duplicate-cell
 // rate, and the counted reasons cells bypassed the cache.
 func printCellStats(cells *experiments.CellCache) {
-	if cells == nil {
-		fmt.Println("cell cache: disabled (-no-cell-cache)")
-		return
-	}
 	cs := cells.Stats()
 	total := cs.Hits + cs.Misses + cs.Dedups
 	fmt.Printf("cell cache: %d cacheable cells requested\n", total)
@@ -395,9 +383,6 @@ func compareWarnings(old, cur benchJSON) []string {
 	diff("gomaxprocs", o.GOMAXPROCS, c.GOMAXPROCS)
 	diff("parallelism", o.Parallelism, c.Parallelism)
 	diff("scale", o.Scale, c.Scale)
-	diff("no_batch", o.NoBatch, c.NoBatch)
-	diff("no_cell_cache", o.NoCellCache, c.NoCellCache)
-	diff("serial_variants", o.SerialVariants, c.SerialVariants)
 	return warns
 }
 
@@ -454,12 +439,9 @@ type benchJSON struct {
 // changes the amount or shape of work the suite does. -compare warns when
 // any of it differs.
 type benchConfig struct {
-	GOMAXPROCS     int  `json:"gomaxprocs"`
-	Parallelism    int  `json:"parallelism"`
-	Scale          int  `json:"scale"`
-	NoBatch        bool `json:"no_batch"`
-	NoCellCache    bool `json:"no_cell_cache"`
-	SerialVariants bool `json:"serial_variants"`
+	GOMAXPROCS  int `json:"gomaxprocs"`
+	Parallelism int `json:"parallelism"`
+	Scale       int `json:"scale"`
 }
 
 // benchReport assembles the timing report from the suite wall times.

@@ -51,7 +51,6 @@ func run() error {
 		faultRate = flag.Float64("faults", 0, "fault injection rate per DRAM read / NoC message (0 = off)")
 		faultSite = flag.String("fault-site", "", "per-site injection rates, e.g. \"directory:1e-3,linebuf:1e-4\" (sites: dram, noc, sp-parity, directory, linebuf, pisc-alu)")
 		faultSeed = flag.Uint64("fault-seed", 1, "seed for the fault injector streams")
-		serial    = flag.Bool("serial", false, "with -machine both, simulate the machines one after the other")
 		verbose   = flag.Bool("v", false, "print full stats summaries")
 		jsonOut   = flag.Bool("json", false, "print machine stats as JSON instead of text")
 		metrics   = flag.String("metrics", "", "write per-iteration metric samples to this file (.tsv = TSV, else JSONL)")
@@ -110,7 +109,7 @@ func run() error {
 	// Both observability outputs are mutex-protected sinks, so the
 	// concurrent -machine both path can share them; samples and spans
 	// carry the machine name, and the writers sort canonically at the
-	// end, so concurrent and -serial runs produce identical files.
+	// end, so the files do not depend on goroutine interleaving.
 	var buf *obs.Buffer
 	if *metrics != "" {
 		buf = obs.NewBuffer()
@@ -152,15 +151,6 @@ func run() error {
 			return err
 		}
 	case "both":
-		if *serial {
-			if baseStats, err = runOn(baseCfg); err != nil {
-				return err
-			}
-			if omStats, err = runOn(omCfg); err != nil {
-				return err
-			}
-			break
-		}
 		// The two machines are independent deterministic simulations over
 		// the same immutable graph, so they run concurrently; output is
 		// held back and printed in baseline-then-omega order.

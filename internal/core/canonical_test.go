@@ -30,14 +30,14 @@ func TestCanonicalKeyDistinguishesFields(t *testing.T) {
 	base := Baseline()
 	ref := base.CanonicalKey()
 	mutations := map[string]func(*Config){
-		"Name":          func(c *Config) { c.Name = "other" },
-		"NumCores":      func(c *Config) { c.NumCores++ },
-		"SerialAccess":  func(c *Config) { c.SerialAccess = true },
-		"SPResidentCap": func(c *Config) { c.SPResidentCap = 7 },
-		"Coverage knob": func(c *Config) { c.LLCPollution = 0.5 },
-		"DRAM nested":   func(c *Config) { c.DRAM.ClosePage = !c.DRAM.ClosePage },
-		"Fault rate":    func(c *Config) { c.Faults.DRAMFlipRate = 1e-4 },
-		"Fault seed":    func(c *Config) { c.Faults.Seed = 99 },
+		"Name":              func(c *Config) { c.Name = "other" },
+		"NumCores":          func(c *Config) { c.NumCores++ },
+		"DisableLineBuffer": func(c *Config) { c.DisableLineBuffer = true },
+		"SPResidentCap":     func(c *Config) { c.SPResidentCap = 7 },
+		"Coverage knob":     func(c *Config) { c.LLCPollution = 0.5 },
+		"DRAM nested":       func(c *Config) { c.DRAM.ClosePage = !c.DRAM.ClosePage },
+		"Fault rate":        func(c *Config) { c.Faults.DRAMFlipRate = 1e-4 },
+		"Fault seed":        func(c *Config) { c.Faults.Seed = 99 },
 	}
 	for name, mut := range mutations {
 		cfg := base
@@ -52,7 +52,7 @@ func TestCanonicalKeyDistinguishesFields(t *testing.T) {
 // from different schema generations can never collide silently.
 func TestCanonicalKeySelfDescribing(t *testing.T) {
 	k := Baseline().CanonicalKey()
-	for _, field := range []string{"Name=", "NumCores=", "DRAM=", "Faults=", "SerialAccess="} {
+	for _, field := range []string{"Name=", "NumCores=", "DRAM=", "Faults=", "DisableLineBuffer="} {
 		if !strings.Contains(k, field) {
 			t.Errorf("canonical key missing %q:\n%s", field, k)
 		}

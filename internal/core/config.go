@@ -99,18 +99,14 @@ type Config struct {
 	Faults faults.Config
 
 	// DisableLineBuffer turns off the per-core same-line read fast path
-	// (the one-entry line buffer). Results are bit-identical either way;
-	// the knob exists so equivalence tests and benchmarks can compare the
+	// (the one-entry line buffer), and with it run-fold batching. Results
+	// are bit-identical either way except when Faults.DirFlipRate or
+	// Faults.LineBufFlipRate is nonzero: the full probe draws a directory
+	// flip per access that a memo hit skips, and line-buffer flips are
+	// drawn only when a memo is armed, so those injector streams differ.
+	// The knob exists so equivalence tests and benchmarks can compare the
 	// memoized path against the full probe.
 	DisableLineBuffer bool
-
-	// SerialAccess disables the run-fold batching of sequential streaming
-	// reads (DESIGN.md §11): every access takes the per-access path, one
-	// hierarchy consultation each. Results are bit-identical either way —
-	// the fold replays the per-access accounting exactly — so the knob
-	// exists as a kill switch (omega-bench -no-batch) and lets equivalence
-	// tests and benchmarks drive both paths on the same workload.
-	SerialAccess bool
 
 	// DisableLineBufGenCheck drops the generation tag comparison on line
 	// buffer lookups. Only fault-injection experiments set it: with the

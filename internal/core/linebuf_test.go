@@ -1,11 +1,13 @@
 package core
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
 	"omega/internal/faults"
 	"omega/internal/memsys"
+	"omega/internal/obs"
 	"omega/internal/pisc"
 	"omega/internal/scratchpad"
 )
@@ -18,56 +20,72 @@ func armed(m *Machine, core int, r *Region, i int) bool {
 	return ok
 }
 
-// runSeq replays the same access script on a machine and returns its
-// stats plus level profile, for the enabled-vs-disabled equivalence
-// checks below.
-func runSeq(cfg Config, script func(c0, c1 *Ctx, el, vp *Region)) (MachineStats, map[string]uint64) {
-	m := NewMachine(cfg)
-	el := m.Alloc("el", 4096, 8, memsys.KindEdgeList)
-	vp := m.Alloc("vp", 4096, 8, memsys.KindVtxProp)
-	c0 := &Ctx{m: m, core: 0}
-	c1 := &Ctx{m: m, core: 1}
-	script(c0, c1, el, vp)
-	counts, _ := m.LevelProfile()
-	return m.Stats(), counts
+// lineBufFaults injects the fault sites whose PRNG draws the line buffer
+// leaves untouched: DRAM flips and NoC drops (misses are identical on
+// both paths) and scratchpad parity (vtxProp never takes the fast path).
+// DirFlipRate and LineBufFlipRate are deliberately absent: the full
+// probe draws a directory flip on every access that a memo hit skips,
+// and line-buffer flips are drawn only when a memo is armed, so those
+// streams legitimately differ with the buffer off (Config.DisableLineBuffer).
+var lineBufFaults = faults.Config{
+	Seed:         7,
+	DRAMFlipRate: 0.05,
+	NoCDropRate:  0.01,
+	SPParityRate: 0.02,
 }
 
-// TestLineBufferStatsEquivalence drives an adversarial access script —
-// repeated same-line streaming reads, a cross-core write that
-// invalidates the buffered line, interleaved vtxProp traffic, and an
-// iteration boundary — with the line buffer enabled and disabled. The
-// fast path must be invisible: identical stats and level profile.
+// withoutLineBuf drops the linebuf component's samples, which count the
+// fast path's own hits and arms and so exist only with the buffer on.
+func withoutLineBuf(samples []obs.MetricSample) []obs.MetricSample {
+	var out []obs.MetricSample
+	for _, s := range samples {
+		if s.Component != "linebuf" {
+			out = append(out, s)
+		}
+	}
+	return out
+}
+
+// TestLineBufferStatsEquivalence runs foldScript's adversarial mix —
+// same-line streaming runs, cross-core writes that invalidate buffered
+// lines, interleaved vtxProp traffic, atomics, an iteration boundary —
+// with the line buffer enabled and disabled, across {baseline, OMEGA} ×
+// {fault-free, DRAM+NoC+SP-parity faults}. The fast path must be
+// invisible: identical stats, level profile, and metric samples (minus
+// the buffer's own counters).
 func TestLineBufferStatsEquivalence(t *testing.T) {
-	script := func(c0, c1 *Ctx, el, vp *Region) {
-		m := c0.m
-		for i := 0; i < 32; i++ {
-			c0.Read(el, i%8) // same few lines, repeatedly
+	for _, omega := range []bool{false, true} {
+		for _, faulty := range []bool{false, true} {
+			t.Run(fmt.Sprintf("omega=%v/faults=%v", omega, faulty), func(t *testing.T) {
+				var fc faults.Config
+				if faulty {
+					fc = lineBufFaults
+				}
+				stOn, cntOn, latOn, smpOn := runFoldScript(t, foldConfig(omega, true, fc), false)
+				stOff, cntOff, latOff, smpOff := runFoldScript(t, foldConfig(omega, false, fc), false)
+				if !reflect.DeepEqual(stOn, stOff) {
+					t.Fatalf("stats diverge with line buffer enabled:\non:  %+v\noff: %+v", stOn, stOff)
+				}
+				if !reflect.DeepEqual(cntOn, cntOff) {
+					t.Fatalf("level counts diverge:\non:  %v\noff: %v", cntOn, cntOff)
+				}
+				if !reflect.DeepEqual(latOn, latOff) {
+					t.Fatalf("level latencies diverge:\non:  %v\noff: %v", latOn, latOff)
+				}
+				if on, off := withoutLineBuf(smpOn), withoutLineBuf(smpOff); !reflect.DeepEqual(on, off) {
+					t.Fatalf("metric samples diverge: on %d vs off %d samples", len(on), len(off))
+				}
+				if len(smpOn) == len(withoutLineBuf(smpOn)) {
+					t.Fatal("line buffer never hit; the script does not exercise the fast path")
+				}
+				if stOn.Invalidations == 0 {
+					t.Fatal("script did not exercise a coherence invalidation")
+				}
+				if faulty && stOn.Faults.Total() == 0 {
+					t.Fatal("faulty grid point injected no faults; rates too low to exercise the invariant")
+				}
+			})
 		}
-		c1.Write(el, 0) // coherence invalidation of core 0's buffered line
-		c0.Read(el, 1)  // must re-probe, not replay the stale memo
-		for i := 0; i < 16; i++ {
-			c0.Read(vp, i) // excluded kind, interleaved
-			c0.Read(el, i%4)
-		}
-		m.BeginIteration()
-		c0.Read(el, 0)
-		c1.Read(el, 0) // cross-core read of the written line (c2c downgrade)
-		c0.Write(el, 2)
-		c0.Read(el, 2)
-	}
-	on := testBaseline()
-	off := testBaseline()
-	off.DisableLineBuffer = true
-	stOn, lvOn := runSeq(on, script)
-	stOff, lvOff := runSeq(off, script)
-	if !reflect.DeepEqual(stOn, stOff) {
-		t.Fatalf("stats diverge with line buffer enabled:\non:  %+v\noff: %+v", stOn, stOff)
-	}
-	if !reflect.DeepEqual(lvOn, lvOff) {
-		t.Fatalf("level profile diverges:\non:  %v\noff: %v", lvOn, lvOff)
-	}
-	if stOn.Invalidations == 0 {
-		t.Fatal("script did not exercise a coherence invalidation")
 	}
 }
 
@@ -80,8 +98,8 @@ func TestLineBufferStatsEquivalence(t *testing.T) {
 // exactly what the full probe would do. Physical L1 invalidation only
 // happens on L2 back-invalidation, covered at the cache level by
 // TestInvalidateDropsMemoAndBumpsGen; the composed bit-identity is
-// proven by TestLineBufferStatsEquivalence, whose script includes this
-// same cross-core write.
+// proven by TestLineBufferStatsEquivalence, whose script includes a
+// cross-core write to a line the other core has buffered.
 func TestLineBufferCoherenceWrite(t *testing.T) {
 	m := NewMachine(testBaseline())
 	el := m.Alloc("el", 4096, 8, memsys.KindEdgeList)

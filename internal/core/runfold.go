@@ -96,11 +96,12 @@ type runFold struct {
 // machinery. Folding requires the line buffer (the memo it virtualizes),
 // no per-access sink (an AccessSink must observe the expanded stream with
 // true per-access results, so batching disables itself and the trace TSV
-// bytes are trivially unchanged), and no SerialAccess kill switch. Probe
-// folds additionally require a fault-free machine: the cache-path probe
-// they replay draws injector PRNG per access.
+// bytes are trivially unchanged). Attaching an AccessSink is therefore
+// also how tests reach the per-access reference path. Probe folds
+// additionally require a fault-free machine: the cache-path probe they
+// replay draws injector PRNG per access.
 func (m *Machine) recomputeFold() {
-	m.foldEnabled = !m.cfg.DisableLineBuffer && !m.cfg.SerialAccess && m.accSink == nil
+	m.foldEnabled = !m.cfg.DisableLineBuffer && m.accSink == nil
 	m.probeFold = m.foldEnabled && m.faults == nil
 }
 
@@ -246,84 +247,4 @@ func (m *Machine) flushFold() {
 // not leak into it.
 func (m *Machine) resetFold() {
 	m.fold = runFold{}
-}
-
-// ReadRun emits n plain loads of the consecutive elements r[base..base+n),
-// equivalent to calling Read once per element in ascending order but
-// decomposed into line-granular segments: one per-access hierarchy probe
-// establishes each touched line, and the remaining same-line reads fold
-// into the open window in O(1) bulk (DESIGN.md §11). Cancellation is
-// polled at segment granularity. Bounds are validated up front, so an
-// out-of-range run panics before emitting any access (the per-element
-// loop would panic at the first bad element instead).
-func (c *Ctx) ReadRun(r *Region, base, n int) {
-	if n <= 0 {
-		return
-	}
-	_ = r.Addr(base)
-	_ = r.Addr(base + n - 1)
-	m := c.m
-	end := base + n
-	elem := memsys.Addr(r.ElemSize)
-	for i := base; i < end; {
-		m.checkCancel()
-		c.Read(r, i)
-		i++
-		f := &m.fold
-		if i >= end || !f.active || f.core != c.core {
-			continue
-		}
-		cs := &f.streams[f.cur]
-		addr := r.Base + memsys.Addr(i)*elem
-		if memsys.LineAddr(addr) != cs.line {
-			continue
-		}
-		// Elements i.. up to the line boundary are memo folds against the
-		// window just established/continued by the read above: same line,
-		// same stream, no per-element re-validation needed.
-		k := int((uint64(cs.line) + memsys.LineSize - uint64(addr) + uint64(elem) - 1) / uint64(elem))
-		if rem := end - i; k > rem {
-			k = rem
-		}
-		f.n += uint64(k)
-		cs.count += uint64(k)
-		cs.lastSeq = f.n
-		f.memoHits += uint64(k)
-		i += k
-	}
-}
-
-// WriteRun emits n plain stores of the consecutive elements
-// r[base..base+n), equivalent to calling Write once per element in
-// ascending order. Stores are not folded — every store does real
-// directory upgrade and dirty-bit work — so this is the per-element loop
-// plus up-front bounds validation and periodic cancellation polls.
-func (c *Ctx) WriteRun(r *Region, base, n int) {
-	if n <= 0 {
-		return
-	}
-	_ = r.Addr(base)
-	_ = r.Addr(base + n - 1)
-	for i := base; i < base+n; i++ {
-		c.m.checkCancel()
-		c.Write(r, i)
-	}
-}
-
-// ReadSrcRun emits n source-vertex property reads of the consecutive
-// elements r[base..base+n), equivalent to calling ReadSrc once per
-// element in ascending order. Source reads are not folded — on OMEGA each
-// consults the per-core source vertex buffer FIFO — so this is the
-// per-element loop plus up-front bounds validation and periodic
-// cancellation polls.
-func (c *Ctx) ReadSrcRun(r *Region, base, n int) {
-	if n <= 0 {
-		return
-	}
-	_ = r.Addr(base)
-	_ = r.Addr(base + n - 1)
-	for i := base; i < base+n; i++ {
-		c.m.checkCancel()
-		c.ReadSrc(r, i)
-	}
 }

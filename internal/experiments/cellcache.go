@@ -65,10 +65,6 @@ const (
 	// UncacheableWorkload marks a workload whose Run closure is not the
 	// registered algorithm (custom schedules, instrumented variants).
 	UncacheableWorkload = "workload"
-	// UncacheableSink marks a run whose sink wants per-access or span
-	// events — replay has only the sample stream, so these must
-	// simulate for real.
-	UncacheableSink = "sink"
 	// UncacheableCampaign marks machine runs under the resilience
 	// campaign engine, which drives machines through checkpoints and
 	// re-executions the cell abstraction cannot represent.
@@ -295,19 +291,6 @@ func registryWorkload(spec algorithms.Spec) bool {
 		reflect.ValueOf(reg.Run).Pointer() == reflect.ValueOf(spec.Run).Pointer()
 }
 
-// sinkWantsEvents reports whether s asks for per-access or span events
-// — extensions a cell replay cannot provide.
-func sinkWantsEvents(s obs.Sink) bool {
-	if s == nil {
-		return false
-	}
-	if _, ok := s.(obs.AccessSink); ok {
-		return true
-	}
-	_, ok := s.(obs.SpanSink)
-	return ok
-}
-
 // uncacheableReason classifies a cell-routed run that must bypass the
 // cache, or returns "" when the cell is cacheable.
 func (o Options) uncacheableReason(spec algorithms.Spec, pr prepared) string {
@@ -317,9 +300,6 @@ func (o Options) uncacheableReason(spec algorithms.Spec, pr prepared) string {
 	if !registryWorkload(spec) {
 		return UncacheableWorkload
 	}
-	if sinkWantsEvents(o.sink) || sinkWantsEvents(o.Metrics) {
-		return UncacheableSink
-	}
 	return ""
 }
 
@@ -328,13 +308,8 @@ func (o Options) uncacheableReason(spec algorithms.Spec, pr prepared) string {
 // label stamped into the requesting run's sample stream; it is NOT part
 // of the cell identity — cells store pre-stamp samples and each
 // requester restamps, so call sites with different labeling conventions
-// share cells. SerialAccess is applied to cfg before keying, so batched
-// and per-access runs stay distinct cache entries even though their
-// results are bit-identical (host-perf A/B must not share timings).
+// share cells.
 func runCell(o Options, spec algorithms.Spec, pr prepared, cfg core.Config, run string) core.MachineStats {
-	if o.SerialAccess {
-		cfg.SerialAccess = true
-	}
 	o.cellStats.noteCell()
 	if o.Cells == nil {
 		return buildCellDirect(o, spec, pr, cfg, run)

@@ -43,19 +43,6 @@ type Options struct {
 	// Timeout is the per-experiment watchdog applied by Suite and the
 	// context-aware facade entry points. Zero disables the watchdog.
 	Timeout time.Duration
-	// SerialVariants disables the per-variant goroutine fan-out inside
-	// individual runners (see runVariants), forcing machine variants to
-	// execute one after another on the runner goroutine. Tables are
-	// identical either way; the switch exists for debugging and for
-	// single-CPU environments where the fan-out buys nothing.
-	SerialVariants bool
-	// SerialAccess disables run-fold access batching (DESIGN.md §11) on
-	// every machine the experiments build, forcing the per-access path
-	// for each simulated load. Results are bit-identical either way —
-	// the fold's whole contract — so the switch exists for equivalence
-	// testing and host-performance A/B measurement (omega-bench
-	// -no-batch).
-	SerialAccess bool
 	// Datasets memoizes graph construction across runners so experiments
 	// sharing a (generator, scale, seed, reorder) tuple build the graph
 	// once. Nil means every runner generates its graphs from scratch.
@@ -65,14 +52,9 @@ type Options struct {
 	// idea lifted to whole machine simulations (DESIGN.md §12). The
 	// simulator is deterministic, so a cached cell's stats and metric
 	// stream are exactly what a fresh run would produce. Nil disables
-	// cell caching; Suite installs a fresh cache unless NoCellCache is
-	// set.
+	// cell caching for a direct runner call; Suite installs a fresh cache
+	// when it is nil.
 	Cells *CellCache
-	// NoCellCache keeps Suite from installing (or using) a cell cache —
-	// the kill switch behind omega-bench -no-cell-cache. Tables are
-	// identical either way; the switch exists for equivalence checks and
-	// honest perf A/B measurement.
-	NoCellCache bool
 	// SchedHints, when non-empty, lets Suite dispatch experiments
 	// longest-expected-first (keyed by spec ID, e.g. a prior run's
 	// telemetry via SuiteResult.CostHints) so one late-scheduled heavy
@@ -88,6 +70,11 @@ type Options struct {
 	// Observation is read-only: tables are bit-identical with or without
 	// a sink. Nil (the default) disables metrics entirely.
 	Metrics obs.Sink
+	// serialVariants disables the per-variant goroutine fan-out inside
+	// individual runners (see runVariants), forcing machine variants to
+	// execute one after another on the runner goroutine. Tables are
+	// identical either way; tests set it to compare the two schedules.
+	serialVariants bool
 	// cacheStats, when set by Suite, receives this run's dataset-cache
 	// hit/miss counts so telemetry can attribute them per experiment.
 	cacheStats *datasets.Counters
@@ -430,9 +417,6 @@ func machinesFor(g *graph.Graph, vtxPropBytes int, o Options) (*core.Machine, *c
 // given run label (machine name distinguishes baseline/omega within a
 // run). Neither attachment perturbs simulation results.
 func (o Options) newMachine(cfg core.Config, run string) *core.Machine {
-	if o.SerialAccess {
-		cfg.SerialAccess = true
-	}
 	m := core.NewMachine(cfg)
 	m.AttachContext(o.ctx)
 	if o.sink != nil {

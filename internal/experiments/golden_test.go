@@ -26,20 +26,6 @@ func TestGoldenBitIdentity(t *testing.T) {
 	goldenSuite(t, Options{Scale: 9, Seed: 42, Coverage: 0.20})
 }
 
-// TestGoldenBitIdentityNoBatch repeats the golden comparison with run-fold
-// access batching disabled (the omega-bench -no-batch path), pinning that
-// the batched and serial access paths produce the same bytes — and that
-// neither diverged from the pre-optimization goldens. The miss-path
-// machinery is exercised differently in the two modes (the serial path
-// takes the per-access probe route the batch folds away), so this guards
-// both sides of the refactor.
-func TestGoldenBitIdentityNoBatch(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full-suite golden comparison skipped in -short mode")
-	}
-	goldenSuite(t, Options{Scale: 9, Seed: 42, Coverage: 0.20, SerialAccess: true})
-}
-
 func goldenSuite(t *testing.T, opts Options) {
 	for _, spec := range Registry() {
 		spec := spec

@@ -3,6 +3,8 @@ package experiments
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -18,12 +20,45 @@ import (
 // samples. The full-registry no-sink comparison is TestGoldenBitIdentity.
 var metricsGoldenSpecs = []string{"Table I", "Figure 3", "Figure 14", "Ablation A3"}
 
+// metricsDigestPath pins the metric streams of metricsGoldenSpecs at
+// scale 9, seed 42: one SHA-256 per experiment over its TSV-encoded
+// stream, in sha256sum format keyed by the golden's file name. Digests
+// stand in for the streams themselves because Figure 14's alone is
+// 1.3 MB. A mismatch prints the new digest; the stream it hashes is what
+// omega-bench -scale 9 -seed 42 -only <ID> -metrics <file>.tsv writes.
+var metricsDigestPath = filepath.Join("testdata", "golden-scale9-seed42", "metrics.sha256")
+
+// checkMetricsDigest compares the TSV encoding of an experiment's
+// sample stream against its pinned digest. A missing digest file or
+// entry fails the test: the streams must always be pinned.
+func checkMetricsDigest(t *testing.T, id string, samples []obs.MetricSample) {
+	t.Helper()
+	data, err := os.ReadFile(metricsDigestPath)
+	if err != nil {
+		t.Fatalf("missing metric-stream digests: %v", err)
+	}
+	name := strings.ReplaceAll(strings.ToLower(id), " ", "_") + ".tsv"
+	want := ""
+	for _, line := range strings.Split(string(data), "\n") {
+		if sum, file, ok := strings.Cut(line, "  "); ok && file == name {
+			want = sum
+		}
+	}
+	if want == "" {
+		t.Fatalf("%s has no digest for %s", metricsDigestPath, name)
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256([]byte(encodeTSV(t, samples)))); got != want {
+		t.Errorf("metric stream of %s diverged from %s\ngot:  %s\nwant: %s",
+			id, metricsDigestPath, got, want)
+	}
+}
+
 // TestGoldenBitIdentityWithMetrics pins the observer-effect contract:
 // attaching a metrics sink must not shift a single simulated number.
 // Each experiment in the subset runs under RunSafe with a sink attached
 // and its TSV rendering is compared byte-for-byte against the same
-// goldens the no-sink test uses; the sink must also actually receive
-// per-iteration samples for every experiment.
+// goldens the no-sink test uses; the sample stream must match its
+// pinned digest.
 func TestGoldenBitIdentityWithMetrics(t *testing.T) {
 	if testing.Short() {
 		t.Skip("golden comparison skipped in -short mode")
@@ -50,15 +85,7 @@ func TestGoldenBitIdentityWithMetrics(t *testing.T) {
 				t.Errorf("output diverged from golden %s with metrics attached\ngot:\n%s\nwant:\n%s",
 					path, got, want)
 			}
-			samples := buf.Drain()
-			if len(samples) == 0 {
-				t.Fatalf("no metric samples emitted for %s", id)
-			}
-			for _, s := range samples {
-				if s.Experiment != id {
-					t.Fatalf("sample not stamped with experiment ID: %+v", s)
-				}
-			}
+			checkMetricsDigest(t, id, buf.Drain())
 		})
 	}
 }

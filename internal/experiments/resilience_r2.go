@@ -57,7 +57,7 @@ func CampaignFor(o Options) resilience.Campaign {
 		Rates:    CampaignRates,
 		Seeds:    seeds,
 		Policy:   resilience.DefaultPolicy(),
-		Parallel: !o.SerialVariants,
+		Parallel: !o.serialVariants,
 		Ctx:      o.ctx,
 	}
 }

@@ -48,9 +48,9 @@ func TestCampaignZeroRateIsClean(t *testing.T) {
 // TSV whether cells run sequentially or fanned out to goroutines.
 func TestCampaignSequentialParallelIdentical(t *testing.T) {
 	o := campaignOpts()
-	o.SerialVariants = true
+	o.serialVariants = true
 	seq := RunResilienceCampaign(o)
-	o.SerialVariants = false
+	o.serialVariants = false
 	par := RunResilienceCampaign(o)
 	if seq.Failed || par.Failed {
 		t.Fatalf("campaign failed: seq=%v par=%v", seq.Title, par.Title)

@@ -67,8 +67,7 @@ type SuiteResult struct {
 	Wall time.Duration
 	// Parallelism is the resolved worker-pool size.
 	Parallelism int
-	// Cells is the simulation-cell cache the suite ran with (nil when the
-	// cache was disabled via Options.NoCellCache).
+	// Cells is the simulation-cell cache the suite ran with.
 	Cells *CellCache
 }
 
@@ -124,9 +123,7 @@ func Suite(ctx context.Context, specs []Spec, o Options, progress func(SuiteEven
 	if o.Datasets == nil {
 		o.Datasets = datasets.New()
 	}
-	if o.NoCellCache {
-		o.Cells = nil
-	} else if o.Cells == nil {
+	if o.Cells == nil {
 		o.Cells = NewCellCache()
 	}
 	// Under parallelism, experiments finish in nondeterministic order, so

@@ -41,7 +41,7 @@ func (p *variantPanic) String() string {
 }
 
 // runVariants executes the given variant functions and returns their
-// results in declaration order. With SerialVariants set (or fewer than
+// results in declaration order. With serialVariants set (or fewer than
 // two variants) it runs them in place, reproducing the sequential
 // harness exactly; otherwise each variant gets its own goroutine. If a
 // variant panics, the panic is re-raised on the calling goroutine after
@@ -49,7 +49,7 @@ func (p *variantPanic) String() string {
 // same way it would a sequential runner's panic.
 func runVariants[T any](o Options, fns ...func() T) []T {
 	out := make([]T, len(fns))
-	if o.SerialVariants || len(fns) < 2 {
+	if o.serialVariants || len(fns) < 2 {
 		for i, fn := range fns {
 			out[i] = fn()
 		}

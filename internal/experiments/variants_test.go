@@ -18,7 +18,7 @@ func TestRunVariantsOrder(t *testing.T) {
 		fns[i] = func() int { return i * i }
 	}
 	for _, serial := range []bool{false, true} {
-		got := runVariants(Options{SerialVariants: serial}, fns...)
+		got := runVariants(Options{serialVariants: serial}, fns...)
 		for i, v := range got {
 			if v != i*i {
 				t.Fatalf("serial=%v: variant %d returned %d, want %d", serial, i, v, i*i)
@@ -89,7 +89,7 @@ func TestVariantConcurrencyMatchesSerial(t *testing.T) {
 	} {
 		o := base
 		par := spec.Run(o)
-		o.SerialVariants = true
+		o.serialVariants = true
 		ser := spec.Run(o)
 		if !reflect.DeepEqual(par, ser) {
 			t.Errorf("%s: concurrent-variant table differs from serial\nconcurrent:\n%s\nserial:\n%s",
