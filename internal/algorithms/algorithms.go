@@ -112,7 +112,7 @@ func All() []Spec {
 			AtomicIntensity: "high", RandomIntensity: "high",
 			VtxPropBytes: 8, NumProps: 2, ActiveList: true, ReadsSrc: true,
 			NeedsUndirected: true,
-			Schedule: "converge",
+			Schedule:        "converge",
 			Run: func(fw *ligra.Framework) core.MachineStats {
 				CC(fw)
 				return fw.Machine().Stats()
@@ -133,7 +133,7 @@ func All() []Spec {
 			AtomicIntensity: "low", RandomIntensity: "low",
 			VtxPropBytes: 4, NumProps: 1, ActiveList: false, ReadsSrc: false,
 			NeedsUndirected: true,
-			Schedule: "k=0",
+			Schedule:        "k=0",
 			Run: func(fw *ligra.Framework) core.MachineStats {
 				KC(fw, 0)
 				return fw.Machine().Stats()

@@ -98,21 +98,22 @@ type Config struct {
 	// (all rates 0) disables injection entirely and is the default.
 	Faults faults.Config
 
-	// DisableLineBuffer turns off the per-core same-line read fast path
-	// (the one-entry line buffer), and with it run-fold batching. Results
-	// are bit-identical either way except when Faults.DirFlipRate or
-	// Faults.LineBufFlipRate is nonzero: the full probe draws a directory
-	// flip per access that a memo hit skips, and line-buffer flips are
-	// drawn only when a memo is armed, so those injector streams differ.
-	// The knob exists so equivalence tests and benchmarks can compare the
-	// memoized path against the full probe.
+	// DisableLineBuffer turns off the same-line read fast path (each
+	// core's L1 same-line memo, Cache.SameLineReadHit), and with it
+	// run-fold batching. Results are bit-identical either way except when
+	// Faults.DirFlipRate or Faults.LineBufFlipRate is nonzero: the full
+	// probe draws a directory flip per access that a memo hit skips, and
+	// memo corruptions are drawn only on the fast path's full probes, so
+	// those injector streams differ. The knob exists so equivalence tests
+	// and benchmarks can compare the memoized path against the full probe.
 	DisableLineBuffer bool
 
-	// DisableLineBufGenCheck drops the generation tag comparison on line
-	// buffer lookups. Only fault-injection experiments set it: with the
-	// check off, an injected line-buffer corruption replays a stale memo
-	// silently instead of being caught and discarded, which is exactly the
-	// silent-data-corruption scenario the resilience campaigns classify.
+	// DisableLineBufGenCheck models memo hardware without a generation
+	// check. Only fault-injection experiments set it: with the check off,
+	// an injected memo corruption (Faults.LineBufFlipRate) replays its
+	// flipped latency silently instead of being caught and discarded,
+	// which is exactly the silent-data-corruption scenario the resilience
+	// campaigns classify.
 	DisableLineBufGenCheck bool
 
 	// OpenMPChunk is the scheduling chunk size of the framework's

@@ -105,6 +105,15 @@ func (p *cachePath) l2Global(local memsys.Addr, bank int) memsys.Addr {
 	return memsys.Addr((l*uint64(p.cfg.NumCores) + uint64(bank)) * memsys.LineSize)
 }
 
+// dropMemos drops every L1's same-line memo (Cache.DropHot) for
+// machine-level events the caches cannot see. It touches no counters, so
+// it is stats-neutral: the next read on each core just re-probes.
+func (p *cachePath) dropMemos() {
+	for _, l1 := range p.l1 {
+		l1.DropHot()
+	}
+}
+
 // Access simulates one access through the cache path.
 func (p *cachePath) Access(now memsys.Cycles, a memsys.Access) memsys.Result {
 	op := a.Op

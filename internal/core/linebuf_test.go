@@ -12,12 +12,10 @@ import (
 	"omega/internal/scratchpad"
 )
 
-// armed reports whether core's line-buffer memo for the line of r[i]
-// would currently validate (line match + generation match).
+// armed reports whether core's L1 same-line memo is armed for the line
+// of r[i], i.e. whether the next read of it would take fastRead's memo hit.
 func armed(m *Machine, core int, r *Region, i int) bool {
-	line := memsys.LineAddr(r.Addr(i))
-	_, _, ok := m.cores[core].LineBufLookup(line, m.path.l1[core].Gen()+m.fastEpoch)
-	return ok
+	return m.path.l1[core].HotWay(r.Addr(i)) >= 0
 }
 
 // lineBufFaults injects the fault sites whose PRNG draws the line buffer
@@ -107,7 +105,7 @@ func TestLineBufferCoherenceWrite(t *testing.T) {
 	c1 := &Ctx{m: m, core: 1}
 	c0.Read(el, 0)
 	if !armed(m, 0, el, 0) {
-		t.Fatal("read did not arm the line buffer")
+		t.Fatal("read did not arm the memo")
 	}
 	c1.Write(el, 0)
 	if m.Stats().Invalidations == 0 {
@@ -128,7 +126,7 @@ func TestLineBufferCoherenceWrite(t *testing.T) {
 
 // TestLineBufferIterationAndConfigEpochs checks the machine-level
 // conservative invalidations: BeginIteration and ConfigureGraph each
-// bump the fast epoch, dropping every core's memo.
+// drop every core's memo (Cache.DropHot on every L1).
 func TestLineBufferIterationAndConfigEpochs(t *testing.T) {
 	m := NewMachine(testOMEGA())
 	el := m.Alloc("el", 4096, 8, memsys.KindEdgeList)
@@ -137,16 +135,16 @@ func TestLineBufferIterationAndConfigEpochs(t *testing.T) {
 
 	c0.Read(el, 0)
 	if !armed(m, 0, el, 0) {
-		t.Fatal("read did not arm the line buffer")
+		t.Fatal("read did not arm the memo")
 	}
-	m.BeginIteration() // scratchpad InvalidateSrcBufs + epoch bump
+	m.BeginIteration() // scratchpad InvalidateSrcBufs + memo drop
 	if armed(m, 0, el, 0) {
 		t.Fatal("memo survived BeginIteration")
 	}
 
 	c0.Read(el, 0)
 	if !armed(m, 0, el, 0) {
-		t.Fatal("re-probe did not re-arm the line buffer")
+		t.Fatal("re-probe did not re-arm the memo")
 	}
 	m.ConfigureGraph([]scratchpad.MonitorRegister{m.MonitorFor(vp)}, 4096,
 		pisc.StandardMicrocode("t", pisc.OpFPAdd, false, false))
@@ -172,7 +170,7 @@ func TestLineBufferFaultDegrade(t *testing.T) {
 	c0 := &Ctx{m: m, core: 0}
 	c0.Read(el, 0)
 	if !armed(m, 0, el, 0) {
-		t.Fatal("read did not arm the line buffer")
+		t.Fatal("read did not arm the memo")
 	}
 	c0.Read(vp, 0) // resident vertex, parity trips, degrade path runs
 	if m.Stats().SPDegraded == 0 {
@@ -183,23 +181,129 @@ func TestLineBufferFaultDegrade(t *testing.T) {
 	}
 }
 
-// TestLineBufferMachineReset checks that Reset disarms the per-core
-// buffers and that a pre-Reset memo can never validate afterwards (the
-// cache generation is monotonic across Reset).
+// TestLineBufferMachineReset checks that Reset disarms every core's memo
+// and that the memo generation stays monotonic across Reset.
 func TestLineBufferMachineReset(t *testing.T) {
 	m := NewMachine(testBaseline())
 	el := m.Alloc("el", 4096, 8, memsys.KindEdgeList)
 	c0 := &Ctx{m: m, core: 0}
 	c0.Read(el, 0)
 	if !armed(m, 0, el, 0) {
-		t.Fatal("read did not arm the line buffer")
+		t.Fatal("read did not arm the memo")
 	}
-	genBefore := m.path.l1[0].Gen() + m.fastEpoch
+	genBefore := m.path.l1[0].Gen()
 	m.Reset()
 	if armed(m, 0, el, 0) {
 		t.Fatal("memo survived Machine.Reset")
 	}
-	if m.path.l1[0].Gen()+m.fastEpoch <= genBefore {
-		t.Fatal("generation did not advance across Reset; stale memos could validate")
+	if m.path.l1[0].Gen() <= genBefore {
+		t.Fatal("generation did not advance across Reset")
 	}
+}
+
+// TestLineBufFaultSite pins the linebuf fault site's per-core corruption
+// record (memoFault) at the machine level. At LineBufFlipRate 1 every
+// fastRead full probe corrupts the memo it just armed.
+func TestLineBufFaultSite(t *testing.T) {
+	buildAt := func(checked bool, seed uint64, rate float64) (*Machine, *Region, *Ctx) {
+		cfg := testBaseline()
+		cfg.Faults = faults.Config{Seed: seed, LineBufFlipRate: rate}
+		cfg.DisableLineBufGenCheck = !checked
+		m := NewMachine(cfg)
+		el := m.Alloc("el", 4096, 8, memsys.KindEdgeList)
+		return m, el, &Ctx{m: m, core: 0}
+	}
+	build := func(checked bool) (*Machine, *Region, *Ctx) { return buildAt(checked, 3, 1) }
+	catches := func(m *Machine) uint64 { return m.FaultEvents().LineBufGenCatches }
+	const perLine = memsys.LineSize / 8 // elements of el per line
+
+	t.Run("checked", func(t *testing.T) {
+		m, el, c0 := build(true)
+		c0.Read(el, 0)
+		if f := m.memoFaults[0]; !f.armed || !f.checked || f.line != memsys.LineAddr(el.Addr(0)) {
+			t.Fatalf("full probe did not record a checked corruption: %+v", f)
+		}
+		stores := m.lbStores.Value()
+		c0.Read(el, 1) // same line: the memo is refused
+		if m.lbStores.Value() != stores+1 || m.lbHits.Value() != 0 {
+			t.Fatalf("same-line read did not take the full probe: stores %d, hits %d",
+				m.lbStores.Value(), m.lbHits.Value())
+		}
+		if n := catches(m); n != 1 {
+			t.Fatalf("%d catches, want exactly 1", n)
+		}
+	})
+
+	t.Run("unchecked", func(t *testing.T) {
+		m, el, c0 := build(false)
+		c0.Read(el, 0)
+		if f := m.memoFaults[0]; !f.armed || f.checked {
+			t.Fatalf("full probe did not record an unchecked corruption: %+v", f)
+		}
+		li := levelIndex(memsys.LevelL1, false)
+		before := m.levelLatency[li]
+		c0.Read(el, 1) // same line: the memo replays the corrupted latency
+		if m.lbHits.Value() != 1 {
+			t.Fatalf("same-line read missed the memo: hits %d", m.lbHits.Value())
+		}
+		lat := m.levelLatency[li] - before
+		diff := lat ^ uint64(m.path.l1[0].Latency())
+		if diff == 0 || diff&(diff-1) != 0 || diff < 1<<4 || diff > 1<<9 {
+			t.Fatalf("replayed latency %d is not one bit in [16, 512] off the L1 latency", lat)
+		}
+		if m.fold.active {
+			t.Fatal("a corrupted memo hit opened a fold window")
+		}
+		if n := catches(m); n != 0 {
+			t.Fatalf("unchecked replay counted %d catches", n)
+		}
+	})
+
+	t.Run("other-line-clears", func(t *testing.T) {
+		// Find a seed whose first probe corrupts and second does not, so
+		// the second probe must clear the record rather than replace it.
+		var m *Machine
+		var el *Region
+		var c0 *Ctx
+		for seed := uint64(1); ; seed++ {
+			if seed > 64 {
+				t.Fatal("no seed flips the first probe only")
+			}
+			m, el, c0 = buildAt(true, seed, 0.5)
+			if c0.Read(el, 0); m.FaultEvents().LineBufFlips != 1 {
+				continue
+			}
+			if c0.Read(el, perLine); m.FaultEvents().LineBufFlips == 1 {
+				break
+			}
+		}
+		if f := m.memoFaults[0]; f.armed {
+			t.Fatalf("full probe of another line left the record armed: %+v", f)
+		}
+		c0.Read(el, 0) // re-probe of the first line: nothing left to catch
+		if n := catches(m); n != 0 {
+			t.Fatalf("cleared corruption counted %d catches", n)
+		}
+	})
+
+	t.Run("snapshot-restore", func(t *testing.T) {
+		m, el, c0 := build(true)
+		c0.Read(el, 0)
+		snap := m.Snapshot()
+		c0.Read(el, perLine) // moves the record to the next line
+		m.Restore(snap)
+		c0.Read(el, 1) // the restored record refuses the first line's memo
+		if n := catches(m); n != 1 {
+			t.Fatalf("%d catches after Restore, want 1 from the restored record", n)
+		}
+	})
+
+	t.Run("reset", func(t *testing.T) {
+		m, el, c0 := build(true)
+		c0.Read(el, 0)
+		m.Reset()
+		if f := m.memoFaults[0]; f.armed {
+			t.Fatalf("record survived Machine.Reset: %+v", f)
+		}
+	})
 }

@@ -76,13 +76,10 @@ type Machine struct {
 	levelCount   [2 * memsys.NumLevels]uint64
 	levelLatency [2 * memsys.NumLevels]uint64
 
-	// fastEpoch is the machine half of the line-buffer generation: the
-	// per-core fast path validates its memo against l1.Gen()+fastEpoch,
-	// so bumping fastEpoch invalidates every core's line buffer at once.
-	// It advances on machine-level events the caches cannot see —
-	// BeginIteration and ConfigureGraph — as a conservative guard on top
-	// of the caches' own precise generations.
-	fastEpoch uint64
+	// memoFaults is each core's injected corruption of its L1 same-line
+	// memo (the linebuf fault site, see fastRead). It is allocated only
+	// when a fault injector is attached.
+	memoFaults []memoFault
 
 	// fold is the run-fold batching state (runfold.go): deferred bulk
 	// accounting for runs of same-line streaming reads. foldEnabled and
@@ -99,7 +96,7 @@ type Machine struct {
 	// seqCtx is the reusable core-0 context handed to Sequential bodies.
 	seqCtx Ctx
 
-	// lbHits/lbStores count line-buffer fast-path memo hits and arms;
+	// lbHits/lbStores count same-line fast-path memo hits and arms;
 	// parRegions/seqRegions/schedItems count scheduler activity. All are
 	// observability-only: nothing in the simulation reads them back.
 	lbHits     stats.Counter
@@ -184,6 +181,9 @@ func NewMachineChecked(cfg Config) (*Machine, error) {
 	for c := 0; c < cfg.NumCores; c++ {
 		m.cores = append(m.cores, cpu.New(c, cfg.Core))
 	}
+	if m.faults != nil {
+		m.memoFaults = make([]memoFault, cfg.NumCores)
+	}
 	if cfg.SPBytesPerCore > 0 {
 		m.omega = newOmegaHier(cfg, m.path, m.xbar, m.faults)
 		m.hier = m.omega
@@ -266,7 +266,7 @@ func (m *Machine) MonitorFor(r *Region) scratchpad.MonitorRegister {
 // this once per run, before the algorithm starts.
 func (m *Machine) ConfigureGraph(monitors []scratchpad.MonitorRegister, totalVertices int, mc pisc.Microcode) int {
 	m.flushFold()
-	m.fastEpoch++
+	m.path.dropMemos()
 	if m.omega == nil {
 		if m.cfg.LockedLines {
 			return m.lockHotLines(monitors, totalVertices)
@@ -322,9 +322,9 @@ func (m *Machine) EnableVertexProfile(numVertices int) {
 // VertexProfile returns the per-vertex vtxProp access counts, or nil.
 func (m *Machine) VertexProfile() []uint64 { return m.vertexProfile }
 
-// BeginIteration marks an algorithm iteration boundary. It also bumps the
-// line-buffer epoch: iteration boundaries change iteration-scoped state
-// (source vertex buffers), so every core's fast-path memo is dropped.
+// BeginIteration marks an algorithm iteration boundary. Iteration
+// boundaries change iteration-scoped state (source vertex buffers), so
+// every core's L1 same-line memo is conservatively dropped.
 //
 // With a sink attached, the boundary closes the previous iteration by
 // emitting every registered metric (cumulative values; a frontier gauge
@@ -341,7 +341,7 @@ func (m *Machine) BeginIteration() {
 	}
 	m.finalEmitted = false
 	m.iterations.Inc()
-	m.fastEpoch++
+	m.path.dropMemos()
 	m.hier.BeginIteration()
 	if m.digestsOn {
 		m.digests = append(m.digests, m.StateDigest())
@@ -434,9 +434,23 @@ func (c *Ctx) access(r *Region, i int, op memsys.Op, srcRead, dependent bool) {
 	core.Mem(res)
 }
 
+// memoFault is one core's injected corruption of its L1 same-line memo
+// (the linebuf fault site): latXor flips one latency bit of the memoized
+// hit on line. checked models hardware that guards the memo with a
+// generation tag the corruption also scrambles (Config.
+// DisableLineBufGenCheck off): the memo is refused for line, so the
+// fault is caught by the next full probe of it. Unchecked, memo hits on
+// line silently replay the corrupted latency.
+type memoFault struct {
+	line    memsys.Addr
+	latXor  memsys.Cycles
+	checked bool
+	armed   bool
+}
+
 // fastRead serves a non-atomic, non-vtxProp read, short-circuiting through
-// the core's one-entry line buffer when it provably hits the line of the
-// core's most recent L1 read hit.
+// the L1's same-line memo (Cache.SameLineReadHit) when it provably hits
+// the line of the core's most recent streaming L1 probe.
 //
 // Bit-identity argument: the fast path applies only to plain reads of the
 // streaming kinds (edgeList, nGraphData, activeList), which on both
@@ -449,68 +463,63 @@ func (c *Ctx) access(r *Region, i int, op memsys.Op, srcRead, dependent bool) {
 // NoC, or DRAM state. Cache.SameLineReadHit replays those three effects
 // exactly, and only when the memoized line is provably the line a full
 // probe would hit (the memo dies on any eviction/invalidation of that
-// line). The exception is fault state: with an injector attached, the
-// full probe draws a directory-flip decision per access (cachePath.Access)
-// that a memo hit skips, and line-buffer flips are drawn only when a memo
-// is armed (below), so under a nonzero Faults.DirFlipRate or
-// LineBufFlipRate the two paths consume different PRNG streams and
-// results differ. The
-// generation check (l1.Gen() + fastEpoch) additionally drops every memo
-// on machine-level events: BeginIteration, ConfigureGraph, and fault
-// degrades (via Cache.DropHot).
+// line, and on the machine-level events that drop it: BeginIteration,
+// ConfigureGraph, and fault degrades). The exception is fault state: with
+// an injector attached, the full probe draws a directory-flip decision per
+// access (cachePath.Access) that a memo hit skips, and memo corruptions
+// are drawn per full probe (below), so under a nonzero Faults.DirFlipRate
+// or LineBufFlipRate the two paths consume different PRNG streams and
+// results differ.
 func (m *Machine) fastRead(core *cpu.Core, a memsys.Access) memsys.Result {
 	l1 := m.path.l1[a.Core]
 	line := memsys.LineAddr(a.Addr)
-	gen := l1.Gen() + m.fastEpoch
-	if lat, level, ok := core.LineBufLookup(line, gen); ok && l1.SameLineReadHit(line) {
-		m.lbHits.Inc()
-		// Open a fold window (runfold.go): the next same-line read would
-		// replay this exact memo hit, so it can defer instead. The latency
-		// and level guards exclude a corrupted memo replaying under
-		// DisableLineBufGenCheck — folds must only ever stand in for clean
-		// L1 hits.
-		if m.foldEnabled && lat == l1.Latency() && level == memsys.LevelL1 {
-			if way := l1.HotWay(line); way >= 0 {
-				m.openFold(a.Core, line, way, a.Kind)
-			}
+	var mf *memoFault
+	if m.memoFaults != nil {
+		if f := &m.memoFaults[a.Core]; f.armed && f.line == line {
+			mf = f
 		}
-		return memsys.Result{Latency: lat, Blocking: a.Dependent, Level: level}
 	}
-	if m.faults != nil && core.LineBufCaught(line) {
-		// A corrupted memo for this line just failed the generation check:
-		// the detection worked, the stale entry is discarded, and the read
-		// below takes the full (bit-identical) probe.
+	if (mf == nil || !mf.checked) && l1.SameLineReadHit(line) {
+		m.lbHits.Inc()
+		lat := l1.Latency()
+		if mf != nil {
+			// Unchecked corruption: the memo replays the flipped latency,
+			// and folds — which stand in only for clean L1 hits — stay shut.
+			lat ^= mf.latXor
+		} else if m.foldEnabled {
+			// Open a fold window (runfold.go): the next same-line read would
+			// replay this exact memo hit, so it can defer instead.
+			m.openFold(a.Core, line, l1.HotWay(line), a.Kind)
+		}
+		return memsys.Result{Latency: lat, Blocking: a.Dependent, Level: memsys.LevelL1}
+	}
+	if mf != nil {
+		// A corrupted memo for this line was refused (checked) or dropped
+		// (unchecked): the detection worked, and the read below takes the
+		// full (bit-identical) probe, which discards the corruption.
 		m.faults.NoteLineBufGenCatch()
 	}
 	res := m.hier.Access(core.Clock(), a)
-	// Arm the buffer for the next same-line read, whether this one hit
-	// (the probe seeded the cache memo) or missed (the fill did, via
-	// FillStream). The stored timing is what a future same-line read
-	// returns: an L1 hit at the L1's hit latency — not this access's own
-	// result. If the line is in fact absent (fill rejected by a fully
-	// pinned set), the memo was not seeded and SameLineReadHit refuses,
-	// so a stale arm costs a lookup, never correctness. The generation is
-	// re-read after the probe: its fills may have advanced it.
-	core.LineBufStore(line, l1.Gen()+m.fastEpoch, l1.Latency(), memsys.LevelL1)
+	// The probe armed the L1 memo for this line, whether it hit or missed
+	// (the streaming fill seeds it); lbStores counts those arms.
 	m.lbStores.Inc()
-	corrupted := false
-	if m.faults != nil {
+	if m.memoFaults != nil {
+		f := &m.memoFaults[a.Core]
+		*f = memoFault{}
 		if bitSel, ok := m.faults.LineBufFlip(); ok {
-			// Transient in the just-armed memo: flip a latency bit above the
-			// core's pipelining threshold so a silent replay is timing-
-			// visible. With the generation check on, the corruption also
-			// scrambles the tag, so the next lookup misses and the catch is
-			// counted above; with the check off the stale memo replays.
-			core.CorruptLineBuf(bitSel, !m.cfg.DisableLineBufGenCheck)
-			corrupted = true
+			// Transient in the just-armed memo: flip a latency bit in
+			// [16, 512], above the core's pipelining threshold, so a silent
+			// replay is timing-visible. A corrupted memo must not seed folds.
+			*f = memoFault{line: line, latXor: 1 << (4 + bitSel%6),
+				checked: !m.cfg.DisableLineBufGenCheck, armed: true}
+			return res
 		}
 	}
 	// Open a fold window (runfold.go) for the just-armed memo — after a
-	// hit or a successful streaming fill alike, the next same-line read
-	// would be a memo hit. A rejected fill (fully pinned set) leaves the
-	// cache hot memo elsewhere and HotWay refuses, exactly as
-	// SameLineReadHit would; a just-corrupted memo must not seed folds.
-	if m.foldEnabled && !corrupted {
+	// hit or a streaming fill alike, the next same-line read would be a
+	// memo hit. A fill rejected by a fully pinned set leaves the memo
+	// unarmed for this line, and HotWay refuses.
+	if m.foldEnabled {
 		if way := l1.HotWay(line); way >= 0 {
 			m.openFold(a.Core, line, way, a.Kind)
 		}

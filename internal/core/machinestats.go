@@ -198,6 +198,7 @@ func (m *Machine) Reset() {
 	m.xbar.Reset()
 	m.mem.Reset()
 	m.faults.Reset()
+	clear(m.memoFaults)
 	if m.omega != nil {
 		m.omega.reset()
 	} else {

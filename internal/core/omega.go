@@ -85,13 +85,10 @@ func (h *omegaHier) degrade(now memsys.Cycles, a memsys.Access, v uint32, penalt
 		h.faults.NoteSPDegraded()
 	}
 	// A parity trip re-routes this vertex to the cache hierarchy for good:
-	// conservatively drop every core's line-buffer memo so the next read on
+	// conservatively drop every core's same-line memo so the next read on
 	// any core re-probes under the new routing — the degraded vertex is
-	// shared state, not private to the tripping core. DropHot touches no
-	// counters, so this is stats-neutral.
-	for _, l1 := range h.l1 {
-		l1.DropHot()
-	}
+	// shared state, not private to the tripping core.
+	h.dropMemos()
 	res := h.cachePath.Access(now, a)
 	res.Latency += penalty
 	res.Level = memsys.LevelSPDegraded

@@ -17,7 +17,7 @@ import (
 //   - core:    one retired instruction, one issue cycle, one retiring
 //              cycle (Mem's pipelined early return at the L1 hit latency)
 //   - machine: accesses-by-kind count, level profile (L1, latency 1),
-//              line-buffer hit or store count
+//              memo hit or store count (linebuf/hits, linebuf/stores)
 //
 // All of these are order-independent sums and stamps, so they can be
 // deferred: a fold window accumulates counts while the framework's loop
@@ -31,7 +31,7 @@ import (
 // Two fold modes exist, mirroring the two per-access L1 hit paths:
 //
 //   - memo fold: the read targets the line of the window's current
-//     (virtual) line-buffer memo. The per-access path would take
+//     (virtual) L1 same-line memo. The per-access path would take
 //     Machine.fastRead's memo hit — which draws no fault PRNG — so this
 //     mode stays enabled under fault injection.
 //   - probe fold: the read targets another line of the window's stream
@@ -74,9 +74,9 @@ type foldStream struct {
 type runFold struct {
 	active bool
 	core   int
-	// cur indexes the stream whose line the window's virtual line-buffer
-	// memo holds (the real memo and cache hot-way are re-synchronized at
-	// flush when probe folds moved them).
+	// cur indexes the stream whose line the window's virtual same-line
+	// memo holds (the real L1 memo is re-synchronized at flush when probe
+	// folds moved it).
 	cur int
 	// n is the total deferred read count; memoHits/probeHits split it by
 	// replayed path for the lbHits/lbStores counters.
@@ -84,8 +84,8 @@ type runFold struct {
 	memoHits  uint64
 	probeHits uint64
 	// rearm records that at least one probe fold occurred, so the flush
-	// must re-arm the real cache hot memo and core line buffer to the
-	// current stream (the state the last replayed probe would have left).
+	// must re-arm the real L1 same-line memo to the current stream (the
+	// state the last replayed probe would have left).
 	rearm    bool
 	nstreams int
 	next     int // round-robin replacement cursor once the registry is full
@@ -93,20 +93,20 @@ type runFold struct {
 }
 
 // recomputeFold derives the fold enables from configuration and attached
-// machinery. Folding requires the line buffer (the memo it virtualizes),
-// no per-access sink (an AccessSink must observe the expanded stream with
-// true per-access results, so batching disables itself and the trace TSV
-// bytes are trivially unchanged). Attaching an AccessSink is therefore
-// also how tests reach the per-access reference path. Probe folds
-// additionally require a fault-free machine: the cache-path probe they
-// replay draws injector PRNG per access.
+// machinery. Folding requires the same-line fast path (the memo it
+// virtualizes) and no per-access sink (an AccessSink must observe the
+// expanded stream with true per-access results, so batching disables
+// itself and the trace TSV bytes are trivially unchanged). Attaching an
+// AccessSink is therefore also how tests reach the per-access reference
+// path. Probe folds additionally require a fault-free machine: the
+// cache-path probe they replay draws injector PRNG per access.
 func (m *Machine) recomputeFold() {
 	m.foldEnabled = !m.cfg.DisableLineBuffer && m.accSink == nil
 	m.probeFold = m.foldEnabled && m.faults == nil
 }
 
 // openFold opens a fold window on core for line, just observed armed in
-// the line buffer with its L1 way known. Called only with the window
+// the L1 same-line memo with its way known. Called only with the window
 // inactive (every path here flushed first), so overwriting a registry
 // slot can never lose deferred counts.
 func (m *Machine) openFold(core int, line memsys.Addr, way int, kind memsys.Kind) {
@@ -228,15 +228,12 @@ func (m *Machine) flushFold() {
 	m.lbHits.Add(f.memoHits)
 	m.lbStores.Add(f.probeHits)
 	if f.rearm {
-		// Probe folds virtually re-armed the cache hot memo and the core
-		// line buffer; materialize the final arm (the one the last probe
-		// would have left). The generation cannot have advanced inside the
-		// window — only fills, invalidations, and resets advance it, and
-		// all of those flush first — so the stored memo validates exactly
-		// as the per-access LineBufStore would have.
+		// Probe folds virtually re-armed the L1 same-line memo;
+		// materialize the final arm (the one the last probe would have
+		// left). The way still holds the line: nothing that moves cache
+		// contents runs inside a window — every such access flushes first.
 		cs := &f.streams[f.cur]
 		l1.ArmHot(cs.line, cs.way)
-		m.cores[f.core].LineBufStore(cs.line, l1.Gen()+m.fastEpoch, l1.Latency(), memsys.LevelL1)
 	}
 	f.n, f.memoHits, f.probeHits, f.rearm = 0, 0, 0, false
 }

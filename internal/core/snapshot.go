@@ -62,7 +62,7 @@ type MachineState struct {
 	vertexProfile  []uint64
 	levelCount     [2 * memsys.NumLevels]uint64
 	levelLatency   [2 * memsys.NumLevels]uint64
-	fastEpoch      uint64
+	memoFaults     []memoFault
 	pendingALU     uint64
 	digests        []uint64
 }
@@ -101,7 +101,7 @@ func (m *Machine) Snapshot() *MachineState {
 		schedItems:     m.schedItems,
 		levelCount:     m.levelCount,
 		levelLatency:   m.levelLatency,
-		fastEpoch:      m.fastEpoch,
+		memoFaults:     append([]memoFault(nil), m.memoFaults...),
 		pendingALU:     m.pendingALU,
 	}
 	for _, c := range m.cores {
@@ -193,7 +193,7 @@ func (m *Machine) Restore(s *MachineState) {
 	m.schedItems = s.schedItems
 	m.levelCount = s.levelCount
 	m.levelLatency = s.levelLatency
-	m.fastEpoch = s.fastEpoch
+	copy(m.memoFaults, s.memoFaults)
 	m.pendingALU = s.pendingALU
 	if m.vertexProfile != nil && s.vertexProfile != nil && len(m.vertexProfile) == len(s.vertexProfile) {
 		copy(m.vertexProfile, s.vertexProfile)

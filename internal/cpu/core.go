@@ -119,27 +119,6 @@ type Core struct {
 	WindowStall   memsys.Cycles
 	DrainStall    memsys.Cycles
 	OffloadStall  memsys.Cycles
-
-	// lineBuf is the core's one-entry line buffer (the gem5-style fast
-	// path): the 64 B line of this core's most recent L1 read hit, the
-	// invalidation generation under which it was observed, and the timing
-	// the full probe returned. The machine consults it to short-circuit a
-	// repeated non-atomic read to the same line; any generation mismatch
-	// falls back to the full hierarchy probe.
-	lineBuf lineBufEntry
-}
-
-// lineBufEntry is the one-entry line buffer's state. corrupt marks an
-// injected memo corruption (stale latency bits); when the generation
-// check catches it — the gen was scrambled along with the payload — the
-// lookup fails and the caller counts the detection.
-type lineBufEntry struct {
-	line    memsys.Addr
-	gen     uint64
-	lat     memsys.Cycles
-	level   memsys.Level
-	valid   bool
-	corrupt bool
 }
 
 // New builds a core with the given ID.
@@ -284,60 +263,6 @@ func (c *Core) FoldPipelined(n uint64) {
 	c.breakdown.Retiring += memsys.Cycles(n)
 }
 
-// LineBufLookup consults the one-entry line buffer: if line matches the
-// buffered line and gen matches the generation it was observed under, the
-// memoized hit timing is returned. A false result means the caller must
-// take the full hierarchy probe (and may re-arm the buffer via
-// LineBufStore).
-func (c *Core) LineBufLookup(line memsys.Addr, gen uint64) (memsys.Cycles, memsys.Level, bool) {
-	if !c.lineBuf.valid || c.lineBuf.line != line || c.lineBuf.gen != gen {
-		return 0, 0, false
-	}
-	return c.lineBuf.lat, c.lineBuf.level, true
-}
-
-// LineBufStore arms the line buffer with the timing a full probe just
-// returned for line under generation gen.
-func (c *Core) LineBufStore(line memsys.Addr, gen uint64, lat memsys.Cycles, level memsys.Level) {
-	c.lineBuf = lineBufEntry{line: line, gen: gen, lat: lat, level: level, valid: true}
-}
-
-// LineBufClear disarms the line buffer.
-func (c *Core) LineBufClear() {
-	c.lineBuf.valid = false
-	c.lineBuf.corrupt = false
-}
-
-// CorruptLineBuf injects a fault into the armed memo: bitSel picks which
-// latency bit to flip (bits 4..9, so the corrupted timing is never
-// hidden by the pipelined-hit threshold) and, when scrambleGen is set
-// (generation checks present in the modeled hardware), the generation
-// tag's top bit flips with it — guaranteeing the next lookup's check
-// fails and the corruption is caught. With scrambleGen false the memo
-// silently replays the corrupted latency until overwritten.
-func (c *Core) CorruptLineBuf(bitSel uint64, scrambleGen bool) {
-	if !c.lineBuf.valid {
-		return
-	}
-	c.lineBuf.lat ^= 1 << (4 + bitSel%6)
-	if scrambleGen {
-		c.lineBuf.gen ^= 1 << 63
-	}
-	c.lineBuf.corrupt = true
-}
-
-// LineBufCaught reports-and-clears a corrupt-memo detection: true when
-// the buffered entry for line is corrupt and its scrambled generation
-// tag just failed a lookup. The entry is disarmed so one injected
-// corruption counts at most one catch.
-func (c *Core) LineBufCaught(line memsys.Addr) bool {
-	if !c.lineBuf.valid || !c.lineBuf.corrupt || c.lineBuf.line != line {
-		return false
-	}
-	c.LineBufClear()
-	return true
-}
-
 // DrainWindow stalls until every outstanding access has completed; used at
 // parallel-region barriers.
 func (c *Core) DrainWindow() {
@@ -362,7 +287,6 @@ type State struct {
 	window        memsys.Cycles
 	drain         memsys.Cycles
 	offload       memsys.Cycles
-	lineBuf       lineBufEntry
 }
 
 // Snapshot captures the core's timing state for later Restore.
@@ -377,7 +301,6 @@ func (c *Core) Snapshot() State {
 		window:        c.WindowStall,
 		drain:         c.DrainStall,
 		offload:       c.OffloadStall,
-		lineBuf:       c.lineBuf,
 	}
 }
 
@@ -392,7 +315,6 @@ func (c *Core) Restore(s State) {
 	c.WindowStall = s.window
 	c.DrainStall = s.drain
 	c.OffloadStall = s.offload
-	c.lineBuf = s.lineBuf
 }
 
 // Reset clears time, window, and statistics.
@@ -406,5 +328,4 @@ func (c *Core) Reset() {
 	c.WindowStall = 0
 	c.DrainStall = 0
 	c.OffloadStall = 0
-	c.LineBufClear()
 }

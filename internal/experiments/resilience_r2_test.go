@@ -126,7 +126,7 @@ func TestSnapshotRestoreRerunIdentity(t *testing.T) {
 		w := CampaignFor(campaignOpts()).Workload
 		cfg := w.Config
 		if withFaults {
-			cfg.Faults = faults.Config{Seed: 11, SPParityRate: 1e-3, DRAMFlipRate: 1e-3}
+			cfg.Faults = faults.Config{Seed: 11, SPParityRate: 1e-3, DRAMFlipRate: 1e-3, LineBufFlipRate: 1e-2}
 		}
 		m := core.NewMachine(cfg)
 		pristine := m.Snapshot()
@@ -138,6 +138,9 @@ func TestSnapshotRestoreRerunIdentity(t *testing.T) {
 		}
 		if withFaults && st1.Faults.Total() == 0 {
 			t.Fatal("fault arm injected nothing — identity check is vacuous")
+		}
+		if withFaults && st1.Faults.LineBufFlips == 0 {
+			t.Fatal("no memo corruption injected — the restored memo records go unchecked")
 		}
 	}
 }

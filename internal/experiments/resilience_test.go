@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"context"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"omega/internal/algorithms"
 	"omega/internal/core"
 	"omega/internal/ligra"
+	"omega/internal/obs"
 )
 
 // faultStatsPair runs PageRank on the cheap rmat stand-in with the given
@@ -148,6 +150,41 @@ func TestRunSafeCancellation(t *testing.T) {
 	tbl := RunSafe(ctx, spec, Options{}, 0)
 	if !tbl.Failed || !strings.Contains(tbl.Title, "cancelled") {
 		t.Fatalf("cancelled runner must be reported: %+v", tbl)
+	}
+}
+
+// TestRunSafePreCancelledNeverRuns: with ctx already done, RunSafe must
+// return the cancelled table without starting the runner. An instant
+// runner would otherwise race the ctx.Done case of RunSafe's select and
+// sometimes win.
+func TestRunSafePreCancelledNeverRuns(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	var runs atomic.Int64
+	spec := Spec{ID: "instant", Run: func(o Options) *Table {
+		runs.Add(1)
+		return &Table{ID: "instant", Title: "ran"}
+	}}
+	for i := 0; i < 200; i++ {
+		buf := obs.NewBuffer()
+		tbl := RunSafe(ctx, spec, Options{Metrics: buf}, 0)
+		if !tbl.Failed || !strings.Contains(tbl.Title, "cancelled") {
+			t.Fatalf("call %d: pre-cancelled run returned %+v", i, tbl)
+		}
+		// The cancelled table reaches the sink as harness samples only,
+		// ending with the failure marker.
+		samples := buf.Drain()
+		if n := len(samples); n == 0 || samples[n-1].Name != "failed" {
+			t.Fatalf("call %d: samples %+v end without a failed marker", i, samples)
+		}
+		for _, smp := range samples {
+			if smp.Machine != "harness" || smp.Experiment != "instant" {
+				t.Fatalf("call %d: non-harness sample %+v", i, smp)
+			}
+		}
+	}
+	if n := runs.Load(); n != 0 {
+		t.Fatalf("runner started %d times on a cancelled context", n)
 	}
 }
 

@@ -100,10 +100,16 @@ const cancelGrace = 500 * time.Millisecond
 // every case the caller gets a printable Table back so the rest of the
 // suite keeps going. timeout <= 0 disables the watchdog. Only a runner
 // that ignores its context past the grace period leaks its goroutine;
-// its eventual result is discarded.
+// its eventual result is discarded. A ctx that is already done never
+// starts the runner.
 func RunSafe(ctx context.Context, spec Spec, o Options, timeout time.Duration) *Table {
 	if ctx == nil {
 		ctx = context.Background()
+	}
+	if err := ctx.Err(); err != nil {
+		tbl := FailedTable(spec.ID, fmt.Sprintf("cancelled: %v", err))
+		emitRunMetrics(o.Metrics, nil, spec.ID, tbl)
+		return tbl
 	}
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()

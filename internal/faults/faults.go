@@ -95,12 +95,12 @@ type Config struct {
 	// directory site.
 	DisableDirScrub bool
 
-	// LineBufFlipRate is the per-install probability that a core's
-	// line-buffer memo is corrupted (stale latency bits). The memo's
-	// generation tag is scrambled along with it, so the generation check
-	// rejects the entry on its next lookup; the core.Config knob
-	// DisableLineBufGenCheck models hardware without the check, where the
-	// corrupt memo replays silently.
+	// LineBufFlipRate is the per-arm probability that a core's same-line
+	// memo is corrupted (one flipped latency bit) by the full probe that
+	// just armed it. The modeled generation check refuses the corrupt
+	// memo, so the next read of its line re-probes and counts a catch;
+	// the core.Config knob DisableLineBufGenCheck models hardware without
+	// the check, where the corrupt memo replays silently.
 	LineBufFlipRate float64
 
 	// ALUFlipRate is the per-offload probability that a PISC ALU result

@@ -19,7 +19,7 @@ const (
 	SiteSPParity
 	// SiteDirectory injects coherence-directory probe-table tag flips.
 	SiteDirectory
-	// SiteLineBuf injects per-core line-buffer memo corruption.
+	// SiteLineBuf injects per-core same-line memo corruption.
 	SiteLineBuf
 	// SiteALU injects PISC ALU transient result flips (functional).
 	SiteALU

@@ -74,12 +74,12 @@ type Cache struct {
 	slab []uint64
 	meta []setMeta
 
-	// hotLine/hotIdx memoize the line of the most recent read hit so a
-	// streaming run of reads to the same 64 B line skips the set probe
-	// (SameLineReadHit); hotIdx is -1 when no memo is armed. gen
-	// invalidates the memo — and any caller-side buffer keyed on Gen() —
-	// whenever the memoized line's identity could have changed: an
-	// eviction or invalidation of that line, or a Reset.
+	// hotLine/hotIdx memoize the line of the most recent streaming read
+	// hit or fill so a run of reads to the same 64 B line skips the set
+	// probe (SameLineReadHit); hotIdx is -1 when no memo is armed. The
+	// memo dies whenever the memoized line's identity could have changed
+	// — an eviction or invalidation of that line, a Reset, or a DropHot —
+	// and every such drop advances gen.
 	hotLine memsys.Addr
 	hotIdx  int
 	gen     uint64
@@ -188,10 +188,10 @@ func (c *Cache) Lookup(a memsys.Addr) bool {
 // LookupAt is Lookup over a pre-resolved Ref.
 func (c *Cache) LookupAt(r Ref) bool { return c.findIdx(r.base, r.key) >= 0 }
 
-// Gen returns the cache's line-buffer generation. It advances whenever a
-// line's identity may have changed (fill-evict, invalidation, Reset), so
-// callers can memoize "addr hits this cache" results keyed on (line, Gen)
-// and be guaranteed a stale memo never validates.
+// Gen returns the cache's memo generation: the number of times the
+// same-line memo has been dropped (fill-evict or invalidation of the
+// memoized line, Reset, DropHot). It is monotonic across Reset and
+// feeds the machine's state digest; nothing validates against it.
 func (c *Cache) Gen() uint64 { return c.gen }
 
 // dropHot invalidates the same-line memo and advances the generation.
@@ -201,9 +201,9 @@ func (c *Cache) dropHot() {
 }
 
 // DropHot force-invalidates the same-line memo and advances the
-// generation. It exists for events outside the cache's own view — fault
-// degrades, scratchpad reconfiguration — that must conservatively kill
-// caller-side line buffers keyed on Gen().
+// generation. It exists for events outside the cache's own view —
+// iteration boundaries, graph configuration, scratchpad fault degrades —
+// after which the next same-line read must take the full probe.
 func (c *Cache) DropHot() { c.dropHot() }
 
 // SameLineReadHit is the same-line fast path: if addr falls in the line of
@@ -221,20 +221,6 @@ func (c *Cache) SameLineReadHit(a memsys.Addr) bool {
 	c.slab[c.hotIdx+c.ways] = c.useClock
 	c.Reads.Observe(true)
 	return true
-}
-
-// FillStream is Fill that additionally seeds the same-line memo with the
-// installed (or refreshed) line, arming SameLineReadHit for the reads that
-// follow a streaming miss. Seeding is skipped when the fill is rejected
-// (fully pinned set), so the memo never points at an absent line.
-func (c *Cache) FillStream(a memsys.Addr, dirty bool) (victim EvictedLine, evicted bool) {
-	r := c.Resolve(a)
-	victim, evicted, idx := c.fillAt(r, dirty)
-	if idx >= 0 {
-		c.hotLine = r.la
-		c.hotIdx = idx
-	}
-	return victim, evicted
 }
 
 // HotWay returns the way index of the same-line memo when it is armed for
@@ -264,7 +250,7 @@ func (c *Cache) PresentAt(idx int, a memsys.Addr) bool {
 
 // FoldReadHits applies the accounting of n same-line read hits in one
 // step — n use-clock ticks and n read hits, exactly what n calls of
-// SameLineReadHit (or hitting AccessStreamRead probes) would record — and
+// SameLineReadHit (or hitting AccessStreamReadAt probes) would record — and
 // returns the use clock after the fold, from which the caller back-computes
 // the LRU stamps each folded hit would have left (SetLastUse).
 func (c *Cache) FoldReadHits(n uint64) uint64 {
@@ -279,7 +265,7 @@ func (c *Cache) FoldReadHits(n uint64) uint64 {
 func (c *Cache) SetLastUse(idx int, use uint64) { c.slab[idx+c.ways] = use }
 
 // ArmHot re-seeds the same-line memo with a (line, way) pair the caller
-// has validated via PresentAt — the state a hitting AccessStreamRead of
+// has validated via PresentAt — the state a hitting AccessStreamReadAt of
 // that line would have left. It touches no counters and no generation.
 func (c *Cache) ArmHot(a memsys.Addr, idx int) {
 	c.hotLine = memsys.LineAddr(a)
@@ -321,18 +307,13 @@ func (c *Cache) AccessAt(r Ref, write bool) (hit bool) {
 	return false
 }
 
-// AccessStreamRead is Access(a, false) that additionally seeds the
+// AccessStreamReadAt is AccessAt(r, false) that additionally seeds the
 // same-line memo on a hit, arming SameLineReadHit for the next read of
 // this line. The hierarchy calls it for the streaming access kinds
-// (edge lists, graph metadata) and plain Access for everything else, so
-// point accesses (vertex properties) interleaved with a stream do not
+// (edge lists, graph metadata) and plain AccessAt for everything else,
+// so point accesses (vertex properties) interleaved with a stream do not
 // evict the stream's memo. Seeding affects only which later reads take
 // the fast path — the replayed accounting is identical either way.
-func (c *Cache) AccessStreamRead(a memsys.Addr) (hit bool) {
-	return c.AccessStreamReadAt(c.Resolve(a))
-}
-
-// AccessStreamReadAt is AccessStreamRead over a pre-resolved Ref.
 func (c *Cache) AccessStreamReadAt(r Ref) (hit bool) {
 	c.useClock++
 	if i := c.findIdx(r.base, r.key); i >= 0 {
@@ -350,14 +331,7 @@ func (c *Cache) AccessStreamReadAt(r Ref) (hit bool) {
 // any. If dirty is set the new line is installed dirty (write-allocate
 // stores).
 func (c *Cache) Fill(a memsys.Addr, dirty bool) (victim EvictedLine, evicted bool) {
-	victim, evicted, _ = c.fillAt(c.Resolve(a), dirty)
-	return victim, evicted
-}
-
-// FillAt is Fill over a pre-resolved Ref.
-func (c *Cache) FillAt(r Ref, dirty bool) (victim EvictedLine, evicted bool) {
-	victim, evicted, _ = c.fillAt(r, dirty)
-	return victim, evicted
+	return c.FillAt(c.Resolve(a), dirty)
 }
 
 // FillMissAt installs a line the caller has just probed for and missed —
@@ -372,9 +346,9 @@ func (c *Cache) FillMissAt(r Ref, dirty bool) (victim EvictedLine, evicted bool)
 }
 
 // FillMissStreamAt is FillMissAt that additionally seeds the same-line
-// memo with the installed line (the known-absent counterpart of
-// FillStream). Seeding is skipped when the fill is rejected (fully pinned
-// set), so the memo never points at an absent line.
+// memo with the installed line, arming SameLineReadHit for the reads that
+// follow a streaming miss. Seeding is skipped when the fill is rejected
+// (fully pinned set), so the memo never points at an absent line.
 func (c *Cache) FillMissStreamAt(r Ref, dirty bool) (victim EvictedLine, evicted bool) {
 	c.useClock++
 	victim, evicted, idx := c.install(r, dirty)
@@ -385,14 +359,13 @@ func (c *Cache) FillMissStreamAt(r Ref, dirty bool) (victim EvictedLine, evicted
 	return victim, evicted
 }
 
-// fillAt is the shared Fill body; it also returns the tag-cell index of
-// the way holding addr after the fill (-1 when a fully pinned set rejected
-// it). In the steady-state case — full set, nothing pinned — one fused
-// pass probes the tag row while tracking the LRU victim: a key match wins
-// (refresh), else the first strict-minimum lastUse way, exactly the
-// choices the probe-then-scan sequence makes. Cold or pinned sets take
-// the general probe-then-install path.
-func (c *Cache) fillAt(r Ref, dirty bool) (victim EvictedLine, evicted bool, installed int) {
+// FillAt is Fill over a pre-resolved Ref. In the steady-state case —
+// full set, nothing pinned — one fused pass probes the tag row while
+// tracking the LRU victim: a key match wins (refresh), else the first
+// strict-minimum lastUse way, exactly the choices the probe-then-scan
+// sequence makes. Cold or pinned sets take the general probe-then-install
+// path.
+func (c *Cache) FillAt(r Ref, dirty bool) (victim EvictedLine, evicted bool) {
 	c.useClock++
 	m := &c.meta[r.set]
 	if m.free == 0 && m.pin == 0 {
@@ -407,7 +380,7 @@ func (c *Cache) fillAt(r Ref, dirty bool) (victim EvictedLine, evicted bool, ins
 				if dirty {
 					m.dirty |= 1 << uint(i)
 				}
-				return EvictedLine{}, false, r.base + i
+				return EvictedLine{}, false
 			}
 			if u := uses[i]; u < min {
 				w, min = i, u
@@ -432,7 +405,7 @@ func (c *Cache) fillAt(r Ref, dirty bool) (victim EvictedLine, evicted bool, ins
 			m.dirty &^= bit
 		}
 		uses[w] = c.useClock
-		return victim, true, idx
+		return victim, true
 	}
 	if i := c.findIdx(r.base, r.key); i >= 0 {
 		// Already present (e.g. refilled by a racing path): refresh.
@@ -440,9 +413,10 @@ func (c *Cache) fillAt(r Ref, dirty bool) (victim EvictedLine, evicted bool, ins
 		if dirty {
 			m.dirty |= 1 << uint(i-r.base)
 		}
-		return EvictedLine{}, false, i
+		return EvictedLine{}, false
 	}
-	return c.install(r, dirty)
+	victim, evicted, _ = c.install(r, dirty)
+	return victim, evicted
 }
 
 // install places a known-absent line: lowest free way first (no scan),
@@ -631,8 +605,8 @@ func (c *Cache) Restore(s State) {
 	c.Writebacks = s.writebacks
 }
 
-// Reset clears contents and statistics. The line-buffer generation is NOT
-// reset — it advances, so memos taken before the Reset can never validate.
+// Reset clears contents and statistics. The memo generation is NOT reset
+// — it advances, like every other memo drop.
 func (c *Cache) Reset() {
 	c.dropHot()
 	clear(c.slab)

@@ -2,10 +2,10 @@ package cache
 
 import "testing"
 
-// The same-line memo (hotLine/hotIdx, exported via SameLineReadHit and
-// the Gen counter) must die on every event that can change the identity
-// of the memoized way: invalidation, eviction, Reset, and explicit
-// DropHot. These tests pin each edge individually; the machine-level
+// The same-line memo (hotLine/hotIdx, consulted via SameLineReadHit,
+// its drops counted by Gen) must die on every event that can change the
+// identity of the memoized way: invalidation, eviction, Reset, and
+// explicit DropHot. These tests pin each edge individually; the machine-level
 // equivalence tests in internal/core cover the composed behaviour.
 
 func TestSameLineReadHitColdRefuses(t *testing.T) {
@@ -21,7 +21,7 @@ func TestFillStreamArmsAndReplaysHit(t *testing.T) {
 	if c.SameLineReadHit(0x2000) {
 		t.Fatal("plain Fill armed the memo")
 	}
-	c.FillStream(0x1000, false)
+	c.FillMissStreamAt(c.Resolve(0x1000), false)
 	hitsBefore := c.Reads.Hits
 	if !c.SameLineReadHit(0x1008) {
 		t.Fatal("streamed fill did not arm the memo for its line")
@@ -37,7 +37,7 @@ func TestFillStreamArmsAndReplaysHit(t *testing.T) {
 func TestAccessStreamReadArmsOnHit(t *testing.T) {
 	c := small()
 	c.Fill(0x1000, false)
-	if !c.AccessStreamRead(0x1000) {
+	if !c.AccessStreamReadAt(c.Resolve(0x1000)) {
 		t.Fatal("expected hit")
 	}
 	if !c.SameLineReadHit(0x1010) {
@@ -53,7 +53,7 @@ func TestAccessStreamReadArmsOnHit(t *testing.T) {
 
 func TestInvalidateDropsMemoAndBumpsGen(t *testing.T) {
 	c := small()
-	c.FillStream(0x1000, false)
+	c.FillMissStreamAt(c.Resolve(0x1000), false)
 	g := c.Gen()
 	c.Invalidate(0x1000)
 	if c.SameLineReadHit(0x1000) {
@@ -67,7 +67,7 @@ func TestInvalidateDropsMemoAndBumpsGen(t *testing.T) {
 func TestEvictionDropsMemo(t *testing.T) {
 	c := small() // 2-way, 8 sets, set stride 512 B
 	const stride = 512
-	c.FillStream(0*stride, false)
+	c.FillMissStreamAt(c.Resolve(0*stride), false)
 	// Two conflicting fills into the same set evict the memoized way.
 	c.Fill(8*stride, false)
 	c.Fill(16*stride, false)
@@ -78,7 +78,7 @@ func TestEvictionDropsMemo(t *testing.T) {
 
 func TestDropHotForcesReprobeThenRearms(t *testing.T) {
 	c := small()
-	c.FillStream(0x1000, false)
+	c.FillMissStreamAt(c.Resolve(0x1000), false)
 	g := c.Gen()
 	c.DropHot()
 	if c.SameLineReadHit(0x1000) {
@@ -87,7 +87,7 @@ func TestDropHotForcesReprobeThenRearms(t *testing.T) {
 	if c.Gen() <= g {
 		t.Fatal("DropHot did not advance the generation")
 	}
-	if !c.AccessStreamRead(0x1000) {
+	if !c.AccessStreamReadAt(c.Resolve(0x1000)) {
 		t.Fatal("line should still be present")
 	}
 	if !c.SameLineReadHit(0x1000) {
@@ -97,13 +97,13 @@ func TestDropHotForcesReprobeThenRearms(t *testing.T) {
 
 func TestResetDropsMemoKeepsGenMonotonic(t *testing.T) {
 	c := small()
-	c.FillStream(0x1000, false)
+	c.FillMissStreamAt(c.Resolve(0x1000), false)
 	g := c.Gen()
 	c.Reset()
 	if c.SameLineReadHit(0x1000) {
 		t.Fatal("memo survived Reset")
 	}
 	if c.Gen() <= g {
-		t.Fatal("generation must stay monotonic across Reset so pre-Reset memos never validate")
+		t.Fatal("generation must stay monotonic across Reset")
 	}
 }
