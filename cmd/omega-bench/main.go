@@ -1,15 +1,17 @@
 // Command omega-bench regenerates the paper's tables and figures
 // (DESIGN.md §4) and prints them as aligned text, optionally writing
-// TSV files per experiment.
+// TSV/JSON files per experiment.
 //
 // The suite runs on a bounded worker pool (-parallel, default GOMAXPROCS)
 // over a shared deterministic dataset cache, so independent experiments
 // overlap while graphs common to several runners are generated once. A
 // cross-experiment simulation-cell cache (DESIGN.md §12) additionally
 // dedups identical (machine config, dataset, workload) simulations
-// across experiments — inspect with -cell-stats. With -sched-hints,
-// per-experiment wall times from the previous run schedule the pool
-// longest-job-first.
+// across experiments. After the experiment tables comes the Suite
+// table, the one host-side report: per-experiment wall time and cache
+// traffic, with notes naming the option set and the dataset- and
+// cell-cache totals. -tsv and -json-dir write it as suite.tsv and
+// suite.json. Timing measurements belong to perfbench (perfbench/NOTES.md).
 // Output ordering is unchanged from the sequential harness: tables are
 // flushed in registry order as soon as every earlier experiment has
 // finished, and live per-experiment progress goes to stderr.
@@ -21,27 +23,23 @@
 //
 // Usage:
 //
-//	omega-bench                     # full suite, parallelism = GOMAXPROCS
-//	omega-bench -parallel 1         # sequential (identical tables)
-//	omega-bench -scale 14           # closer-to-paper regime (slower)
-//	omega-bench -only "Figure 14"   # one experiment
-//	omega-bench -campaign           # only the Resilience R2 fault campaign
-//	omega-bench -fault-seed 7       # re-key the campaign's fault streams
-//	omega-bench -tsv results/       # also write TSV files
-//	omega-bench -timeout 2m         # per-experiment watchdog
-//	omega-bench -metrics out.jsonl  # stream per-iteration metric samples
-//	omega-bench -json suite.json    # machine-readable suite summary
-//	omega-bench -cell-stats         # cell-cache hit/dedup breakdown
-//	omega-bench -compare old.json   # min/mean deltas vs a prior bench JSON
-//	omega-bench -sched-hints h.json # longest-job-first suite scheduling
-//	omega-bench -cpuprofile cpu.out # profile the suite (go tool pprof)
-//	omega-bench -memprofile mem.out # end-of-suite heap profile
-//	omega-bench -trace exec.trace   # execution trace (go tool trace)
+//	omega-bench                           # full suite, parallelism = GOMAXPROCS
+//	omega-bench -parallel 1               # sequential (identical tables)
+//	omega-bench -scale 14                 # closer-to-paper regime (slower)
+//	omega-bench -only "Figure 14"         # one experiment
+//	omega-bench -only "Resilience R2"     # the fault campaign
+//	omega-bench -fault-seed 7             # re-key the campaign's fault streams
+//	omega-bench -tsv results/             # also write TSV files (+ suite.tsv)
+//	omega-bench -json-dir results/        # also write JSON files (+ suite.json)
+//	omega-bench -timeout 2m               # per-experiment watchdog
+//	omega-bench -metrics out.jsonl        # stream per-iteration metric samples
+//	omega-bench -cpuprofile cpu.out       # profile the suite (go tool pprof)
+//	omega-bench -memprofile mem.out       # end-of-suite heap profile
+//	omega-bench -trace exec.trace         # execution trace (go tool trace)
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -50,7 +48,6 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"runtime/trace"
-	"sort"
 	"strings"
 	"time"
 
@@ -72,20 +69,13 @@ func run() error {
 		coverage = flag.Float64("coverage", 0.20, "scratchpad coverage of vtxProp")
 		parallel = flag.Int("parallel", runtime.GOMAXPROCS(0), "experiment worker pool size (1 = sequential)")
 		only     = flag.String("only", "", "run only experiments whose ID contains this substring")
-		tsvDir   = flag.String("tsv", "", "directory to write per-experiment TSV files")
+		tsvDir   = flag.String("tsv", "", "directory to write per-experiment TSV files and the Suite table as suite.tsv")
 		chart    = flag.Int("chart", -1, "also render the given column as an ASCII bar chart")
-		jsonDir  = flag.String("json-dir", "", "directory to write per-experiment JSON files")
-		jsonPath = flag.String("json", "", "write a machine-readable suite summary JSON to this file")
+		jsonDir  = flag.String("json-dir", "", "directory to write per-experiment JSON files and the Suite table as suite.json")
 		metrics  = flag.String("metrics", "", "stream per-iteration metric samples to this file (.tsv = TSV, else JSONL)")
 		checkMet = flag.Bool("check-metrics", false, "schema-validate the -metrics JSONL after the run")
 		htmlPath = flag.String("html", "", "write a self-contained HTML report")
 		timeout  = flag.Duration("timeout", 10*time.Minute, "per-experiment watchdog timeout (0 disables)")
-		runs     = flag.Int("runs", 1, "repeat the suite N times and report per-run wall times (tables print once)")
-		benchOut = flag.String("bench-json", "", "write the -runs timing report as JSON to this file")
-		compare  = flag.String("compare", "", "compare the timing report against a previous bench JSON file")
-		cellStat = flag.Bool("cell-stats", false, "print a detailed cell-cache report after the suite")
-		hintPath = flag.String("sched-hints", "", "JSON file of per-experiment wall-time hints for longest-job-first scheduling (read if present, rewritten after the run)")
-		campaign = flag.Bool("campaign", false, "run only the Resilience R2 fault campaign")
 		faultSd  = flag.Uint64("fault-seed", 1, "base seed for resilience fault-injection streams")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the suite to this file")
 		memProf  = flag.String("memprofile", "", "write an end-of-suite heap profile to this file")
@@ -136,37 +126,20 @@ func run() error {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
-	filter := *only
-	if *campaign {
-		if filter != "" {
-			return fmt.Errorf("-campaign and -only are mutually exclusive")
-		}
-		filter = "Resilience R2"
-	}
 	var specs []experiments.Spec
 	for _, spec := range experiments.Registry() {
-		if filter == "" || strings.Contains(spec.ID, filter) {
+		if strings.Contains(spec.ID, *only) {
 			specs = append(specs, spec)
 		}
 	}
 	if len(specs) == 0 {
-		return fmt.Errorf("no experiment ID contains %q", filter)
+		return fmt.Errorf("no experiment ID contains %q", *only)
 	}
 
 	opts := experiments.Options{
 		Scale: *scale, Seed: *seed, Coverage: *coverage,
 		Parallelism: *parallel, Timeout: *timeout,
 		FaultSeed: *faultSd,
-	}
-	if *runs < 1 {
-		return fmt.Errorf("-runs must be at least 1")
-	}
-	if *hintPath != "" {
-		hints, err := readSchedHints(*hintPath)
-		if err != nil {
-			return err
-		}
-		opts.SchedHints = hints
 	}
 	if *checkMet && *metrics == "" {
 		return fmt.Errorf("-check-metrics requires -metrics")
@@ -218,8 +191,8 @@ func run() error {
 		fmt.Fprintf(os.Stderr, "interrupted; results collected before cancellation were emitted\n")
 	}
 	fmt.Println(res.Summary.Format())
-	if *cellStat {
-		printCellStats(res.Cells)
+	if err := writeTableArtifacts(res.Summary, res.Summary.ID, *tsvDir, *jsonDir); err != nil {
+		return err
 	}
 	if metricsFlush != nil {
 		if err := metricsFlush(); err != nil {
@@ -231,12 +204,6 @@ func run() error {
 				return err
 			}
 		}
-	}
-	if *jsonPath != "" {
-		if err := writeSuiteJSON(*jsonPath, opts, res); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", *jsonPath)
 	}
 	if *htmlPath != "" {
 		if err := writeHTML(*htmlPath, opts, start, append(res.Tables, res.Summary)); err != nil {
@@ -251,240 +218,7 @@ func run() error {
 	if n := res.Failed(); n > 0 {
 		return fmt.Errorf("%d of %d experiments failed", n, len(res.Tables))
 	}
-	if *runs > 1 || *benchOut != "" || *compare != "" {
-		// Repeat the suite for wall-time statistics. Tables were already
-		// printed (and are identical every run — the suite is
-		// deterministic); the repeats only contribute timing samples. Each
-		// repeat keeps the exact options of the first run — in particular
-		// Cells stays nil so every Suite call installs a fresh cell cache,
-		// making the repeat walls honest, independent samples.
-		walls := []float64{res.Wall.Seconds()}
-		for r := 2; r <= *runs; r++ {
-			if ctx.Err() != nil {
-				break
-			}
-			rr := experiments.Suite(ctx, specs, opts, nil)
-			if n := rr.Failed(); n > 0 {
-				return fmt.Errorf("run %d: %d of %d experiments failed", r, n, len(rr.Tables))
-			}
-			fmt.Fprintf(os.Stderr, "run %d/%d: %v\n", r, *runs, rr.Wall.Round(time.Millisecond))
-			walls = append(walls, rr.Wall.Seconds())
-		}
-		rep := benchReport(os.Args[1:], benchConfig{
-			GOMAXPROCS:  runtime.GOMAXPROCS(0),
-			Parallelism: *parallel,
-			Scale:       *scale,
-		}, walls)
-		data, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			return fmt.Errorf("bench report: %w", err)
-		}
-		fmt.Printf("%s\n", data)
-		if *benchOut != "" {
-			if err := os.WriteFile(*benchOut, append(data, '\n'), 0o644); err != nil {
-				return fmt.Errorf("bench report: %w", err)
-			}
-			fmt.Printf("wrote %s\n", *benchOut)
-		}
-		if *compare != "" {
-			if err := printComparison(*compare, rep); err != nil {
-				return err
-			}
-		}
-	}
-	if *hintPath != "" {
-		if err := writeSchedHints(*hintPath, res.CostHints()); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", *hintPath)
-	}
 	return nil
-}
-
-// printCellStats renders the -cell-stats report: totals, duplicate-cell
-// rate, and the counted reasons cells bypassed the cache.
-func printCellStats(cells *experiments.CellCache) {
-	cs := cells.Stats()
-	total := cs.Hits + cs.Misses + cs.Dedups
-	fmt.Printf("cell cache: %d cacheable cells requested\n", total)
-	fmt.Printf("  built:               %d\n", cs.Misses)
-	fmt.Printf("  replayed from cache: %d\n", cs.Hits)
-	fmt.Printf("  singleflight-shared: %d\n", cs.Dedups)
-	fmt.Printf("  resident:            %d\n", cs.Resident)
-	fmt.Printf("  duplicate-cell rate: %.1f%%\n", 100*cs.DuplicateRate())
-	if len(cs.Uncacheable) > 0 {
-		var reasons []string
-		for r := range cs.Uncacheable {
-			reasons = append(reasons, r)
-		}
-		sort.Strings(reasons)
-		fmt.Println("  uncacheable (ran direct):")
-		for _, r := range reasons {
-			fmt.Printf("    %-10s %d\n", r, cs.Uncacheable[r])
-		}
-	}
-}
-
-// printComparison reads a previous bench JSON and prints min/mean deltas
-// against the current report (negative percentages are speedups).
-func printComparison(path string, cur benchJSON) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return fmt.Errorf("compare: %w", err)
-	}
-	var old benchJSON
-	if err := json.Unmarshal(data, &old); err != nil {
-		return fmt.Errorf("compare: %s: %w", path, err)
-	}
-	if old.MinSeconds == 0 || old.MeanSeconds == 0 {
-		return fmt.Errorf("compare: %s: not a bench report (missing min/mean seconds)", path)
-	}
-	delta := func(oldV, newV float64) string {
-		return fmt.Sprintf("%.3fs -> %.3fs (%+.1f%%)", oldV, newV, 100*(newV-oldV)/oldV)
-	}
-	fmt.Printf("vs %s (%d runs there, %d here):\n", path, len(old.RunsSeconds), len(cur.RunsSeconds))
-	fmt.Printf("  min:  %s\n", delta(old.MinSeconds, cur.MinSeconds))
-	fmt.Printf("  mean: %s\n", delta(old.MeanSeconds, cur.MeanSeconds))
-	if old.Command != cur.Command {
-		fmt.Printf("  note: commands differ (%q vs %q)\n", old.Command, cur.Command)
-	}
-	for _, w := range compareWarnings(old, cur) {
-		fmt.Printf("  warning: %s\n", w)
-	}
-	return nil
-}
-
-// compareWarnings lists the ways two timing reports are not an
-// apples-to-apples comparison: different host or toolchain, or a config
-// block that disagrees on scheduler width or workload shape. Reports
-// written before the config block existed produce a single "no config"
-// warning instead of failing.
-func compareWarnings(old, cur benchJSON) []string {
-	var warns []string
-	if old.CPU != cur.CPU {
-		warns = append(warns, fmt.Sprintf("hosts differ (%q vs %q) — deltas reflect hardware, not code", old.CPU, cur.CPU))
-	}
-	if old.GoVersion != cur.GoVersion {
-		warns = append(warns, fmt.Sprintf("go versions differ (%s vs %s)", old.GoVersion, cur.GoVersion))
-	}
-	if old.Config == nil {
-		warns = append(warns, "previous report has no config block (older omega-bench); flag equivalence unverified")
-		return warns
-	}
-	if cur.Config == nil {
-		return warns
-	}
-	o, c := *old.Config, *cur.Config
-	diff := func(name string, ov, cv any) {
-		if ov != cv {
-			warns = append(warns, fmt.Sprintf("%s differs (%v vs %v)", name, ov, cv))
-		}
-	}
-	diff("gomaxprocs", o.GOMAXPROCS, c.GOMAXPROCS)
-	diff("parallelism", o.Parallelism, c.Parallelism)
-	diff("scale", o.Scale, c.Scale)
-	return warns
-}
-
-// readSchedHints loads the -sched-hints file: a JSON object mapping
-// experiment IDs to wall-time milliseconds. A missing file is not an
-// error (first run bootstraps it).
-func readSchedHints(path string) (map[string]time.Duration, error) {
-	data, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, fmt.Errorf("sched-hints: %w", err)
-	}
-	var ms map[string]int64
-	if err := json.Unmarshal(data, &ms); err != nil {
-		return nil, fmt.Errorf("sched-hints: %s: %w", path, err)
-	}
-	hints := make(map[string]time.Duration, len(ms))
-	for id, m := range ms {
-		hints[id] = time.Duration(m) * time.Millisecond
-	}
-	return hints, nil
-}
-
-// writeSchedHints persists this run's per-experiment wall times so the
-// next invocation can schedule longest-job-first.
-func writeSchedHints(path string, hints map[string]time.Duration) error {
-	ms := make(map[string]int64, len(hints))
-	for id, d := range hints {
-		ms[id] = d.Milliseconds()
-	}
-	data, err := json.MarshalIndent(ms, "", "  ")
-	if err != nil {
-		return fmt.Errorf("sched-hints: %w", err)
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// benchJSON is the -runs timing report, shaped like the repo's BENCH_*.json
-// records so successive PRs' measurements stay comparable.
-type benchJSON struct {
-	Command     string       `json:"command"`
-	GoVersion   string       `json:"go_version"`
-	CPU         string       `json:"cpu"`
-	Config      *benchConfig `json:"config,omitempty"`
-	RunsSeconds []float64    `json:"runs_seconds"`
-	MeanSeconds float64      `json:"mean_seconds"`
-	MinSeconds  float64      `json:"min_seconds"`
-}
-
-// benchConfig records the measurement context that makes two timing
-// reports comparable: the host's scheduler width and every flag that
-// changes the amount or shape of work the suite does. -compare warns when
-// any of it differs.
-type benchConfig struct {
-	GOMAXPROCS  int `json:"gomaxprocs"`
-	Parallelism int `json:"parallelism"`
-	Scale       int `json:"scale"`
-}
-
-// benchReport assembles the timing report from the suite wall times.
-func benchReport(args []string, cfg benchConfig, walls []float64) benchJSON {
-	rep := benchJSON{
-		Command:     strings.TrimSpace("omega-bench " + strings.Join(args, " ")),
-		GoVersion:   runtime.Version(),
-		CPU:         hostCPU(),
-		Config:      &cfg,
-		RunsSeconds: make([]float64, len(walls)),
-	}
-	var minW, sum float64
-	for i, w := range walls {
-		w = float64(int(w*1000+0.5)) / 1000 // millisecond precision
-		rep.RunsSeconds[i] = w
-		sum += w
-		if i == 0 || w < minW {
-			minW = w
-		}
-	}
-	rep.MeanSeconds = float64(int(sum/float64(len(walls))*1000+0.5)) / 1000
-	rep.MinSeconds = minW
-	return rep
-}
-
-// hostCPU describes the measurement host: the first cpuinfo model name on
-// Linux (with the logical CPU count), falling back to GOARCH.
-func hostCPU() string {
-	desc := runtime.GOARCH
-	if data, err := os.ReadFile("/proc/cpuinfo"); err == nil {
-		for _, line := range strings.Split(string(data), "\n") {
-			if name, ok := strings.CutPrefix(line, "model name"); ok {
-				if _, v, ok := strings.Cut(name, ":"); ok {
-					desc = strings.TrimSpace(v)
-					break
-				}
-			}
-		}
-	}
-	if n := runtime.NumCPU(); n > 1 {
-		return fmt.Sprintf("%s (%d cores)", desc, n)
-	}
-	return desc + " (1 core)"
 }
 
 // openMetricsSink creates the -metrics output file and picks the encoding
@@ -535,60 +269,6 @@ func validateMetrics(path string) error {
 	fmt.Printf("metrics valid: %d samples, %d experiments, %d machines, %d components\n",
 		rep.Samples, rep.Experiments, rep.Machines, rep.Components)
 	return nil
-}
-
-// suiteJSON is the -json machine-readable summary schema.
-type suiteJSON struct {
-	Scale       int              `json:"scale"`
-	Seed        uint64           `json:"seed"`
-	Coverage    float64          `json:"coverage"`
-	Parallelism int              `json:"parallelism"`
-	WallMS      int64            `json:"wall_ms"`
-	Failed      int              `json:"failed"`
-	Experiments []suiteJSONEntry `json:"experiments"`
-}
-
-type suiteJSONEntry struct {
-	ID          string `json:"id"`
-	WallMS      int64  `json:"wall_ms"`
-	CacheHits   uint64 `json:"cache_hits"`
-	CacheMisses uint64 `json:"cache_misses"`
-	Cells       uint64 `json:"cells"`
-	CellHits    uint64 `json:"cell_hits"`
-	Goroutines  int    `json:"peak_goroutines"`
-	Rows        int    `json:"rows"`
-	Failed      bool   `json:"failed"`
-}
-
-// writeSuiteJSON renders the suite result as machine-readable JSON for
-// scripts and CI, mirroring the telemetry summary table.
-func writeSuiteJSON(path string, opts experiments.Options, res *experiments.SuiteResult) error {
-	out := suiteJSON{
-		Scale:       opts.Scale,
-		Seed:        opts.Seed,
-		Coverage:    opts.Coverage,
-		Parallelism: res.Parallelism,
-		WallMS:      res.Wall.Milliseconds(),
-		Failed:      res.Failed(),
-		Experiments: make([]suiteJSONEntry, len(res.Telemetry)),
-	}
-	for i, te := range res.Telemetry {
-		rows := 0
-		if res.Tables[i] != nil {
-			rows = len(res.Tables[i].Rows)
-		}
-		out.Experiments[i] = suiteJSONEntry{
-			ID: te.ID, WallMS: te.Wall.Milliseconds(),
-			CacheHits: te.CacheHits, CacheMisses: te.CacheMisses,
-			Cells: te.Cells, CellHits: te.CellHits,
-			Goroutines: te.Goroutines, Rows: rows, Failed: te.Failed,
-		}
-	}
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return fmt.Errorf("json: %w", err)
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
 // writeTableArtifacts stores the per-experiment TSV/JSON renderings.

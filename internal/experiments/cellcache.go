@@ -113,9 +113,9 @@ type CellCacheStats struct {
 	// Misses counts lookups that built the cell.
 	Misses uint64
 	// Dedups counts lookups that blocked on another run's in-flight
-	// build of the same cell (singleflight shares; a subset of Hits'
-	// work saved, reported separately because they measure concurrent
-	// duplication specifically).
+	// build of the same cell (singleflight shares). The three counts are
+	// disjoint: a lookup lands in exactly one, except that a waiter
+	// whose builder panicked counts again on its retry.
 	Dedups uint64
 	// Resident is the number of cells held.
 	Resident int

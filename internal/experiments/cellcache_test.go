@@ -141,41 +141,6 @@ func TestUncacheableReasons(t *testing.T) {
 	}
 }
 
-// TestDispatchOrder pins the longest-job-first scheduling: hinted specs
-// dispatch by descending wall time, unhinted specs first in declaration
-// order, and an empty hint map preserves declaration order exactly.
-func TestDispatchOrder(t *testing.T) {
-	specs := []Spec{{ID: "a"}, {ID: "b"}, {ID: "c"}, {ID: "d"}}
-	if got := dispatchOrder(specs, nil); !equalInts(got, []int{0, 1, 2, 3}) {
-		t.Fatalf("no hints: dispatch %v, want declaration order", got)
-	}
-	hints := map[string]time.Duration{
-		"a": 1 * time.Second,
-		"b": 5 * time.Second,
-		"d": 3 * time.Second,
-	}
-	// c is unhinted → first; then b (5s), d (3s), a (1s).
-	if got := dispatchOrder(specs, hints); !equalInts(got, []int{2, 1, 3, 0}) {
-		t.Fatalf("dispatch %v, want [2 1 3 0] (unhinted first, then longest-first)", got)
-	}
-	tie := map[string]time.Duration{"a": time.Second, "b": time.Second, "c": 2 * time.Second, "d": time.Second}
-	if got := dispatchOrder(specs, tie); !equalInts(got, []int{2, 0, 1, 3}) {
-		t.Fatalf("dispatch %v, want stable declaration order on equal hints", got)
-	}
-}
-
-func equalInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // customSpec returns spec with a fresh Run closure wrapping the
 // original — same behaviour, different code identity, which is exactly
 // what makes it uncacheable.

@@ -55,13 +55,6 @@ type Options struct {
 	// cell caching for a direct runner call; Suite installs a fresh cache
 	// when it is nil.
 	Cells *CellCache
-	// SchedHints, when non-empty, lets Suite dispatch experiments
-	// longest-expected-first (keyed by spec ID, e.g. a prior run's
-	// telemetry via SuiteResult.CostHints) so one late-scheduled heavy
-	// experiment cannot serialize the pool's tail. Experiments without a
-	// hint dispatch first in declaration order; result order is
-	// unaffected either way.
-	SchedHints map[string]time.Duration
 	// Metrics, when set, receives the per-iteration metric samples of
 	// every machine the experiments build, stamped with the experiment ID
 	// and a run label (dataset or algorithm/dataset). Samples arrive

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/pprof"
-	"sort"
 	"sync"
 	"time"
 
@@ -45,9 +44,6 @@ type ExperimentTelemetry struct {
 	// for, and CellHits how many were satisfied from the cross-experiment
 	// cell cache (including singleflight shares) instead of simulated.
 	Cells, CellHits uint64
-	// Goroutines is the peak goroutine count observed at the experiment's
-	// start/end sample points — a coarse load indicator for the pool.
-	Goroutines int
 	// Failed mirrors Table.Failed.
 	Failed bool
 }
@@ -71,17 +67,6 @@ type SuiteResult struct {
 	Cells *CellCache
 }
 
-// CostHints extracts per-experiment wall-clock telemetry in the shape
-// Options.SchedHints consumes, so one suite run's timings can schedule
-// the next (longest-job-first).
-func (r *SuiteResult) CostHints() map[string]time.Duration {
-	h := make(map[string]time.Duration, len(r.Telemetry))
-	for _, te := range r.Telemetry {
-		h[te.ID] = te.Wall
-	}
-	return h
-}
-
 // Failed counts failed tables.
 func (r *SuiteResult) Failed() int {
 	n := 0
@@ -98,6 +83,7 @@ func (r *SuiteResult) Failed() int {
 // (o.Timeout; zero disables it) with panic recovery, so a broken or hung
 // experiment yields a Failed table and the suite completes. Cancelling
 // ctx abandons in-flight runners and fails the not-yet-started rest.
+// Experiments dispatch in spec order.
 //
 // o.Parallelism bounds the pool (zero = GOMAXPROCS, 1 = sequential). If
 // o.Datasets is nil, Suite installs a fresh shared cache so concurrent
@@ -146,12 +132,8 @@ func Suite(ctx context.Context, specs []Spec, o Options, progress func(SuiteEven
 		Parallelism: par,
 		Cells:       o.Cells,
 	}
-	// Dispatch longest-job-first when cost hints are available: starting
-	// the expensive experiments early shrinks the pool's makespan (a long
-	// job queued last would run alone after everything else drained).
-	// Results and telemetry stay in spec order regardless.
 	jobs := make(chan int, len(specs))
-	for _, i := range dispatchOrder(specs, o.SchedHints) {
+	for i := range specs {
 		jobs <- i
 	}
 	close(jobs)
@@ -172,27 +154,18 @@ func Suite(ctx context.Context, specs []Spec, o Options, progress func(SuiteEven
 				if specBufs != nil {
 					ro.Metrics = specBufs[i]
 				}
-				gStart := runtime.NumGoroutine()
 				t0 := time.Now()
 				var tbl *Table
-				if ctx.Err() != nil {
-					// Don't launch runner goroutines for work queued behind
-					// a cancellation; fail fast like RunSafe would.
-					tbl = FailedTable(spec.ID, fmt.Sprintf("cancelled: %v", ctx.Err()))
-				} else {
-					// Label the worker (and every goroutine the runner
-					// spawns — variant fan-outs inherit the set) with the
-					// experiment ID, so CPU profiles of the suite attribute
-					// samples per experiment (go tool pprof -tagfocus).
-					pprof.Do(ctx, pprof.Labels("experiment", spec.ID), func(ctx context.Context) {
-						tbl = RunSafe(ctx, spec, ro, o.Timeout)
-					})
-				}
+				// Label the worker (and every goroutine the runner spawns —
+				// variant fan-outs inherit the set) with the experiment ID,
+				// so CPU profiles of the suite attribute samples per
+				// experiment (go tool pprof -tagfocus). Work queued behind
+				// a cancellation fails fast inside RunSafe, which still
+				// emits its failure marker.
+				pprof.Do(ctx, pprof.Labels("experiment", spec.ID), func(ctx context.Context) {
+					tbl = RunSafe(ctx, spec, ro, o.Timeout)
+				})
 				wall := time.Since(t0)
-				peak := runtime.NumGoroutine()
-				if gStart > peak {
-					peak = gStart
-				}
 				res.Tables[i] = tbl
 				res.Telemetry[i] = ExperimentTelemetry{
 					ID:          spec.ID,
@@ -201,7 +174,6 @@ func Suite(ctx context.Context, specs []Spec, o Options, progress func(SuiteEven
 					CacheMisses: rec.Misses.Load(),
 					Cells:       cc.cells.Load(),
 					CellHits:    cc.hits.Load(),
-					Goroutines:  peak,
 					Failed:      tbl.Failed,
 				}
 				if progress != nil {
@@ -224,49 +196,18 @@ func Suite(ctx context.Context, specs []Spec, o Options, progress func(SuiteEven
 		}
 	}
 	res.Wall = time.Since(start)
-	res.Summary = suiteSummary(res, o.Datasets, o.Cells)
+	res.Summary = suiteSummary(res, o)
 	return res
 }
 
-// dispatchOrder returns the spec indices in dispatch order: specs with a
-// cost hint sorted by descending hinted wall time (longest-processing-
-// time-first), preceded by unhinted specs in declaration order (an
-// unknown cost is dispatched early rather than risked last). The sort is
-// stable, so equal hints keep declaration order and the order is
-// deterministic for a given hint map.
-func dispatchOrder(specs []Spec, hints map[string]time.Duration) []int {
-	order := make([]int, len(specs))
-	for i := range order {
-		order[i] = i
-	}
-	if len(hints) == 0 {
-		return order
-	}
-	hinted := func(i int) bool { _, ok := hints[specs[i].ID]; return ok }
-	sort.SliceStable(order, func(a, b int) bool {
-		ia, ib := order[a], order[b]
-		ha, hb := hinted(ia), hinted(ib)
-		if ha != hb {
-			return !ha // unhinted first, in declaration order
-		}
-		if !ha {
-			return ia < ib
-		}
-		if hints[specs[ia].ID] != hints[specs[ib].ID] {
-			return hints[specs[ia].ID] > hints[specs[ib].ID]
-		}
-		return ia < ib
-	})
-	return order
-}
-
-// suiteSummary renders the telemetry as a printable table.
-func suiteSummary(res *SuiteResult, cache *datasets.Cache, cells *CellCache) *Table {
+// suiteSummary renders the telemetry as a printable table. Its first
+// note names the option set so a written copy describes itself.
+func suiteSummary(res *SuiteResult, o Options) *Table {
 	t := &Table{
 		ID:    "Suite",
 		Title: fmt.Sprintf("suite telemetry (parallelism %d)", res.Parallelism),
 		Header: []string{"experiment", "wall", "cache hits", "cache misses",
-			"cells", "cell hits", "peak goroutines", "status"},
+			"cells", "cell hits", "status"},
 	}
 	for _, te := range res.Telemetry {
 		status := "ok"
@@ -274,17 +215,16 @@ func suiteSummary(res *SuiteResult, cache *datasets.Cache, cells *CellCache) *Ta
 			status = "FAILED"
 		}
 		t.AddRow(te.ID, te.Wall.Round(time.Millisecond), te.CacheHits,
-			te.CacheMisses, te.Cells, te.CellHits, te.Goroutines, status)
+			te.CacheMisses, te.Cells, te.CellHits, status)
 	}
-	hits, misses := cache.Stats()
+	hits, misses := o.Datasets.Stats()
 	t.Notes = append(t.Notes,
-		fmt.Sprintf("suite wall %v over %d workers; dataset cache: %d hits / %d misses, %d graphs resident",
-			res.Wall.Round(time.Millisecond), res.Parallelism, hits, misses, cache.Len()))
-	if cells != nil {
-		cs := cells.Stats()
-		t.Notes = append(t.Notes,
-			fmt.Sprintf("cell cache: %d hits / %d misses (%d singleflight-shared), %d cells resident%s",
-				cs.Hits, cs.Misses, cs.Dedups, cs.Resident, cs.uncacheableNote()))
-	}
+		fmt.Sprintf("scale %d, seed %d, coverage %.2f; suite wall %v over %d workers; dataset cache: %d hits / %d misses, %d graphs resident",
+			o.Scale, o.Seed, o.Coverage, res.Wall.Round(time.Millisecond), res.Parallelism,
+			hits, misses, o.Datasets.Len()))
+	cs := o.Cells.Stats()
+	t.Notes = append(t.Notes,
+		fmt.Sprintf("cell cache: %d built, %d replayed, %d singleflight-shared (duplicate-cell rate %.1f%%), %d cells resident%s",
+			cs.Misses, cs.Hits, cs.Dedups, 100*cs.DuplicateRate(), cs.Resident, cs.uncacheableNote()))
 	return t
 }

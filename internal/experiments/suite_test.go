@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"omega/internal/graph/datasets"
+	"omega/internal/obs"
 )
 
 // renderAll formats every table into one byte stream for comparison.
@@ -78,15 +79,14 @@ func TestSuiteOrderAndTelemetry(t *testing.T) {
 		if !strings.HasPrefix(res.Tables[i].ID, spec.ID) {
 			t.Fatalf("tables[%d] = %q, want prefix %q", i, res.Tables[i].ID, spec.ID)
 		}
-		if res.Telemetry[i].Goroutines <= 0 {
-			t.Fatalf("telemetry[%d] has no goroutine sample", i)
-		}
 	}
 	if res.Summary == nil || len(res.Summary.Rows) != len(specs) {
 		t.Fatal("summary table must carry one row per experiment")
 	}
-	if !strings.Contains(res.Summary.Format(), "dataset cache") {
-		t.Fatalf("summary missing cache note:\n%s", res.Summary.Format())
+	for _, want := range []string{"scale 9, seed 42, coverage 0.20;", "dataset cache", "cell cache"} {
+		if !strings.Contains(res.Summary.Format(), want) {
+			t.Fatalf("summary missing %q:\n%s", want, res.Summary.Format())
+		}
 	}
 	if res.Parallelism != 3 {
 		t.Fatalf("parallelism %d should clamp to the spec count 3", res.Parallelism)
@@ -116,11 +116,13 @@ func TestSuiteProgressEvents(t *testing.T) {
 }
 
 // TestSuiteCancellation checks a cancelled context fails experiments
-// fast instead of running them.
+// fast instead of running them, and that each still leaves its failure
+// marker in the metric stream: one harness "failed" sample per spec.
 func TestSuiteCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res := Suite(ctx, Registry(), Options{Scale: 9, Parallelism: 2}, nil)
+	buf := obs.NewBuffer()
+	res := Suite(ctx, Registry(), Options{Scale: 9, Parallelism: 2, Metrics: buf}, nil)
 	if res.Failed() != len(res.Tables) {
 		t.Fatalf("%d of %d failed; a cancelled suite must fail everything",
 			res.Failed(), len(res.Tables))
@@ -128,6 +130,42 @@ func TestSuiteCancellation(t *testing.T) {
 	for _, tbl := range res.Tables {
 		if !strings.Contains(tbl.Title, "cancelled") {
 			t.Fatalf("table %s not marked cancelled: %s", tbl.ID, tbl.Title)
+		}
+	}
+	failed := map[string]int{}
+	for _, s := range buf.Drain() {
+		if s.Machine == "harness" && s.Name == "failed" {
+			failed[s.Experiment]++
+		}
+	}
+	for _, spec := range Registry() {
+		if failed[spec.ID] != 1 {
+			t.Fatalf("%s: %d harness failed samples, want 1", spec.ID, failed[spec.ID])
+		}
+	}
+}
+
+// TestSuiteSummaryCellNote checks the summary's cell-cache note carries
+// the whole cell-cache breakdown: built, replayed, singleflight-shared,
+// resident, the duplicate-cell rate and the uncacheable counts by reason.
+func TestSuiteSummaryCellNote(t *testing.T) {
+	cells := NewCellCache()
+	build := func() Cell { return Cell{} }
+	for _, w := range []string{"a", "b", "c", "a", "a"} {
+		cells.getOrRun(CellKey{Workload: w}, build)
+	}
+	cells.dedups.Add(1)
+	cells.noteUncacheable(UncacheableCampaign, 9)
+	cells.noteUncacheable(UncacheableGraph, 1)
+	o := Options{Datasets: datasets.New(), Cells: cells}.Defaults()
+	sum := suiteSummary(&SuiteResult{Parallelism: 1}, o)
+	note := sum.Notes[len(sum.Notes)-1]
+	for _, want := range []string{
+		"3 built", "2 replayed", "1 singleflight-shared", "3 cells resident",
+		"duplicate-cell rate 50.0%", "uncacheable: campaign=9, graph=1",
+	} {
+		if !strings.Contains(note, want) {
+			t.Fatalf("cell-cache note %q missing %q", note, want)
 		}
 	}
 }

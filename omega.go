@@ -252,10 +252,11 @@ func RunExperimentContext(ctx context.Context, id string, opts ExperimentOptions
 
 // RunSuite regenerates every registered artifact across a bounded worker
 // pool (opts.Parallelism; zero = GOMAXPROCS) with a shared deterministic
-// dataset cache, returning the tables in registry order plus a telemetry
-// summary table (per-experiment wall time, cache hits/misses, peak
-// goroutines). Parallel, sequential, and cached runs produce identical
-// experiment tables; only the summary varies with timing.
+// dataset cache, returning the tables in registry order plus the Suite
+// telemetry table (per-experiment wall time, dataset- and cell-cache
+// traffic; notes name the option set and the cache totals). Parallel,
+// sequential, and cached runs produce identical experiment tables; only
+// the summary varies with timing.
 func RunSuite(ctx context.Context, opts ExperimentOptions) ([]*ExperimentTable, *ExperimentTable) {
 	res := experiments.Suite(ctx, experiments.Registry(), opts, nil)
 	return res.Tables, res.Summary
