@@ -15,10 +15,14 @@ import (
 
 // metricsGoldenSpecs is the representative subset re-run with a metrics
 // sink attached: it covers the plain two-machine path (Figure 14), the
-// TMAM breakdown (Figure 3), the concurrent-variant path (Ablation A3),
-// and a machine-less experiment (Table I) that emits only harness
-// samples. The full-registry no-sink comparison is TestGoldenBitIdentity.
-var metricsGoldenSpecs = []string{"Table I", "Figure 3", "Figure 14", "Ablation A3"}
+// TMAM breakdown (Figure 3), the vtxProp access-skew runs (Figure 4b on
+// the rmat/apu baselines, Figure 5 across the whole baseline grid), the
+// concurrent-variant path (Ablation A3), and a machine-less experiment
+// (Table I) that emits only harness samples. The full-registry no-sink
+// comparison is TestGoldenBitIdentity.
+var metricsGoldenSpecs = []string{
+	"Table I", "Figure 3", "Figure 4b", "Figure 5", "Figure 14", "Ablation A3",
+}
 
 // metricsDigestPath pins the metric streams of metricsGoldenSpecs at
 // scale 9, seed 42: one SHA-256 per experiment over its TSV-encoded
