@@ -12,6 +12,7 @@ import (
 
 	"omega/internal/algorithms"
 	"omega/internal/core"
+	"omega/internal/graph"
 	"omega/internal/graph/datasets"
 	"omega/internal/ligra"
 	"omega/internal/obs"
@@ -43,14 +44,18 @@ type CellKey struct {
 	Workload string
 }
 
-// Cell is one cached simulation: the stats snapshot plus the canonical
-// pre-stamp metric-sample stream (sorted, with Run and Experiment
-// fields unset — each requesting run restamps its own labels at
-// replay, so differently-labeled call sites can share one cell and
-// still emit byte-identical streams).
+// Cell is one cached simulation: the stats snapshot, the vtxProp
+// access skew, and the canonical pre-stamp metric-sample stream
+// (sorted, with Run and Experiment fields unset — each requesting run
+// restamps its own labels at replay, so differently-labeled call sites
+// can share one cell and still emit byte-identical streams).
 type Cell struct {
 	// Stats is the machine statistics of the run (a pure value type).
 	Stats core.MachineStats
+	// TopShare is the fraction of vtxProp accesses that targeted the 20%
+	// highest-in-degree vertices (Figures 4(b) and 5). Only the share is
+	// kept: the per-vertex profile it is computed from costs 8 B/vertex.
+	TopShare float64
 	// samples is the canonical pre-stamp sample stream.
 	samples []obs.MetricSample
 }
@@ -304,12 +309,19 @@ func (o Options) uncacheableReason(spec algorithms.Spec, pr prepared) string {
 }
 
 // runCell simulates one (config, graph, workload) cell and returns its
-// stats, drawing from o.Cells when the cell is cacheable. run is the
-// label stamped into the requesting run's sample stream; it is NOT part
-// of the cell identity — cells store pre-stamp samples and each
-// requester restamps, so call sites with different labeling conventions
-// share cells.
+// stats; see cellFor.
 func runCell(o Options, spec algorithms.Spec, pr prepared, cfg core.Config, run string) core.MachineStats {
+	return cellFor(o, spec, pr, cfg, run).Stats
+}
+
+// cellFor simulates one (config, graph, workload) cell, drawing from
+// o.Cells when the cell is cacheable. run is the label stamped into the
+// requesting run's sample stream; it is NOT part of the cell identity —
+// cells store pre-stamp samples and each requester restamps, so call
+// sites with different labeling conventions share cells. The returned
+// Cell's sample stream is the cache's; callers read only Stats and
+// TopShare.
+func cellFor(o Options, spec algorithms.Spec, pr prepared, cfg core.Config, run string) Cell {
 	o.cellStats.noteCell()
 	if o.Cells == nil {
 		return buildCellDirect(o, spec, pr, cfg, run)
@@ -330,7 +342,7 @@ func runCell(o Options, spec algorithms.Spec, pr prepared, cfg core.Config, run 
 		// The builder forwards its freshly captured stream (already part
 		// of the build's cost; no replay label).
 		replaySamples(o.sink, cell.samples, run)
-		return cell.Stats
+		return cell
 	}
 	o.cellStats.noteHit()
 	if o.sink != nil {
@@ -340,7 +352,7 @@ func runCell(o Options, spec algorithms.Spec, pr prepared, cfg core.Config, run 
 			replaySamples(o.sink, cell.samples, run)
 		})
 	}
-	return cell.Stats
+	return cell
 }
 
 // buildCell simulates a cacheable cell: the machine always emits into a
@@ -350,34 +362,42 @@ func runCell(o Options, spec algorithms.Spec, pr prepared, cfg core.Config, run 
 // perturbs the cached stats.
 func buildCell(o Options, spec algorithms.Spec, pr prepared, cfg core.Config) Cell {
 	capture := obs.NewBuffer()
-	var st core.MachineStats
+	var c Cell
 	pprof.Do(o.Context(), pprof.Labels("cell", "build", "machine", cfg.Name), func(context.Context) {
-		m := core.NewMachine(cfg)
-		m.AttachContext(o.ctx)
-		m.AttachSink(capture)
-		st = spec.Run(ligra.New(m, pr.g))
+		c = simulateCell(o, spec, pr, cfg, capture)
 	})
-	samples := capture.Drain()
+	c.samples = capture.Drain()
 	// Canonicalize once at build time: Run/Experiment are unset here, and
 	// the sort order is total, so every replay starts from one canonical
 	// sequence regardless of emission interleavings.
-	obs.SortSamples(samples)
-	return Cell{Stats: st, samples: samples}
+	obs.SortSamples(c.samples)
+	return c
 }
 
 // buildCellDirect is the bypass path (cache disabled or cell
 // uncacheable): simulate exactly like the pre-cache harness, emitting
 // straight into the run's sink under its run label.
-func buildCellDirect(o Options, spec algorithms.Spec, pr prepared, cfg core.Config, run string) (st core.MachineStats) {
+func buildCellDirect(o Options, spec algorithms.Spec, pr prepared, cfg core.Config, run string) (c Cell) {
+	var sink obs.Sink
+	if o.sink != nil {
+		sink = obs.WithRun(o.sink, run)
+	}
 	pprof.Do(o.Context(), pprof.Labels("machine", cfg.Name), func(context.Context) {
-		m := core.NewMachine(cfg)
-		m.AttachContext(o.ctx)
-		if o.sink != nil {
-			m.AttachSink(obs.WithRun(o.sink, run))
-		}
-		st = spec.Run(ligra.New(m, pr.g))
+		c = simulateCell(o, spec, pr, cfg, sink)
 	})
-	return st
+	return c
+}
+
+// simulateCell runs the workload on a fresh machine with the vtxProp
+// profile on (a read-only counter, so the stats do not move) and
+// reduces the profile to the cell's top-20% access share.
+func simulateCell(o Options, spec algorithms.Spec, pr prepared, cfg core.Config, sink obs.Sink) Cell {
+	m := core.NewMachine(cfg)
+	m.AttachContext(o.ctx)
+	m.AttachSink(sink)
+	m.EnableVertexProfile(pr.g.NumVertices())
+	st := spec.Run(ligra.New(m, pr.g))
+	return Cell{Stats: st, TopShare: graph.AccessShareToTopK(pr.g, m.VertexProfile(), 0.20)}
 }
 
 // replaySamples re-emits a cell's canonical stream into a run's sink,

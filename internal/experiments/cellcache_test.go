@@ -4,6 +4,7 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -12,6 +13,7 @@ import (
 
 	"omega/internal/algorithms"
 	"omega/internal/core"
+	"omega/internal/graph"
 	"omega/internal/ligra"
 	"omega/internal/memsys"
 	"omega/internal/obs"
@@ -257,7 +259,7 @@ func TestSuiteCellCacheEquivalence(t *testing.T) {
 		t.Skip("multi-run suite comparison skipped in -short mode")
 	}
 	var specs []Spec
-	for _, id := range []string{"Figure 3", "Figure 14", "Figure 19"} {
+	for _, id := range []string{"Figure 3", "Figure 4b", "Figure 5", "Figure 14", "Figure 19"} {
 		spec, ok := SpecByID(id)
 		if !ok {
 			t.Fatalf("unknown spec %q", id)
@@ -290,6 +292,61 @@ func TestSuiteCellCacheEquivalence(t *testing.T) {
 	}
 	if cellTotal == 0 {
 		t.Error("telemetry recorded no cells for the cached suite")
+	}
+}
+
+// TestSkewFiguresReplayBaselineCells pins the sharing the skew figures
+// rely on: after Figure 14 on one cell cache, every cell Figure 4b and
+// Figure 5 ask for is a replay (they add no builds), and a cached
+// cell's TopShare is the share a hand-built profiled baseline run
+// measures.
+func TestSkewFiguresReplayBaselineCells(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-run suite comparison skipped in -short mode")
+	}
+	var specs []Spec
+	for _, id := range []string{"Figure 14", "Figure 4b", "Figure 5"} {
+		spec, ok := SpecByID(id)
+		if !ok {
+			t.Fatalf("unknown spec %q", id)
+		}
+		specs = append(specs, spec)
+	}
+	cells := NewCellCache()
+	opts := Options{Scale: 9, Seed: 42, Coverage: 0.20, Parallelism: 1, Cells: cells}
+	res := Suite(context.Background(), specs, opts, nil)
+	if n := res.Failed(); n > 0 {
+		t.Fatalf("suite: %d experiments failed", n)
+	}
+	f14 := res.Telemetry[0]
+	for _, te := range res.Telemetry[1:] {
+		if te.Cells == 0 || te.CellHits != te.Cells {
+			t.Errorf("%s: %d of %d cells replayed, want all of a nonzero count", te.ID, te.CellHits, te.Cells)
+		}
+	}
+	if st := cells.Stats(); st.Misses != f14.Cells-f14.CellHits {
+		t.Errorf("cells built = %d, want Figure 14's %d", st.Misses, f14.Cells-f14.CellHits)
+	}
+
+	spec, _ := algorithms.ByName("PageRank")
+	o := opts.Defaults()
+	pr := prepareDataset(mustDataset("rmat"), o, false)
+	bCfg, _ := core.ScaledPair(pr.g.NumVertices(), spec.VtxPropBytes, o.Coverage)
+	cells.mu.Lock()
+	e := cells.entries[CellKey{Config: bCfg.CanonicalKey(), Dataset: pr.key, Workload: spec.WorkloadID()}]
+	cells.mu.Unlock()
+	if e == nil || !e.ok {
+		t.Fatal("PageRank/rmat baseline cell not resident")
+	}
+	m := core.NewMachine(bCfg)
+	m.EnableVertexProfile(pr.g.NumVertices())
+	st := spec.Run(ligra.New(m, pr.g))
+	want := graph.AccessShareToTopK(pr.g, m.VertexProfile(), 0.20)
+	if want <= 0 || e.cell.TopShare != want {
+		t.Errorf("cached TopShare = %v, hand-built profiled run = %v", e.cell.TopShare, want)
+	}
+	if !reflect.DeepEqual(e.cell.Stats, st) {
+		t.Error("cached stats differ from the hand-built profiled run")
 	}
 }
 

@@ -397,13 +397,6 @@ func rawDataset(ds Dataset, o Options, weighted bool) *graph.Graph {
 	return buildDataset(ds, o, weighted, false)
 }
 
-// machinesFor builds the scaled baseline/OMEGA pair for a graph and
-// per-vertex property footprint.
-func machinesFor(g *graph.Graph, vtxPropBytes int, o Options) (*core.Machine, *core.Machine) {
-	b, om := core.ScaledPair(g.NumVertices(), vtxPropBytes, o.Coverage)
-	return o.newMachine(b, g.Name), o.newMachine(om, g.Name)
-}
-
 // newMachine builds one experiment machine: the harness context is
 // attached for cooperative cancellation and, when this run buffers
 // metrics, the machine emits into the run's sample buffer under the
