@@ -293,20 +293,6 @@ func TestVertexProfile(t *testing.T) {
 	}
 }
 
-func TestMachineReset(t *testing.T) {
-	m := NewMachine(testOMEGA())
-	r := m.Alloc("p", 100, 8, memsys.KindVtxProp)
-	m.Sequential(func(ctx *Ctx) {
-		ctx.Atomic(r, 1)
-		ctx.Read(r, 2)
-	})
-	m.Reset()
-	st := m.Stats()
-	if st.Cycles != 0 || st.TotalAccesses() != 0 || st.Atomics != 0 {
-		t.Fatalf("reset incomplete: %+v", st)
-	}
-}
-
 func TestStatsSummaryRenders(t *testing.T) {
 	m := NewMachine(testOMEGA())
 	n := 1024

@@ -420,19 +420,3 @@ func (p *cachePath) l2HitRate() (hits, total uint64) {
 	}
 	return
 }
-
-func (p *cachePath) reset() {
-	for _, c := range p.l1 {
-		c.Reset()
-	}
-	for _, c := range p.l2 {
-		c.Reset()
-	}
-	p.dir.Reset()
-	p.atomics.Reset()
-	p.dramWrites.Reset()
-	p.pollAccum = 0
-	p.pollNext = 0
-	p.Pollution.Reset()
-	p.Prefetches.Reset()
-}

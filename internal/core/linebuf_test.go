@@ -181,26 +181,6 @@ func TestLineBufferFaultDegrade(t *testing.T) {
 	}
 }
 
-// TestLineBufferMachineReset checks that Reset disarms every core's memo
-// and that the memo generation stays monotonic across Reset.
-func TestLineBufferMachineReset(t *testing.T) {
-	m := NewMachine(testBaseline())
-	el := m.Alloc("el", 4096, 8, memsys.KindEdgeList)
-	c0 := &Ctx{m: m, core: 0}
-	c0.Read(el, 0)
-	if !armed(m, 0, el, 0) {
-		t.Fatal("read did not arm the memo")
-	}
-	genBefore := m.path.l1[0].Gen()
-	m.Reset()
-	if armed(m, 0, el, 0) {
-		t.Fatal("memo survived Machine.Reset")
-	}
-	if m.path.l1[0].Gen() <= genBefore {
-		t.Fatal("generation did not advance across Reset")
-	}
-}
-
 // TestLineBufFaultSite pins the linebuf fault site's per-core corruption
 // record (memoFault) at the machine level. At LineBufFlipRate 1 every
 // fastRead full probe corrupts the memo it just armed.
@@ -283,27 +263,6 @@ func TestLineBufFaultSite(t *testing.T) {
 		c0.Read(el, 0) // re-probe of the first line: nothing left to catch
 		if n := catches(m); n != 0 {
 			t.Fatalf("cleared corruption counted %d catches", n)
-		}
-	})
-
-	t.Run("snapshot-restore", func(t *testing.T) {
-		m, el, c0 := build(true)
-		c0.Read(el, 0)
-		snap := m.Snapshot()
-		c0.Read(el, perLine) // moves the record to the next line
-		m.Restore(snap)
-		c0.Read(el, 1) // the restored record refuses the first line's memo
-		if n := catches(m); n != 1 {
-			t.Fatalf("%d catches after Restore, want 1 from the restored record", n)
-		}
-	})
-
-	t.Run("reset", func(t *testing.T) {
-		m, el, c0 := build(true)
-		c0.Read(el, 0)
-		m.Reset()
-		if f := m.memoFaults[0]; f.armed {
-			t.Fatalf("record survived Machine.Reset: %+v", f)
 		}
 	})
 }

@@ -56,12 +56,6 @@ type Machine struct {
 	ctxDone    <-chan struct{}
 	cancelTick uint64
 
-	// digests, when enabled (EnableIterationDigests), records a StateDigest
-	// per BeginIteration — the checkpointed-recovery engine uses the trail
-	// to locate the first diverging iteration of a faulty run.
-	digests   []uint64
-	digestsOn bool
-
 	accessesByKind [memsys.NumKinds]stats.Counter
 	atomicsIssued  stats.Counter
 	srcReads       stats.Counter
@@ -343,9 +337,6 @@ func (m *Machine) BeginIteration() {
 	m.iterations.Inc()
 	m.path.dropMemos()
 	m.hier.BeginIteration()
-	if m.digestsOn {
-		m.digests = append(m.digests, m.StateDigest())
-	}
 }
 
 // ElapsedCycles returns the max core clock — the simulated execution time.

@@ -186,45 +186,6 @@ func (m *Machine) Stats() MachineStats {
 	return s
 }
 
-// Reset clears all simulation state (clocks, caches, stats), keeping the
-// configuration and allocations.
-func (m *Machine) Reset() {
-	// Discard, don't flush: the cleared machine's state is complete and
-	// deferred reads from before the reset must not leak into it.
-	m.resetFold()
-	for _, c := range m.cores {
-		c.Reset()
-	}
-	m.xbar.Reset()
-	m.mem.Reset()
-	m.faults.Reset()
-	clear(m.memoFaults)
-	if m.omega != nil {
-		m.omega.reset()
-	} else {
-		m.path.reset()
-	}
-	for i := range m.accessesByKind {
-		m.accessesByKind[i].Reset()
-	}
-	m.atomicsIssued.Reset()
-	m.srcReads.Reset()
-	m.iterations.Reset()
-	m.lbHits.Reset()
-	m.lbStores.Reset()
-	m.parRegions.Reset()
-	m.seqRegions.Reset()
-	m.schedItems.Reset()
-	m.finalEmitted = false
-	m.levelCount = [2 * memsys.NumLevels]uint64{}
-	m.levelLatency = [2 * memsys.NumLevels]uint64{}
-	if m.vertexProfile != nil {
-		for i := range m.vertexProfile {
-			m.vertexProfile[i] = 0
-		}
-	}
-}
-
 // JSON renders the stats as indented JSON for downstream tooling.
 func (s MachineStats) JSON() ([]byte, error) {
 	return json.MarshalIndent(s, "", "  ")

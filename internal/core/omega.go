@@ -178,14 +178,3 @@ func (h *omegaHier) configure(monitors []scratchpad.MonitorRegister, totalVertic
 	}
 	return n
 }
-
-func (h *omegaHier) reset() {
-	h.cachePath.reset()
-	h.ctrl.Reset()
-	for _, e := range h.engines {
-		e.Reset()
-	}
-	h.offloads.Reset()
-	h.spAtomics.Reset()
-	h.remoteReads.Reset()
-}

@@ -23,10 +23,10 @@ import (
 // deferred: a fold window accumulates counts while the framework's loop
 // runs, and flushFold applies them in O(streams) arithmetic before any
 // simulated event that could observe or perturb the deferred state (a
-// non-foldable access, an item/region boundary, a stats read, a
-// checkpoint). Ctx.Exec commutes with the deferred reads — it only adds
-// to the same clock/instruction sums — so edge loops interleaving Exec
-// with reads (every ligra/graphmat scan) fold without flushing.
+// non-foldable access, an item/region boundary, a stats read). Ctx.Exec
+// commutes with the deferred reads — it only adds to the same
+// clock/instruction sums — so edge loops interleaving Exec with reads
+// (every ligra/graphmat scan) fold without flushing.
 //
 // Two fold modes exist, mirroring the two per-access L1 hit paths:
 //
@@ -40,8 +40,8 @@ import (
 //     re-arming the memo. cachePath.Access draws a DirFlip decision per
 //     access when an injector is attached, so probe folds require a
 //     fault-free machine — the injector's per-access PRNG streams (and
-//     with them every fault campaign and ReseedFaults replay) stay
-//     undisturbed.
+//     with them every fault campaign and its recovery re-executions)
+//     stay undisturbed.
 //
 // The stream registry persists across flushes so alternating scans (edge
 // list + weights, in-edges + frontier bytes) re-fold immediately; every
@@ -236,12 +236,4 @@ func (m *Machine) flushFold() {
 		l1.ArmHot(cs.line, cs.way)
 	}
 	f.n, f.memoHits, f.probeHits, f.rearm = 0, 0, 0, false
-}
-
-// resetFold discards the fold state entirely — deferred counts and
-// registry. Reset and Restore use it: a restored (or cleared) machine's
-// state is complete, and deferred reads from the abandoned timeline must
-// not leak into it.
-func (m *Machine) resetFold() {
-	m.fold = runFold{}
 }

@@ -61,7 +61,7 @@ func foldScript(m *Machine, el, wt, vp *Region) {
 	_ = m.Stats()          // mid-script flush point
 	read(c0, el, 100, 200) // folding must resume after the stats read
 	m.BeginIteration()
-	read(c0, el, 0, 32) // memo generation bumped; re-probe then fold
+	read(c0, el, 0, 32) // memo dropped; re-probe then fold
 	for i := 0; i < 16; i++ {
 		c0.Write(wt, i)
 	}

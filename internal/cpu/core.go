@@ -275,57 +275,3 @@ func (c *Core) DrainWindow() {
 	}
 	c.outstanding = c.outstanding[:0]
 }
-
-// State is an opaque core checkpoint.
-type State struct {
-	clock         memsys.Cycles
-	outstanding   []memsys.Cycles
-	breakdown     Breakdown
-	instructions  uint64
-	frontendAccum int
-	blocking      memsys.Cycles
-	window        memsys.Cycles
-	drain         memsys.Cycles
-	offload       memsys.Cycles
-}
-
-// Snapshot captures the core's timing state for later Restore.
-func (c *Core) Snapshot() State {
-	return State{
-		clock:         c.clock,
-		outstanding:   append([]memsys.Cycles(nil), c.outstanding...),
-		breakdown:     c.breakdown,
-		instructions:  c.instructions,
-		frontendAccum: c.frontendAccum,
-		blocking:      c.BlockingStall,
-		window:        c.WindowStall,
-		drain:         c.DrainStall,
-		offload:       c.OffloadStall,
-	}
-}
-
-// Restore rewinds the core to a Snapshot.
-func (c *Core) Restore(s State) {
-	c.clock = s.clock
-	c.outstanding = append(c.outstanding[:0], s.outstanding...)
-	c.breakdown = s.breakdown
-	c.instructions = s.instructions
-	c.frontendAccum = s.frontendAccum
-	c.BlockingStall = s.blocking
-	c.WindowStall = s.window
-	c.DrainStall = s.drain
-	c.OffloadStall = s.offload
-}
-
-// Reset clears time, window, and statistics.
-func (c *Core) Reset() {
-	c.clock = 0
-	c.outstanding = c.outstanding[:0]
-	c.breakdown = Breakdown{}
-	c.instructions = 0
-	c.frontendAccum = 0
-	c.BlockingStall = 0
-	c.WindowStall = 0
-	c.DrainStall = 0
-	c.OffloadStall = 0
-}

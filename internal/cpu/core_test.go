@@ -149,16 +149,6 @@ func TestBreakdownTotals(t *testing.T) {
 	}
 }
 
-func TestReset(t *testing.T) {
-	c := newCore()
-	c.Exec(50)
-	c.Mem(memsys.Result{Latency: 100})
-	c.Reset()
-	if c.Clock() != 0 || c.Instructions() != 0 || c.Breakdown().Total() != 0 {
-		t.Fatal("reset incomplete")
-	}
-}
-
 func TestMemCountsInstruction(t *testing.T) {
 	c := newCore()
 	c.Mem(memsys.Result{Latency: 1})

@@ -71,7 +71,7 @@ const (
 	// registered algorithm (custom schedules, instrumented variants).
 	UncacheableWorkload = "workload"
 	// UncacheableCampaign marks machine runs under the resilience
-	// campaign engine, which drives machines through checkpoints and
+	// campaign engine, whose fault-injected attempts and recovery
 	// re-executions the cell abstraction cannot represent.
 	UncacheableCampaign = "campaign"
 )

@@ -64,14 +64,14 @@ func CampaignFor(o Options) resilience.Campaign {
 
 // RunResilienceCampaign is the Resilience R2 experiment: the full fault
 // campaign — site × rate sweep, golden-validated outcome classification,
-// checkpointed re-execution recovery — rendered as the outcome-histogram
-// table.
+// re-execution recovery on fresh machines — rendered as the
+// outcome-histogram table.
 func RunResilienceCampaign(o Options) *Table {
 	o = o.Defaults()
 	camp := CampaignFor(o)
 	// Campaign runs never route through the cell cache: every injected run
-	// perturbs the machine, and the golden run feeds the engine's internal
-	// checkpoint, so none of them are reusable cells. Count them so the
+	// perturbs the machine, and the golden run is the engine's private
+	// reference, so none of them are reusable cells. Count them so the
 	// suite's cache report stays honest about what was skipped (the golden
 	// run plus one first-attempt per site × rate × seed; recovery
 	// re-executions are demand-driven and not counted here).
@@ -99,6 +99,9 @@ func RunResilienceCampaign(o Options) *Table {
 			cell.Outcomes[resilience.SilentDataCorruption],
 			cell.Recovered, cell.Reexecutions, cell.OverheadCycles)
 	}
+	// The recovery note's "pristine machine checkpoint" predates retries on
+	// fresh machines (a fresh machine is that checkpoint); the wording is
+	// kept because perfbench's pinned suite digest covers table notes.
 	t.Notes = append(t.Notes,
 		"histogram columns classify each run's FIRST attempt against the fault-free golden:",
 		"outputs (rank vectors within tolerance), timing signature, and detection counters",

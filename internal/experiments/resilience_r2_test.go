@@ -118,33 +118,6 @@ func TestLineBufSDCPair(t *testing.T) {
 	}
 }
 
-// TestSnapshotRestoreRerunIdentity: restoring the pristine checkpoint and
-// re-running must reproduce the original run's stats byte-for-byte, with
-// and without fault injection — the property the recovery loop rests on.
-func TestSnapshotRestoreRerunIdentity(t *testing.T) {
-	for _, withFaults := range []bool{false, true} {
-		w := CampaignFor(campaignOpts()).Workload
-		cfg := w.Config
-		if withFaults {
-			cfg.Faults = faults.Config{Seed: 11, SPParityRate: 1e-3, DRAMFlipRate: 1e-3, LineBufFlipRate: 1e-2}
-		}
-		m := core.NewMachine(cfg)
-		pristine := m.Snapshot()
-		st1, _ := w.Run(ligra.New(m, w.Graph))
-		m.Restore(pristine)
-		st2, _ := w.Run(ligra.New(m, w.Graph))
-		if !bytes.Equal(statsJSON(t, st1), statsJSON(t, st2)) {
-			t.Fatalf("faults=%v: restored re-run diverged from original", withFaults)
-		}
-		if withFaults && st1.Faults.Total() == 0 {
-			t.Fatal("fault arm injected nothing — identity check is vacuous")
-		}
-		if withFaults && st1.Faults.LineBufFlips == 0 {
-			t.Fatal("no memo corruption injected — the restored memo records go unchecked")
-		}
-	}
-}
-
 // TestWedgedRunnerCancelled is the cancellation acceptance test: a
 // deliberately wedged experiment — a machine spinning in ParallelFor
 // forever — must be cancelled cooperatively by a 100 ms watchdog, return

@@ -44,7 +44,11 @@ import (
 // class; a Config with all rates zero is a no-op injector whose attached
 // machine produces bit-identical statistics to an injector-free one.
 type Config struct {
-	// Seed drives the three per-path random streams.
+	// Seed drives the per-path random streams. Recovery re-executions
+	// run attempt k on Seed+k, so retry k of seed s draws the same
+	// streams as the first attempt of seed s+k: campaigns sweeping
+	// consecutive seeds replay one seed's first attempt in another's
+	// retry.
 	Seed uint64
 
 	// DRAMFlipRate is the probability that one DRAM line read suffers at
@@ -243,10 +247,6 @@ type Injector struct {
 	lbRand   *stats.Rand
 	aluRand  *stats.Rand
 
-	// seedSalt offsets the stream seeds; recovery re-executions bump it
-	// (Reseed) so a retried run draws a fresh fault pattern.
-	seedSalt uint64
-
 	ev Events
 }
 
@@ -269,29 +269,15 @@ func New(cfg Config) *Injector {
 		panic(err)
 	}
 	cfg = cfg.withDefaults()
-	in := &Injector{
+	return &Injector{
 		cfg:      cfg,
-		dramRand: &stats.Rand{},
-		nocRand:  &stats.Rand{},
-		spRand:   &stats.Rand{},
-		dirRand:  &stats.Rand{},
-		lbRand:   &stats.Rand{},
-		aluRand:  &stats.Rand{},
+		dramRand: stats.NewRand(cfg.Seed ^ dramStream),
+		nocRand:  stats.NewRand(cfg.Seed ^ nocStream),
+		spRand:   stats.NewRand(cfg.Seed ^ spStream),
+		dirRand:  stats.NewRand(cfg.Seed ^ dirStream),
+		lbRand:   stats.NewRand(cfg.Seed ^ lbStream),
+		aluRand:  stats.NewRand(cfg.Seed ^ aluStream),
 	}
-	in.seedStreams()
-	return in
-}
-
-// seedStreams (re)derives every path stream from the configured seed plus
-// the current salt.
-func (in *Injector) seedStreams() {
-	base := in.cfg.Seed + in.seedSalt
-	in.dramRand.Seed(base ^ dramStream)
-	in.nocRand.Seed(base ^ nocStream)
-	in.spRand.Seed(base ^ spStream)
-	in.dirRand.Seed(base ^ dirStream)
-	in.lbRand.Seed(base ^ lbStream)
-	in.aluRand.Seed(base ^ aluStream)
 }
 
 // Config returns the (default-filled) configuration.
@@ -308,68 +294,6 @@ func (in *Injector) Events() Events {
 		return Events{}
 	}
 	return in.ev
-}
-
-// Reset clears the fault log and restarts the random streams, so a
-// machine Reset followed by an identical run reproduces the identical
-// fault sequence.
-func (in *Injector) Reset() {
-	if in == nil {
-		return
-	}
-	in.ev = Events{}
-	in.seedStreams()
-}
-
-// Reseed bumps the stream salt and restarts every path stream, keeping
-// the event log. A recovery re-execution calls this so the retried run
-// sees a fresh, still-deterministic fault pattern (salt = attempt number)
-// instead of replaying the exact faults that just sank it.
-func (in *Injector) Reseed(salt uint64) {
-	if in == nil {
-		return
-	}
-	in.seedSalt = salt
-	in.seedStreams()
-}
-
-// State is an opaque injector checkpoint: stream cursors, salt, and the
-// event log.
-type State struct {
-	cursors [6][2]uint64
-	salt    uint64
-	ev      Events
-}
-
-// Snapshot captures the injector for later Restore.
-func (in *Injector) Snapshot() State {
-	if in == nil {
-		return State{}
-	}
-	var s State
-	for i, r := range in.streams() {
-		s.cursors[i][0], s.cursors[i][1] = r.State()
-	}
-	s.salt = in.seedSalt
-	s.ev = in.ev
-	return s
-}
-
-// Restore rewinds the injector to a Snapshot.
-func (in *Injector) Restore(s State) {
-	if in == nil {
-		return
-	}
-	for i, r := range in.streams() {
-		r.SetState(s.cursors[i][0], s.cursors[i][1])
-	}
-	in.seedSalt = s.salt
-	in.ev = s.ev
-}
-
-func (in *Injector) streams() [6]*stats.Rand {
-	return [6]*stats.Rand{in.dramRand, in.nocRand, in.spRand,
-		in.dirRand, in.lbRand, in.aluRand}
 }
 
 // DRAMRead draws the ECC outcome for one DRAM line read whose device

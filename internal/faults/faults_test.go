@@ -18,7 +18,6 @@ func TestNilInjectorIsNoOp(t *testing.T) {
 		t.Fatalf("nil SPParity = %v,%d", trip, pen)
 	}
 	in.NoteSPDegraded()
-	in.Reset()
 	if ev := in.Events(); ev != (Events{}) {
 		t.Fatalf("nil Events = %+v", ev)
 	}
@@ -149,27 +148,6 @@ func TestSPParityAndDegradation(t *testing.T) {
 	ev := in.Events()
 	if ev.SPParityErrors != 1 || ev.SPDegradedVertices != 1 {
 		t.Fatalf("events = %+v", ev)
-	}
-}
-
-func TestResetReproducesStream(t *testing.T) {
-	in := New(Config{Seed: 17, DRAMFlipRate: 0.2})
-	var first []memsys.Cycles
-	for i := 0; i < 500; i++ {
-		first = append(first, in.DRAMRead(50))
-	}
-	evFirst := in.Events()
-	in.Reset()
-	if in.Events() != (Events{}) {
-		t.Fatal("reset did not clear events")
-	}
-	for i := 0; i < 500; i++ {
-		if got := in.DRAMRead(50); got != first[i] {
-			t.Fatalf("post-reset stream diverged at %d", i)
-		}
-	}
-	if in.Events() != evFirst {
-		t.Fatalf("post-reset events diverged: %+v vs %+v", in.Events(), evFirst)
 	}
 }
 

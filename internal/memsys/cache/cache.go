@@ -78,11 +78,9 @@ type Cache struct {
 	// hit or fill so a run of reads to the same 64 B line skips the set
 	// probe (SameLineReadHit); hotIdx is -1 when no memo is armed. The
 	// memo dies whenever the memoized line's identity could have changed
-	// — an eviction or invalidation of that line, a Reset, or a DropHot —
-	// and every such drop advances gen.
+	// — an eviction or invalidation of that line, or a DropHot.
 	hotLine memsys.Addr
 	hotIdx  int
-	gen     uint64
 
 	// Stats
 	Reads      stats.Ratio // read hits/total
@@ -188,22 +186,13 @@ func (c *Cache) Lookup(a memsys.Addr) bool {
 // LookupAt is Lookup over a pre-resolved Ref.
 func (c *Cache) LookupAt(r Ref) bool { return c.findIdx(r.base, r.key) >= 0 }
 
-// Gen returns the cache's memo generation: the number of times the
-// same-line memo has been dropped (fill-evict or invalidation of the
-// memoized line, Reset, DropHot). It is monotonic across Reset and
-// feeds the machine's state digest; nothing validates against it.
-func (c *Cache) Gen() uint64 { return c.gen }
+// dropHot invalidates the same-line memo.
+func (c *Cache) dropHot() { c.hotIdx = -1 }
 
-// dropHot invalidates the same-line memo and advances the generation.
-func (c *Cache) dropHot() {
-	c.hotIdx = -1
-	c.gen++
-}
-
-// DropHot force-invalidates the same-line memo and advances the
-// generation. It exists for events outside the cache's own view —
-// iteration boundaries, graph configuration, scratchpad fault degrades —
-// after which the next same-line read must take the full probe.
+// DropHot force-invalidates the same-line memo. It exists for events
+// outside the cache's own view — iteration boundaries, graph
+// configuration, scratchpad fault degrades — after which the next
+// same-line read must take the full probe.
 func (c *Cache) DropHot() { c.dropHot() }
 
 // SameLineReadHit is the same-line fast path: if addr falls in the line of
@@ -266,7 +255,7 @@ func (c *Cache) SetLastUse(idx int, use uint64) { c.slab[idx+c.ways] = use }
 
 // ArmHot re-seeds the same-line memo with a (line, way) pair the caller
 // has validated via PresentAt — the state a hitting AccessStreamReadAt of
-// that line would have left. It touches no counters and no generation.
+// that line would have left. It touches no counters.
 func (c *Cache) ArmHot(a memsys.Addr, idx int) {
 	c.hotLine = memsys.LineAddr(a)
 	c.hotIdx = idx
@@ -474,7 +463,7 @@ func (c *Cache) install(r Ref, dirty bool) (victim EvictedLine, evicted bool, in
 	if idx == c.hotIdx {
 		// Reached on eviction of the memoized way; for free ways the memo
 		// can never point here (it never points at an invalid way), but
-		// the check keeps the generation contract unconditional.
+		// the check keeps the drop unconditional.
 		c.dropHot()
 	}
 	// The installed way is never pinned (pinned valid ways are excluded
@@ -558,65 +547,4 @@ func (c *Cache) HitRate() float64 {
 		return 0
 	}
 	return float64(c.Reads.Hits+c.Writes.Hits) / float64(total)
-}
-
-// State is an opaque cache checkpoint: contents, replacement state, the
-// same-line memo, the generation, and statistics.
-type State struct {
-	slab     []uint64
-	meta     []setMeta
-	useClock uint64
-	hotLine  memsys.Addr
-	hotIdx   int
-	gen      uint64
-
-	reads, writes         stats.Ratio
-	evictions, writebacks stats.Counter
-}
-
-// Snapshot captures the full cache state for later Restore.
-func (c *Cache) Snapshot() State {
-	return State{
-		slab:       append([]uint64(nil), c.slab...),
-		meta:       append([]setMeta(nil), c.meta...),
-		useClock:   c.useClock,
-		hotLine:    c.hotLine,
-		hotIdx:     c.hotIdx,
-		gen:        c.gen,
-		reads:      c.Reads,
-		writes:     c.Writes,
-		evictions:  c.Evictions,
-		writebacks: c.Writebacks,
-	}
-}
-
-// Restore rewinds the cache to a Snapshot (which must come from a cache
-// of identical geometry).
-func (c *Cache) Restore(s State) {
-	copy(c.slab, s.slab)
-	copy(c.meta, s.meta)
-	c.useClock = s.useClock
-	c.hotLine = s.hotLine
-	c.hotIdx = s.hotIdx
-	c.gen = s.gen
-	c.Reads = s.reads
-	c.Writes = s.writes
-	c.Evictions = s.evictions
-	c.Writebacks = s.writebacks
-}
-
-// Reset clears contents and statistics. The memo generation is NOT reset
-// — it advances, like every other memo drop.
-func (c *Cache) Reset() {
-	c.dropHot()
-	clear(c.slab)
-	allFree := c.waysMask()
-	for i := range c.meta {
-		c.meta[i] = setMeta{free: allFree}
-	}
-	c.useClock = 0
-	c.Reads = stats.Ratio{}
-	c.Writes = stats.Ratio{}
-	c.Evictions.Reset()
-	c.Writebacks.Reset()
 }

@@ -121,16 +121,6 @@ func TestHitRateAccounting(t *testing.T) {
 	}
 }
 
-func TestReset(t *testing.T) {
-	c := small()
-	c.Fill(0, true)
-	c.Access(0, false)
-	c.Reset()
-	if c.Lookup(0) || c.Reads.Total != 0 || c.Writebacks.Value() != 0 {
-		t.Fatal("reset incomplete")
-	}
-}
-
 func TestVictimAddressReconstruction(t *testing.T) {
 	// Property: for any filled address, the victim produced by conflicting
 	// fills reports the original line address.

@@ -388,48 +388,3 @@ func (d *Directory) Scrub() (repaired int) {
 	}
 	return repaired
 }
-
-// State is an opaque directory checkpoint.
-type State struct {
-	entries []dirEntry
-	mask    uint64
-	count   int
-
-	invalidations, c2c, downgrades stats.Counter
-}
-
-// Snapshot captures the full directory state for later Restore.
-func (d *Directory) Snapshot() State {
-	return State{
-		entries:       append([]dirEntry(nil), d.entries...),
-		mask:          d.mask,
-		count:         d.count,
-		invalidations: d.Invalidations,
-		c2c:           d.C2CTransfers,
-		downgrades:    d.Downgrades,
-	}
-}
-
-// Restore rewinds the directory to a Snapshot.
-func (d *Directory) Restore(s State) {
-	if len(d.entries) == len(s.entries) {
-		copy(d.entries, s.entries)
-	} else {
-		d.entries = append([]dirEntry(nil), s.entries...)
-	}
-	d.mask = s.mask
-	d.count = s.count
-	d.Invalidations = s.invalidations
-	d.C2CTransfers = s.c2c
-	d.Downgrades = s.downgrades
-}
-
-// Reset clears all directory state and statistics. The table keeps its
-// grown capacity, so a Reset-and-rerun reaches steady state immediately.
-func (d *Directory) Reset() {
-	clear(d.entries)
-	d.count = 0
-	d.Invalidations.Reset()
-	d.C2CTransfers.Reset()
-	d.Downgrades.Reset()
-}

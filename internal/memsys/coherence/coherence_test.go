@@ -163,16 +163,6 @@ func TestInvariantSingleOwner(t *testing.T) {
 	}
 }
 
-func TestReset(t *testing.T) {
-	d := New(4)
-	d.AcquireExclusive(line, 0)
-	d.AcquireExclusive(line, 1)
-	d.Reset()
-	if d.Holders(line) != 0 || d.Invalidations.Value() != 0 || d.C2CTransfers.Value() != 0 {
-		t.Fatal("reset incomplete")
-	}
-}
-
 func TestBadCoreCountPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -213,16 +203,6 @@ func TestTableGrowthAndErase(t *testing.T) {
 		want := i % 2
 		if got := d.Holders(memsys.Addr(i * memsys.LineSize)); got != want {
 			t.Fatalf("line %d: holders %d, want %d", i, got, want)
-		}
-	}
-	// Reset keeps capacity but empties the table.
-	d.Reset()
-	if d.Lines() != 0 {
-		t.Fatalf("Lines() = %d after Reset, want 0", d.Lines())
-	}
-	for i := 0; i < n; i++ {
-		if d.Holders(memsys.Addr(i*memsys.LineSize)) != 0 {
-			t.Fatalf("line %d survived Reset", i)
 		}
 	}
 }

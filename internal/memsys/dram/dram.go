@@ -219,55 +219,3 @@ func (d *DRAM) Utilization(elapsed memsys.Cycles) float64 {
 	achieved := float64(d.BytesMoved.Value()) / float64(elapsed)
 	return achieved / d.PeakBytesPerCycle()
 }
-
-// State is an opaque DRAM checkpoint.
-type State struct {
-	queues  []memsys.Queue
-	openRow []uint64
-
-	accesses, bytesMoved, queueDelay, eccPenalty stats.Counter
-	rowHits                                      stats.Ratio
-	lastBusy                                     memsys.Cycles
-}
-
-// Snapshot captures the device state for later Restore.
-func (d *DRAM) Snapshot() State {
-	return State{
-		queues:     append([]memsys.Queue(nil), d.queues...),
-		openRow:    append([]uint64(nil), d.openRow...),
-		accesses:   d.Accesses,
-		bytesMoved: d.BytesMoved,
-		queueDelay: d.QueueDelay,
-		eccPenalty: d.ECCPenalty,
-		rowHits:    d.RowHits,
-		lastBusy:   d.lastBusy,
-	}
-}
-
-// Restore rewinds the device to a Snapshot.
-func (d *DRAM) Restore(s State) {
-	copy(d.queues, s.queues)
-	copy(d.openRow, s.openRow)
-	d.Accesses = s.accesses
-	d.BytesMoved = s.bytesMoved
-	d.QueueDelay = s.queueDelay
-	d.ECCPenalty = s.eccPenalty
-	d.RowHits = s.rowHits
-	d.lastBusy = s.lastBusy
-}
-
-// Reset clears device state and statistics.
-func (d *DRAM) Reset() {
-	for i := range d.queues {
-		d.queues[i].Reset()
-	}
-	for i := range d.openRow {
-		d.openRow[i] = ^uint64(0)
-	}
-	d.Accesses.Reset()
-	d.RowHits = stats.Ratio{}
-	d.BytesMoved.Reset()
-	d.QueueDelay.Reset()
-	d.ECCPenalty.Reset()
-	d.lastBusy = 0
-}

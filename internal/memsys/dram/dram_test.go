@@ -109,20 +109,6 @@ func TestChannelsIndependent(t *testing.T) {
 	_ = delayed
 }
 
-func TestReset(t *testing.T) {
-	d := New(DefaultConfig())
-	d.Access(0, 0)
-	d.Reset()
-	if d.Accesses.Value() != 0 || d.BytesMoved.Value() != 0 || d.RowHits.Total != 0 {
-		t.Fatal("reset incomplete")
-	}
-	// Open rows cleared: the next access must be a row miss.
-	d.Access(0, 0)
-	if d.RowHits.Hits != 0 {
-		t.Fatal("open row survived reset")
-	}
-}
-
 func TestBadConfigPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -134,19 +134,3 @@ func TestQueueWaitScalesWithService(t *testing.T) {
 		t.Fatalf("heavier service should queue more: %d vs %d", wb, wa)
 	}
 }
-
-func TestQueueReset(t *testing.T) {
-	var q Queue
-	var now Cycles
-	for i := 0; i < 3000; i++ {
-		q.Enqueue(now, 100)
-		now += 10
-	}
-	q.Reset()
-	if q.Utilization() != 0 {
-		t.Fatal("reset should clear utilization")
-	}
-	if w := q.Enqueue(now+10000, 10); w != 0 {
-		t.Fatalf("fresh queue should not wait, got %d", w)
-	}
-}

@@ -182,39 +182,3 @@ func (x *Crossbar) BytesByClass(c MsgClass) uint64 { return x.traffic[c].bytes }
 
 // MessagesByClass returns the message count for one class.
 func (x *Crossbar) MessagesByClass(c MsgClass) uint64 { return x.traffic[c].msgs }
-
-// State is an opaque crossbar checkpoint.
-type State struct {
-	ports   []memsys.Queue
-	traffic [numClasses]classTraffic
-
-	queueWait, retryWait stats.Counter
-}
-
-// Snapshot captures the crossbar state for later Restore.
-func (x *Crossbar) Snapshot() State {
-	return State{
-		ports:     append([]memsys.Queue(nil), x.ports...),
-		traffic:   x.traffic,
-		queueWait: x.QueueWait,
-		retryWait: x.RetryWait,
-	}
-}
-
-// Restore rewinds the crossbar to a Snapshot.
-func (x *Crossbar) Restore(s State) {
-	copy(x.ports, s.ports)
-	x.traffic = s.traffic
-	x.QueueWait = s.queueWait
-	x.RetryWait = s.retryWait
-}
-
-// Reset clears busy state and statistics.
-func (x *Crossbar) Reset() {
-	for i := range x.ports {
-		x.ports[i].Reset()
-	}
-	x.traffic = [numClasses]classTraffic{}
-	x.QueueWait.Reset()
-	x.RetryWait.Reset()
-}

@@ -139,12 +139,3 @@ func TestClassStrings(t *testing.T) {
 		t.Fatal("unknown class should render")
 	}
 }
-
-func TestReset(t *testing.T) {
-	x := xbar()
-	x.Send(0, 0, 1, 64, ClassLine)
-	x.Reset()
-	if x.TotalBytes() != 0 || x.QueueWait.Value() != 0 {
-		t.Fatal("reset incomplete")
-	}
-}

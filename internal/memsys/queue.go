@@ -132,6 +132,3 @@ func (q *Queue) rollWindow(span Cycles) {
 
 // Utilization returns the smoothed utilization estimate.
 func (q *Queue) Utilization() float64 { return q.util }
-
-// Reset clears the queue state.
-func (q *Queue) Reset() { *q = Queue{} }

@@ -282,43 +282,3 @@ func (e *Engine) ExecuteSync(arrival memsys.Cycles) memsys.Cycles {
 	_, done := e.Offload(arrival)
 	return done - arrival
 }
-
-// State is an opaque engine checkpoint (microcode rides along so a
-// restore mid-algorithm keeps the loaded routine consistent).
-type State struct {
-	microcode Microcode
-	steps     []MicroOp
-	queue     memsys.Queue
-
-	executed, busy, backpress stats.Counter
-}
-
-// Snapshot captures the engine state for later Restore.
-func (e *Engine) Snapshot() State {
-	return State{
-		microcode: e.microcode,
-		steps:     append([]MicroOp(nil), e.microcode.Steps...),
-		queue:     e.queue,
-		executed:  e.Executed,
-		busy:      e.BusyTime,
-		backpress: e.Backpress,
-	}
-}
-
-// Restore rewinds the engine to a Snapshot.
-func (e *Engine) Restore(s State) {
-	e.microcode = s.microcode
-	e.microcode.Steps = append([]MicroOp(nil), s.steps...)
-	e.queue = s.queue
-	e.Executed = s.executed
-	e.BusyTime = s.busy
-	e.Backpress = s.backpress
-}
-
-// Reset clears timing state and statistics (microcode is kept).
-func (e *Engine) Reset() {
-	e.queue.Reset()
-	e.Executed.Reset()
-	e.BusyTime.Reset()
-	e.Backpress.Reset()
-}

@@ -212,19 +212,6 @@ func TestEngineExecuteSync(t *testing.T) {
 	}
 }
 
-func TestEngineReset(t *testing.T) {
-	e := NewEngine(DefaultConfig(3))
-	e.LoadMicrocode(StandardMicrocode("pr", OpFPAdd, false, false))
-	e.Offload(0)
-	e.Reset()
-	if e.Executed.Value() != 0 || e.BusyTime.Value() != 0 {
-		t.Fatal("reset incomplete")
-	}
-	if e.Microcode().Name != "pr" {
-		t.Fatal("reset should keep microcode")
-	}
-}
-
 func TestOpStringsAndLatencies(t *testing.T) {
 	ops := []Op{OpNop, OpFPAdd, OpUnsignedCompareSwap, OpSignedMin, OpSignedAdd, OpOr, OpBoolComp}
 	for _, o := range ops {

@@ -3,7 +3,8 @@
 // against a fault-free golden (clean / detected-corrected /
 // detected-degraded / crashed / silent-data-corruption), and applies a
 // configurable recovery policy — bounded re-execution with exponential
-// backoff from whole-machine checkpoints (core.Machine.Snapshot/Restore).
+// backoff, each re-execution on a freshly built machine whose fault
+// streams are keyed by the attempt number.
 //
 // The engine deliberately does not import the experiments package: the
 // experiments layer provides the workload (dataset + machine config +
@@ -134,8 +135,6 @@ type Golden struct {
 	// Signature is the normalized stats encoding (fault fields zeroed);
 	// any surviving timing divergence shows up as a signature mismatch.
 	Signature []byte
-	// Digests is the per-iteration state-digest trail.
-	Digests []uint64
 }
 
 // RunGolden executes the workload fault-free and captures the reference.
@@ -148,14 +147,12 @@ func RunGolden(w Workload, ctx context.Context) (*Golden, error) {
 		return nil, err
 	}
 	m.AttachContext(ctx)
-	m.EnableIterationDigests()
 	fw := ligra.New(m, w.Graph)
 	st, outputs := w.Run(fw)
 	return &Golden{
 		Stats:     st,
 		Outputs:   outputsOf(fw, outputs),
 		Signature: signatureOf(st),
-		Digests:   m.DigestTrail(),
 	}, nil
 }
 
@@ -186,10 +183,6 @@ type RunReport struct {
 	// OverheadCycles is the recovery cost: the wasted cycles of failed
 	// attempts plus exponential backoff between re-executions.
 	OverheadCycles uint64
-	// DivergeIter is the first iteration whose state digest differs from
-	// the golden trail on the first failed attempt (-1 when unknown or
-	// when the run never diverged at an iteration boundary).
-	DivergeIter int
 }
 
 // Recovered reports whether re-execution turned a failed run good.
@@ -197,21 +190,19 @@ func (r RunReport) Recovered() bool { return r.First.failed() && !r.Final.failed
 
 // RunOne executes the workload under one (site, rate, seed) injection
 // configuration, applying the recovery policy: a crashed or silently
-// corrupted attempt rewinds the machine to its pristine checkpoint,
-// re-keys the fault streams, pays exponential backoff, and re-executes,
-// up to MaxRetries times.
+// corrupted attempt pays exponential backoff and re-executes on a fresh
+// machine, up to MaxRetries times. Attempt k (0 = the first) injects with
+// fault seed seed+k, so a retry does not deterministically replay the
+// exact fault that killed the previous attempt.
 func RunOne(w Workload, site faults.Site, rate float64, seed uint64, p Policy, g *Golden, ctx context.Context) RunReport {
 	cfg := w.Config
-	fc := faults.Config{Seed: seed}
-	site.Apply(&fc, rate)
-	cfg.Faults = fc
-	m := core.NewMachine(cfg)
-	m.AttachContext(ctx)
-	m.EnableIterationDigests()
-	pristine := m.Snapshot()
-
-	rep := RunReport{Site: site, Rate: rate, Seed: seed, DivergeIter: -1}
+	rep := RunReport{Site: site, Rate: rate, Seed: seed}
 	for attempt := 0; ; attempt++ {
+		fc := faults.Config{Seed: seed + uint64(attempt)}
+		site.Apply(&fc, rate)
+		cfg.Faults = fc
+		m := core.NewMachine(cfg)
+		m.AttachContext(ctx)
 		st, outputs, crashed := runAttempt(m, w)
 		var out Outcome
 		if crashed != nil {
@@ -221,23 +212,14 @@ func RunOne(w Workload, site faults.Site, rate float64, seed uint64, p Policy, g
 		}
 		if attempt == 0 {
 			rep.First = out
-			if out.failed() && rep.DivergeIter < 0 {
-				rep.DivergeIter = firstDivergence(m.DigestTrail(), g.Digests)
-			}
 		}
 		rep.Final = out
 		rep.Attempts = attempt + 1
 		if !out.failed() || attempt >= p.MaxRetries {
 			return rep
 		}
-		// Recovery: charge the wasted attempt and the backoff, rewind to
-		// the pristine checkpoint (which also rewinds the region allocator,
-		// so the re-created framework lands on identical addresses), and
-		// re-key the fault streams so the retry does not deterministically
-		// replay the exact fault that killed this attempt.
+		// Recovery: charge the wasted attempt and the backoff.
 		rep.OverheadCycles += uint64(m.ElapsedCycles()) + p.BackoffCycles<<uint(attempt)
-		m.Restore(pristine)
-		m.ReseedFaults(uint64(attempt + 1))
 	}
 }
 
@@ -335,24 +317,6 @@ func floatsWithin(a, b, tol float64) bool {
 		mx = mb
 	}
 	return diff <= tol*mx
-}
-
-// firstDivergence returns the first index where the trails differ, or the
-// shorter length when one is a prefix of the other, or -1 when equal.
-func firstDivergence(got, want []uint64) int {
-	n := len(got)
-	if len(want) < n {
-		n = len(want)
-	}
-	for i := 0; i < n; i++ {
-		if got[i] != want[i] {
-			return i
-		}
-	}
-	if len(got) != len(want) {
-		return n
-	}
-	return -1
 }
 
 // CellReport aggregates one (site, rate) sweep cell across seeds.

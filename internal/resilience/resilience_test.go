@@ -83,21 +83,6 @@ func TestOutputsMatch(t *testing.T) {
 	}
 }
 
-func TestFirstDivergence(t *testing.T) {
-	if d := firstDivergence([]uint64{1, 2, 3}, []uint64{1, 2, 3}); d != -1 {
-		t.Fatalf("equal trails diverge at %d", d)
-	}
-	if d := firstDivergence([]uint64{1, 9, 3}, []uint64{1, 2, 3}); d != 1 {
-		t.Fatalf("diverge at %d, want 1", d)
-	}
-	if d := firstDivergence([]uint64{1, 2}, []uint64{1, 2, 3}); d != 2 {
-		t.Fatalf("prefix diverges at %d, want 2", d)
-	}
-	if d := firstDivergence(nil, nil); d != -1 {
-		t.Fatalf("empty trails diverge at %d", d)
-	}
-}
-
 // syntheticGolden builds a golden from a baseline stats value so classify
 // can be exercised without running a machine.
 func syntheticGolden(st core.MachineStats, outputs [][]pisc.Value) *Golden {

@@ -243,94 +243,6 @@ func (c *Controller) InvalidateSrcBufs() {
 	}
 }
 
-// State is an opaque controller checkpoint: monitor configuration,
-// residency, degraded lines, source buffers, and statistics.
-type State struct {
-	monitors       []MonitorRegister
-	bytesPerVertex int
-	residentCount  uint32
-	faulty         map[uint32]struct{}
-
-	local, remote, activeBits stats.Counter
-	srcBufHits                stats.Ratio
-	srcBufs                   []srcBufState
-}
-
-type srcBufState struct {
-	entries []uint32
-	valid   []bool
-	next    int
-}
-
-// Snapshot captures the controller state for later Restore.
-func (c *Controller) Snapshot() State {
-	s := State{
-		monitors:       append([]MonitorRegister(nil), c.monitors...),
-		bytesPerVertex: c.bytesPerVertex,
-		residentCount:  c.residentCount,
-		local:          c.LocalAccesses,
-		remote:         c.RemoteAccesses,
-		activeBits:     c.ActiveBitSets,
-		srcBufHits:     c.SrcBufHits,
-		srcBufs:        make([]srcBufState, len(c.srcBufs)),
-	}
-	if c.faulty != nil {
-		s.faulty = make(map[uint32]struct{}, len(c.faulty))
-		for v := range c.faulty {
-			s.faulty[v] = struct{}{}
-		}
-	}
-	for i, b := range c.srcBufs {
-		s.srcBufs[i] = srcBufState{
-			entries: append([]uint32(nil), b.entries...),
-			valid:   append([]bool(nil), b.valid...),
-			next:    b.next,
-		}
-	}
-	return s
-}
-
-// Restore rewinds the controller to a Snapshot.
-func (c *Controller) Restore(s State) {
-	c.monitors = append(c.monitors[:0], s.monitors...)
-	c.bytesPerVertex = s.bytesPerVertex
-	c.residentCount = s.residentCount
-	c.faulty = nil
-	if s.faulty != nil {
-		c.faulty = make(map[uint32]struct{}, len(s.faulty))
-		for v := range s.faulty {
-			c.faulty[v] = struct{}{}
-		}
-	}
-	c.LocalAccesses = s.local
-	c.RemoteAccesses = s.remote
-	c.ActiveBitSets = s.activeBits
-	c.SrcBufHits = s.srcBufHits
-	for i, b := range c.srcBufs {
-		bs := s.srcBufs[i]
-		copy(b.entries, bs.entries)
-		copy(b.valid, bs.valid)
-		b.next = bs.next
-		b.index = make(map[uint32]int, b.capacity)
-		for j, v := range b.entries {
-			if b.valid[j] {
-				b.index[v] = j
-			}
-		}
-	}
-}
-
-// Reset clears statistics, buffers, and degraded lines (configuration is
-// kept): a Reset models a fresh run on repaired hardware.
-func (c *Controller) Reset() {
-	c.LocalAccesses.Reset()
-	c.RemoteAccesses.Reset()
-	c.SrcBufHits = stats.Ratio{}
-	c.ActiveBitSets.Reset()
-	c.faulty = nil
-	c.InvalidateSrcBufs()
-}
-
 // srcBuffer is a small fully-associative read-only buffer with FIFO
 // replacement.
 type srcBuffer struct {

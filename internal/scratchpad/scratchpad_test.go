@@ -199,20 +199,6 @@ func TestAccessCounters(t *testing.T) {
 	}
 }
 
-func TestReset(t *testing.T) {
-	c := controller()
-	c.Configure([]MonitorRegister{{StartAddr: 0, TypeSize: 4, Stride: 4, Count: 100}}, 100)
-	c.RecordAccess(true)
-	c.SrcBufLookup(0, 1)
-	c.Reset()
-	if c.Accesses() != 0 || c.SrcBufHits.Total != 0 {
-		t.Fatal("reset incomplete")
-	}
-	if c.ResidentCount() == 0 {
-		t.Fatal("reset must keep configuration")
-	}
-}
-
 func TestBadConfigPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

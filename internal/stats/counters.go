@@ -20,9 +20,6 @@ func (c *Counter) Inc() { c.n++ }
 // Value returns the current count.
 func (c *Counter) Value() uint64 { return c.n }
 
-// Reset zeroes the counter.
-func (c *Counter) Reset() { c.n = 0 }
-
 // Ratio is a hit/total style pair with a convenience rate.
 type Ratio struct {
 	Hits  uint64

@@ -41,19 +41,6 @@ func (r *Rand) Seed(seed uint64) {
 	}
 }
 
-// State returns the generator's internal 128-bit state, for
-// checkpointing. Restore it with SetState to resume the exact stream.
-func (r *Rand) State() (s0, s1 uint64) { return r.s0, r.s1 }
-
-// SetState restores a state captured by State. An all-zero state (a
-// xorshift fixed point) is remapped the same way Seed does.
-func (r *Rand) SetState(s0, s1 uint64) {
-	if s0 == 0 && s1 == 0 {
-		s0 = 1
-	}
-	r.s0, r.s1 = s0, s1
-}
-
 // Uint64 returns the next 64 random bits.
 func (r *Rand) Uint64() uint64 {
 	x, y := r.s0, r.s1

@@ -117,10 +117,6 @@ func TestCounter(t *testing.T) {
 	if c.Value() != 42 {
 		t.Fatalf("got %d, want 42", c.Value())
 	}
-	c.Reset()
-	if c.Value() != 0 {
-		t.Fatal("reset failed")
-	}
 }
 
 func TestRatio(t *testing.T) {
