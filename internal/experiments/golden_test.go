@@ -1,10 +1,17 @@
 package experiments
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
+
+	"omega/internal/core"
+	"omega/internal/faults"
+	"omega/internal/ligra"
+	"omega/internal/resilience"
 )
 
 // TestGoldenBitIdentity regenerates every registered experiment at a
@@ -46,6 +53,51 @@ func TestGoldenResilienceSecondPoint(t *testing.T) {
 	}
 	goldenSuite(t, "golden-resilience-scale10-seed7", specs,
 		Options{Scale: 10, Seed: 7, Coverage: 0.20, FaultSeed: 7})
+}
+
+// TestFaultEventsPinned pins the raw fault event streams under R2's
+// workload, which R2's outcome histogram cannot see: at scale 9 its
+// linebuf rows are all clean, and a run counts as detected-corrected
+// whether it catches one corruption or eight. Each site runs alone at
+// rates 1e-3 and 1e-2 with fault seed 1; the table holds the run's
+// Cycles and every faults.Events field. A mismatch prints the
+// regenerated table in full.
+func TestFaultEventsPinned(t *testing.T) {
+	path := filepath.Join("testdata", "golden-scale9-seed42", "fault_events.tsv")
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden %s: %v", path, err)
+	}
+	if got := faultEventsTSV(CampaignFor(Options{Scale: 9, Seed: 42}).Workload); got != string(want) {
+		t.Errorf("fault events diverged from golden %s\ngot:\n%s\nwant:\n%s", path, got, want)
+	}
+}
+
+// faultEventsTSV runs w once per (site, rate) point of
+// TestFaultEventsPinned and renders one row per run.
+func faultEventsTSV(w resilience.Workload) string {
+	ev := reflect.TypeOf(faults.Events{})
+	var b strings.Builder
+	b.WriteString("site\trate\tCycles")
+	for i := 0; i < ev.NumField(); i++ {
+		b.WriteString("\t" + ev.Field(i).Name)
+	}
+	b.WriteString("\n")
+	for _, site := range faults.Sites() {
+		for _, rate := range []float64{1e-3, 1e-2} {
+			cfg := w.Config
+			cfg.Faults = faults.Config{Seed: 1}
+			site.Apply(&cfg.Faults, rate)
+			st, _ := w.Run(ligra.New(core.NewMachine(cfg), w.Graph))
+			fmt.Fprintf(&b, "%s\t%.0e\t%d", site, rate, st.Cycles)
+			v := reflect.ValueOf(st.Faults)
+			for i := 0; i < v.NumField(); i++ {
+				fmt.Fprintf(&b, "\t%d", v.Field(i).Uint())
+			}
+			b.WriteString("\n")
+		}
+	}
+	return b.String()
 }
 
 // goldenSuite runs each spec at opts and compares its TSV rendering
