@@ -51,7 +51,6 @@ func run() error {
 		faultRate = flag.Float64("faults", 0, "fault injection rate per DRAM read / NoC message (0 = off)")
 		faultSite = flag.String("fault-site", "", "per-site injection rates, e.g. \"directory:1e-3,linebuf:1e-4\" (sites: dram, noc, sp-parity, directory, linebuf, pisc-alu)")
 		faultSeed = flag.Uint64("fault-seed", 1, "seed for the fault injector streams")
-		verbose   = flag.Bool("v", false, "print full stats summaries")
 		jsonOut   = flag.Bool("json", false, "print machine stats as JSON instead of text")
 		metrics   = flag.String("metrics", "", "write per-iteration metric samples to this file (.tsv = TSV, else JSONL)")
 		timeline  = flag.String("timeline", "", "write a chrome://tracing span timeline of per-core activity to this file")
@@ -206,7 +205,6 @@ func run() error {
 		}
 		fmt.Printf("wrote %s (%d spans)\n", *timeline, spans.Len())
 	}
-	_ = verbose
 	return nil
 }
 

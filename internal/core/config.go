@@ -108,14 +108,6 @@ type Config struct {
 	// and benchmarks can compare the memoized path against the full probe.
 	DisableLineBuffer bool
 
-	// DisableLineBufGenCheck models memo hardware without a generation
-	// check. Only fault-injection experiments set it: with the check off,
-	// an injected memo corruption (Faults.LineBufFlipRate) replays its
-	// flipped latency silently instead of being caught and discarded,
-	// which is exactly the silent-data-corruption scenario the resilience
-	// campaigns classify.
-	DisableLineBufGenCheck bool
-
 	// OpenMPChunk is the scheduling chunk size of the framework's
 	// parallel loops.
 	OpenMPChunk int

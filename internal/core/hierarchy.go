@@ -129,16 +129,11 @@ func (p *cachePath) Access(now memsys.Cycles, a memsys.Access) memsys.Result {
 	// scrubber sweeps the table against the per-entry check bytes and
 	// erases mismatching entries (backward-shift aware: coherence.Scrub
 	// rechecks slots refilled by the shift); the sweep's latency is
-	// charged to this access. With scrubbing disabled the corrupt entry
-	// persists and silently skews coherence traffic.
+	// charged to this access.
 	var scrubLat memsys.Cycles
-	if slotSel, bitSel, ok := p.faults.DirFlip(); ok {
-		if p.dir.CorruptEntry(slotSel, bitSel) && !p.faults.Config().DisableDirScrub {
-			if repaired := p.dir.Scrub(); repaired > 0 {
-				p.faults.NoteDirScrubRepairs(repaired)
-			}
-			scrubLat = p.faults.Config().DirScrubCycles
-		}
+	if slotSel, bitSel, ok := p.faults.DirFlip(); ok && p.dir.CorruptEntry(slotSel, bitSel) {
+		p.faults.NoteDirScrubRepairs(p.dir.Scrub())
+		scrubLat = faults.DirScrubCycles
 	}
 
 	// Streaming-kind reads seed the L1's same-line memo (the fast path in

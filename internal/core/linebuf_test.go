@@ -185,23 +185,27 @@ func TestLineBufferFaultDegrade(t *testing.T) {
 // record (memoFault) at the machine level. At LineBufFlipRate 1 every
 // fastRead full probe corrupts the memo it just armed.
 func TestLineBufFaultSite(t *testing.T) {
-	buildAt := func(checked bool, seed uint64, rate float64) (*Machine, *Region, *Ctx) {
+	buildAt := func(seed uint64, rate float64) (*Machine, *Region, *Ctx) {
 		cfg := testBaseline()
 		cfg.Faults = faults.Config{Seed: seed, LineBufFlipRate: rate}
-		cfg.DisableLineBufGenCheck = !checked
 		m := NewMachine(cfg)
 		el := m.Alloc("el", 4096, 8, memsys.KindEdgeList)
 		return m, el, &Ctx{m: m, core: 0}
 	}
-	build := func(checked bool) (*Machine, *Region, *Ctx) { return buildAt(checked, 3, 1) }
-	catches := func(m *Machine) uint64 { return m.FaultEvents().LineBufGenCatches }
+	catches := func(m *Machine) uint64 { return m.Stats().Faults.LineBufGenCatches }
 	const perLine = memsys.LineSize / 8 // elements of el per line
 
 	t.Run("checked", func(t *testing.T) {
-		m, el, c0 := build(true)
+		m, el, c0 := buildAt(3, 1)
 		c0.Read(el, 0)
-		if f := m.memoFaults[0]; !f.armed || !f.checked || f.line != memsys.LineAddr(el.Addr(0)) {
-			t.Fatalf("full probe did not record a checked corruption: %+v", f)
+		if f := m.memoFaults[0]; !f.armed || f.line != memsys.LineAddr(el.Addr(0)) {
+			t.Fatalf("full probe did not record a corruption: %+v", f)
+		}
+		if armed(m, 0, el, 0) {
+			t.Fatal("the corrupted memo stayed armed")
+		}
+		if m.fold.active {
+			t.Fatal("a corrupted memo opened a fold window")
 		}
 		stores := m.lbStores.Value()
 		c0.Read(el, 1) // same line: the memo is refused
@@ -211,31 +215,6 @@ func TestLineBufFaultSite(t *testing.T) {
 		}
 		if n := catches(m); n != 1 {
 			t.Fatalf("%d catches, want exactly 1", n)
-		}
-	})
-
-	t.Run("unchecked", func(t *testing.T) {
-		m, el, c0 := build(false)
-		c0.Read(el, 0)
-		if f := m.memoFaults[0]; !f.armed || f.checked {
-			t.Fatalf("full probe did not record an unchecked corruption: %+v", f)
-		}
-		li := levelIndex(memsys.LevelL1, false)
-		before := m.levelLatency[li]
-		c0.Read(el, 1) // same line: the memo replays the corrupted latency
-		if m.lbHits.Value() != 1 {
-			t.Fatalf("same-line read missed the memo: hits %d", m.lbHits.Value())
-		}
-		lat := m.levelLatency[li] - before
-		diff := lat ^ uint64(m.path.l1[0].Latency())
-		if diff == 0 || diff&(diff-1) != 0 || diff < 1<<4 || diff > 1<<9 {
-			t.Fatalf("replayed latency %d is not one bit in [16, 512] off the L1 latency", lat)
-		}
-		if m.fold.active {
-			t.Fatal("a corrupted memo hit opened a fold window")
-		}
-		if n := catches(m); n != 0 {
-			t.Fatalf("unchecked replay counted %d catches", n)
 		}
 	})
 
@@ -249,11 +228,11 @@ func TestLineBufFaultSite(t *testing.T) {
 			if seed > 64 {
 				t.Fatal("no seed flips the first probe only")
 			}
-			m, el, c0 = buildAt(true, seed, 0.5)
-			if c0.Read(el, 0); m.FaultEvents().LineBufFlips != 1 {
+			m, el, c0 = buildAt(seed, 0.5)
+			if c0.Read(el, 0); m.Stats().Faults.LineBufFlips != 1 {
 				continue
 			}
-			if c0.Read(el, perLine); m.FaultEvents().LineBufFlips == 1 {
+			if c0.Read(el, perLine); m.Stats().Faults.LineBufFlips == 1 {
 				break
 			}
 		}

@@ -229,10 +229,6 @@ func (m *Machine) Metrics() *obs.Registry {
 	return m.reg
 }
 
-// FaultEvents snapshots the injected-fault log (zero when injection is
-// disabled).
-func (m *Machine) FaultEvents() faults.Events { return m.faults.Events() }
-
 // Config returns the machine configuration.
 func (m *Machine) Config() Config { return m.cfg }
 
@@ -426,17 +422,13 @@ func (c *Ctx) access(r *Region, i int, op memsys.Op, srcRead, dependent bool) {
 }
 
 // memoFault is one core's injected corruption of its L1 same-line memo
-// (the linebuf fault site): latXor flips one latency bit of the memoized
-// hit on line. checked models hardware that guards the memo with a
-// generation tag the corruption also scrambles (Config.
-// DisableLineBufGenCheck off): the memo is refused for line, so the
-// fault is caught by the next full probe of it. Unchecked, memo hits on
-// line silently replay the corrupted latency.
+// (the linebuf fault site). The modeled generation check refuses the
+// corrupt memo, which fastRead models by dropping it (Cache.DropHot) and
+// recording its line here: the next read of line takes the full probe and
+// counts the catch.
 type memoFault struct {
-	line    memsys.Addr
-	latXor  memsys.Cycles
-	checked bool
-	armed   bool
+	line  memsys.Addr
+	armed bool
 }
 
 // fastRead serves a non-atomic, non-vtxProp read, short-circuiting through
@@ -455,61 +447,49 @@ type memoFault struct {
 // exactly, and only when the memoized line is provably the line a full
 // probe would hit (the memo dies on any eviction/invalidation of that
 // line, and on the machine-level events that drop it: BeginIteration,
-// ConfigureGraph, and fault degrades). The exception is fault state: with
-// an injector attached, the full probe draws a directory-flip decision per
-// access (cachePath.Access) that a memo hit skips, and memo corruptions
-// are drawn per full probe (below), so under a nonzero Faults.DirFlipRate
-// or LineBufFlipRate the two paths consume different PRNG streams and
-// results differ.
+// ConfigureGraph, fault degrades, and memo corruptions). The exception is
+// fault state: with an injector attached, the full probe draws a
+// directory-flip decision per access (cachePath.Access) that a memo hit
+// skips, and memo corruptions are drawn per full probe (below), so under
+// a nonzero Faults.DirFlipRate or LineBufFlipRate the two paths consume
+// different PRNG streams and results differ.
 func (m *Machine) fastRead(core *cpu.Core, a memsys.Access) memsys.Result {
 	l1 := m.path.l1[a.Core]
 	line := memsys.LineAddr(a.Addr)
-	var mf *memoFault
-	if m.memoFaults != nil {
-		if f := &m.memoFaults[a.Core]; f.armed && f.line == line {
-			mf = f
-		}
-	}
-	if (mf == nil || !mf.checked) && l1.SameLineReadHit(line) {
+	if l1.SameLineReadHit(line) {
 		m.lbHits.Inc()
-		lat := l1.Latency()
-		if mf != nil {
-			// Unchecked corruption: the memo replays the flipped latency,
-			// and folds — which stand in only for clean L1 hits — stay shut.
-			lat ^= mf.latXor
-		} else if m.foldEnabled {
+		if m.foldEnabled {
 			// Open a fold window (runfold.go): the next same-line read would
 			// replay this exact memo hit, so it can defer instead.
 			m.openFold(a.Core, line, l1.HotWay(line), a.Kind)
 		}
-		return memsys.Result{Latency: lat, Blocking: a.Dependent, Level: memsys.LevelL1}
+		return memsys.Result{Latency: l1.Latency(), Blocking: a.Dependent, Level: memsys.LevelL1}
 	}
-	if mf != nil {
-		// A corrupted memo for this line was refused (checked) or dropped
-		// (unchecked): the detection worked, and the read below takes the
-		// full (bit-identical) probe, which discards the corruption.
-		m.faults.NoteLineBufGenCatch()
+	if m.memoFaults != nil {
+		if f := m.memoFaults[a.Core]; f.armed && f.line == line {
+			// The corrupted memo for this line was refused: the detection
+			// worked, and the read below takes the full (bit-identical)
+			// probe, which discards the corruption.
+			m.faults.NoteLineBufGenCatch()
+		}
 	}
 	res := m.hier.Access(core.Clock(), a)
 	// The probe armed the L1 memo for this line, whether it hit or missed
 	// (the streaming fill seeds it); lbStores counts those arms.
 	m.lbStores.Inc()
 	if m.memoFaults != nil {
-		f := &m.memoFaults[a.Core]
-		*f = memoFault{}
-		if bitSel, ok := m.faults.LineBufFlip(); ok {
-			// Transient in the just-armed memo: flip a latency bit in
-			// [16, 512], above the core's pipelining threshold, so a silent
-			// replay is timing-visible. A corrupted memo must not seed folds.
-			*f = memoFault{line: line, latXor: 1 << (4 + bitSel%6),
-				checked: !m.cfg.DisableLineBufGenCheck, armed: true}
-			return res
+		m.memoFaults[a.Core] = memoFault{}
+		if m.faults.LineBufFlip() {
+			// Transient in the just-armed memo: the generation check refuses
+			// it from now on.
+			l1.DropHot()
+			m.memoFaults[a.Core] = memoFault{line: line, armed: true}
 		}
 	}
 	// Open a fold window (runfold.go) for the just-armed memo — after a
 	// hit or a streaming fill alike, the next same-line read would be a
-	// memo hit. A fill rejected by a fully pinned set leaves the memo
-	// unarmed for this line, and HotWay refuses.
+	// memo hit. A fill rejected by a fully pinned set, or a corrupted memo,
+	// leaves the memo unarmed for this line, and HotWay refuses.
 	if m.foldEnabled {
 		if way := l1.HotWay(line); way >= 0 {
 			m.openFold(a.Core, line, way, a.Kind)

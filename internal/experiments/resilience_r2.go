@@ -24,8 +24,7 @@ const campaignSeedCount = 2
 // PageRank on the reordered rmat stand-in, on the OMEGA machine (the only
 // variant with every injection site live: scratchpad parity, PISC ALU,
 // line buffer, directory, DRAM, NoC), sweeping every fault site over
-// CampaignRates × campaignSeedCount seeds under the default recovery
-// policy.
+// CampaignRates × campaignSeedCount seeds.
 func CampaignFor(o Options) resilience.Campaign {
 	o = o.Defaults()
 	spec, _ := algorithms.ByName("PageRank")
@@ -53,19 +52,18 @@ func CampaignFor(o Options) resilience.Campaign {
 				return fw.Machine().Stats(), [][]pisc.Value{out}
 			},
 		},
-		Sites:    faults.Sites(),
-		Rates:    CampaignRates,
-		Seeds:    seeds,
-		Policy:   resilience.DefaultPolicy(),
-		Parallel: !o.serialVariants,
-		Ctx:      o.ctx,
+		Sites: faults.Sites(),
+		Rates: CampaignRates,
+		Seeds: seeds,
+		Ctx:   o.ctx,
 	}
 }
 
 // RunResilienceCampaign is the Resilience R2 experiment: the full fault
 // campaign — site × rate sweep, golden-validated outcome classification,
 // re-execution recovery on fresh machines — rendered as the
-// outcome-histogram table.
+// outcome-histogram table. After the golden run, the (site, rate) cells
+// fan out like any other experiment's machine variants (runVariants).
 func RunResilienceCampaign(o Options) *Table {
 	o = o.Defaults()
 	camp := CampaignFor(o)
@@ -79,18 +77,18 @@ func RunResilienceCampaign(o Options) *Table {
 		o.Cells.noteUncacheable(UncacheableCampaign,
 			uint64(1+len(camp.Sites)*len(camp.Rates)*len(camp.Seeds)))
 	}
-	rep, err := camp.Run()
+	golden, err := resilience.RunGolden(camp.Workload, camp.Ctx)
 	if err != nil {
 		return FailedTable("Resilience R2", err.Error())
 	}
 	t := &Table{
 		ID: "Resilience R2",
 		Title: fmt.Sprintf("fault campaigns: %s, %d seeds/cell, recovery budget %d",
-			camp.Workload.Name, len(camp.Seeds), camp.Policy.MaxRetries),
+			camp.Workload.Name, len(camp.Seeds), resilience.MaxRetries),
 		Header: []string{"site", "rate", "clean", "det-corr", "det-degr",
 			"crashed", "sdc", "recovered", "reexecs", "overhead cyc"},
 	}
-	for _, cell := range rep.Cells {
+	for _, cell := range runVariants(o, camp.Cells(golden)...) {
 		t.AddRow(cell.Site.String(), fmt.Sprintf("%.0e", cell.Rate),
 			cell.Outcomes[resilience.Clean],
 			cell.Outcomes[resilience.DetectedCorrected],
@@ -105,8 +103,8 @@ func RunResilienceCampaign(o Options) *Table {
 	t.Notes = append(t.Notes,
 		"histogram columns classify each run's FIRST attempt against the fault-free golden:",
 		"outputs (rank vectors within tolerance), timing signature, and detection counters",
-		fmt.Sprintf("recovery: up to %d re-executions from the pristine machine checkpoint,", camp.Policy.MaxRetries),
-		fmt.Sprintf("backoff %d cycles doubling per retry, float tolerance %.0e", camp.Policy.BackoffCycles, camp.Policy.Tolerance),
+		fmt.Sprintf("recovery: up to %d re-executions from the pristine machine checkpoint,", resilience.MaxRetries),
+		fmt.Sprintf("backoff %d cycles doubling per retry, float tolerance %.0e", resilience.BackoffCycles, resilience.Tolerance),
 		fmt.Sprintf("fault seeds %v (re-executions re-key streams per attempt); dataset seed %d", camp.Seeds, o.Seed),
 		"sp-parity degradation is permanent by design: those runs classify detected-degraded",
 		"and need no re-execution — OMEGA keeps running slower instead of wrong")

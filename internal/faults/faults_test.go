@@ -120,9 +120,8 @@ func TestNoCRetryBackoffAndBytes(t *testing.T) {
 	in := New(Config{Seed: 5, NoCDropRate: 1.0})
 	const flits, bytes = 4, 64
 	extra, resends := in.NoCSend(flits, bytes)
-	cfg := in.Config()
-	if resends != cfg.NoCMaxRetries {
-		t.Fatalf("resends = %d, want %d", resends, cfg.NoCMaxRetries)
+	if resends != nocMaxRetries {
+		t.Fatalf("resends = %d, want %d", resends, nocMaxRetries)
 	}
 	// Backoff 16 + 32 + 64 plus flits per resend.
 	want := memsys.Cycles(16+32+64) + memsys.Cycles(resends)*flits
@@ -141,7 +140,7 @@ func TestNoCRetryBackoffAndBytes(t *testing.T) {
 func TestSPParityAndDegradation(t *testing.T) {
 	in := New(Config{Seed: 2, SPParityRate: 1.0})
 	trip, pen := in.SPParity()
-	if !trip || pen != in.Config().SPDetectCycles {
+	if !trip || pen != spDetectCycles {
 		t.Fatalf("trip=%v pen=%d", trip, pen)
 	}
 	in.NoteSPDegraded()
@@ -157,8 +156,6 @@ func TestConfigValidate(t *testing.T) {
 		{DRAMFlipRate: 1.5},
 		{NoCDropRate: 2},
 		{SPParityRate: -1},
-		{NoCMaxRetries: -1},
-		{DRAMDoubleBitFraction: 0.7, DRAMSilentFraction: 0.7},
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {

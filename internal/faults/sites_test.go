@@ -98,8 +98,7 @@ func TestNewSiteDrawsDeterministic(t *testing.T) {
 		for i := 0; i < 200; i++ {
 			s, b, ok := in.DirFlip()
 			out = append(out, draw{s, b, ok})
-			b, ok = in.LineBufFlip()
-			out = append(out, draw{b, 0, ok})
+			out = append(out, draw{0, 0, in.LineBufFlip()})
 			m, ok := in.ALUFlip()
 			out = append(out, draw{m, 0, ok})
 		}
@@ -140,7 +139,7 @@ func TestNilInjectorSiteDraws(t *testing.T) {
 	if _, _, ok := in.DirFlip(); ok {
 		t.Fatal("nil DirFlip fired")
 	}
-	if _, ok := in.LineBufFlip(); ok {
+	if in.LineBufFlip() {
 		t.Fatal("nil LineBufFlip fired")
 	}
 	if _, ok := in.ALUFlip(); ok {

@@ -1,23 +1,24 @@
 // Package resilience is the fault-campaign engine: it sweeps fault
 // injection sites × rates × seeds over a workload, classifies every run
 // against a fault-free golden (clean / detected-corrected /
-// detected-degraded / crashed / silent-data-corruption), and applies a
-// configurable recovery policy — bounded re-execution with exponential
-// backoff, each re-execution on a freshly built machine whose fault
+// detected-degraded / crashed / silent-data-corruption), and recovers
+// failed runs by bounded re-execution with exponential backoff (MaxRetries,
+// BackoffCycles), each re-execution on a freshly built machine whose fault
 // streams are keyed by the attempt number.
 //
 // The engine deliberately does not import the experiments package: the
 // experiments layer provides the workload (dataset + machine config +
-// algorithm) and renders the campaign report as a table; the engine owns
-// injection sweep, output validation, classification, and recovery.
+// algorithm), runs the campaign's cells, and renders them as a table; the
+// engine owns injection sweep, output validation, classification, and
+// recovery.
 package resilience
 
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
-	"sync"
 
 	"omega/internal/core"
 	"omega/internal/faults"
@@ -71,24 +72,19 @@ func (o Outcome) String() string {
 // failed reports whether the outcome warrants a recovery re-execution.
 func (o Outcome) failed() bool { return o == Crashed || o == SilentDataCorruption }
 
-// Policy is the recovery policy: how many re-executions a failed run may
-// consume and what each one costs.
-type Policy struct {
-	// MaxRetries bounds re-executions per run (0 = no recovery).
-	MaxRetries int
+// The recovery policy: how many re-executions a failed run may consume,
+// what each one costs, and how closely outputs must match the golden.
+const (
+	// MaxRetries bounds re-executions per run.
+	MaxRetries = 3
 	// BackoffCycles is the simulated-cycle cost charged before the first
 	// re-execution; each further retry doubles it (exponential backoff).
-	BackoffCycles uint64
+	BackoffCycles uint64 = 1024
 	// Tolerance is the relative error allowed when comparing float-valued
 	// outputs (PageRank rank vectors) against the golden; integer-valued
 	// outputs (BFS/SSSP distances, CC labels) must match exactly.
-	Tolerance float64
-}
-
-// DefaultPolicy matches the campaign defaults.
-func DefaultPolicy() Policy {
-	return Policy{MaxRetries: 3, BackoffCycles: 1024, Tolerance: 1e-9}
-}
+	Tolerance = 1e-9
+)
 
 // Workload is one (machine, graph, algorithm) combination under test.
 // Config's fault rates must be zero — the campaign installs per-cell
@@ -103,34 +99,16 @@ type Workload struct {
 	// Run executes the algorithm on a freshly bound framework and returns
 	// its stats plus the output vectors to validate against the golden —
 	// the algorithm's functional result (rank vector, distance array,
-	// component labels), not its scratch state. Returning nil outputs
-	// falls back to the framework's registered property arrays, which is
-	// only correct for algorithms whose result lives in a property array
-	// at the end of the run (PageRank, notably, zeroes its only property
-	// every iteration and keeps the ranks in plain memory — a nil-output
-	// PageRank workload would validate an all-zero vector and miss every
-	// ALU corruption). Returned slices must not alias live machine state.
+	// component labels), not its scratch state. The outputs must be
+	// non-nil, and returned slices must not alias live machine state.
 	Run func(fw *ligra.Framework) (core.MachineStats, [][]pisc.Value)
-}
-
-// outputsOf resolves a run's validation outputs: the workload-provided
-// vectors, or deep copies of every registered property array when the
-// workload returned none.
-func outputsOf(fw *ligra.Framework, outputs [][]pisc.Value) [][]pisc.Value {
-	if outputs != nil {
-		return outputs
-	}
-	for _, p := range fw.Props() {
-		outputs = append(outputs, append([]pisc.Value(nil), p.Raw()...))
-	}
-	return outputs
 }
 
 // Golden is the fault-free reference a campaign validates against.
 type Golden struct {
 	// Stats is the fault-free run's statistics.
 	Stats core.MachineStats
-	// Outputs are deep copies of every property array after the run.
+	// Outputs are the fault-free run's output vectors.
 	Outputs [][]pisc.Value
 	// Signature is the normalized stats encoding (fault fields zeroed);
 	// any surviving timing divergence shows up as a signature mismatch.
@@ -138,6 +116,8 @@ type Golden struct {
 }
 
 // RunGolden executes the workload fault-free and captures the reference.
+// A workload whose run returns nil outputs has nothing to validate and is
+// an error.
 func RunGolden(w Workload, ctx context.Context) (*Golden, error) {
 	if w.Config.Faults.Enabled() {
 		return nil, fmt.Errorf("resilience: workload config has fault rates set")
@@ -147,13 +127,11 @@ func RunGolden(w Workload, ctx context.Context) (*Golden, error) {
 		return nil, err
 	}
 	m.AttachContext(ctx)
-	fw := ligra.New(m, w.Graph)
-	st, outputs := w.Run(fw)
-	return &Golden{
-		Stats:     st,
-		Outputs:   outputsOf(fw, outputs),
-		Signature: signatureOf(st),
-	}, nil
+	st, outputs := w.Run(ligra.New(m, w.Graph))
+	if outputs == nil {
+		return nil, errors.New("resilience: workload returned no outputs to validate")
+	}
+	return &Golden{Stats: st, Outputs: outputs, Signature: signatureOf(st)}, nil
 }
 
 // signatureOf normalizes stats for divergence detection: the fault event
@@ -169,8 +147,7 @@ func signatureOf(st core.MachineStats) []byte {
 	return b
 }
 
-// RunReport describes one (site, rate, seed) run through the recovery
-// policy.
+// RunReport describes one (site, rate, seed) run through recovery.
 type RunReport struct {
 	Site faults.Site
 	Rate float64
@@ -189,12 +166,12 @@ type RunReport struct {
 func (r RunReport) Recovered() bool { return r.First.failed() && !r.Final.failed() }
 
 // RunOne executes the workload under one (site, rate, seed) injection
-// configuration, applying the recovery policy: a crashed or silently
-// corrupted attempt pays exponential backoff and re-executes on a fresh
-// machine, up to MaxRetries times. Attempt k (0 = the first) injects with
-// fault seed seed+k, so a retry does not deterministically replay the
-// exact fault that killed the previous attempt.
-func RunOne(w Workload, site faults.Site, rate float64, seed uint64, p Policy, g *Golden, ctx context.Context) RunReport {
+// configuration with recovery: a crashed or silently corrupted attempt
+// pays exponential backoff and re-executes on a fresh machine, up to
+// MaxRetries times. Attempt k (0 = the first) injects with fault seed
+// seed+k, so a retry does not deterministically replay the exact fault
+// that killed the previous attempt.
+func RunOne(w Workload, site faults.Site, rate float64, seed uint64, g *Golden, ctx context.Context) RunReport {
 	cfg := w.Config
 	rep := RunReport{Site: site, Rate: rate, Seed: seed}
 	for attempt := 0; ; attempt++ {
@@ -208,18 +185,18 @@ func RunOne(w Workload, site faults.Site, rate float64, seed uint64, p Policy, g
 		if crashed != nil {
 			out = Crashed
 		} else {
-			out = classify(st, outputs, g, p.Tolerance)
+			out = classify(st, outputs, g)
 		}
 		if attempt == 0 {
 			rep.First = out
 		}
 		rep.Final = out
 		rep.Attempts = attempt + 1
-		if !out.failed() || attempt >= p.MaxRetries {
+		if !out.failed() || attempt >= MaxRetries {
 			return rep
 		}
 		// Recovery: charge the wasted attempt and the backoff.
-		rep.OverheadCycles += uint64(m.ElapsedCycles()) + p.BackoffCycles<<uint(attempt)
+		rep.OverheadCycles += uint64(m.ElapsedCycles()) + BackoffCycles<<uint(attempt)
 	}
 }
 
@@ -234,9 +211,7 @@ func runAttempt(m *core.Machine, w Workload) (st core.MachineStats, outputs [][]
 			crashed = r
 		}
 	}()
-	fw := ligra.New(m, w.Graph)
-	st, outputs = w.Run(fw)
-	outputs = outputsOf(fw, outputs)
+	st, outputs = w.Run(ligra.New(m, w.Graph))
 	return
 }
 
@@ -244,11 +219,11 @@ func runAttempt(m *core.Machine, w Workload) (st core.MachineStats, outputs [][]
 // double-bit flip are silent corruption, as is a timing signature that
 // diverged with zero detections; detected faults are degraded when they
 // left permanent damage, corrected otherwise; everything else is clean.
-func classify(st core.MachineStats, outputs [][]pisc.Value, g *Golden, tol float64) Outcome {
+func classify(st core.MachineStats, outputs [][]pisc.Value, g *Golden) Outcome {
 	ev := st.Faults
 	detected := ev.Detected()
 	switch {
-	case !outputsMatch(outputs, g.Outputs, tol),
+	case !outputsMatch(outputs, g.Outputs),
 		ev.DRAMSilent > 0,
 		detected == 0 && !bytesEqual(signatureOf(st), g.Signature):
 		return SilentDataCorruption
@@ -277,8 +252,8 @@ func bytesEqual(a, b []byte) bool {
 // relative-tolerance comparison (PageRank ranks accumulate in different
 // orders never arise here — runs are deterministic — but recovered runs
 // validate through the same path as the golden, so exactness holds; the
-// float path exists for policy tolerance on rank vectors).
-func outputsMatch(got, want [][]pisc.Value, tol float64) bool {
+// float path exists for Tolerance on rank vectors).
+func outputsMatch(got, want [][]pisc.Value) bool {
 	if len(got) != len(want) {
 		return false
 	}
@@ -291,7 +266,7 @@ func outputsMatch(got, want [][]pisc.Value, tol float64) bool {
 			if a == b {
 				continue
 			}
-			if !floatsWithin(a.Float(), b.Float(), tol) {
+			if !floatsWithin(a.Float(), b.Float(), Tolerance) {
 				return false
 			}
 		}
@@ -343,78 +318,34 @@ type Campaign struct {
 	Sites    []faults.Site
 	Rates    []float64
 	Seeds    []uint64
-	Policy   Policy
-	// Parallel fans cells out to goroutines (each cell owns its machines;
-	// results merge in declaration order, so reports are byte-identical
-	// to a sequential sweep).
-	Parallel bool
 	// Ctx, when non-nil, cancels in-flight simulations cooperatively.
 	Ctx context.Context
 }
 
-// Report is a completed campaign.
-type Report struct {
-	Golden *Golden
-	Cells  []CellReport
-}
-
-// Run executes the campaign: one golden run, then every (site, rate)
-// cell, each sweeping all seeds through the recovery policy.
-func (c Campaign) Run() (*Report, error) {
-	golden, err := RunGolden(c.Workload, c.Ctx)
-	if err != nil {
-		return nil, err
-	}
-	cells := make([]CellReport, len(c.Sites)*len(c.Rates))
-	run := func(i int, site faults.Site, rate float64) {
-		cell := CellReport{Site: site, Rate: rate}
-		for _, seed := range c.Seeds {
-			rep := RunOne(c.Workload, site, rate, seed, c.Policy, golden, c.Ctx)
-			cell.Outcomes[rep.First]++
-			cell.Reexecutions += rep.Attempts - 1
-			cell.OverheadCycles += rep.OverheadCycles
-			if rep.Recovered() {
-				cell.Recovered++
-			} else if rep.Final.failed() {
-				cell.Unrecovered++
-			}
-			cell.Runs = append(cell.Runs, rep)
-		}
-		cells[i] = cell
-	}
-	if !c.Parallel || len(cells) < 2 {
-		i := 0
-		for _, site := range c.Sites {
-			for _, rate := range c.Rates {
-				run(i, site, rate)
-				i++
-			}
-		}
-	} else {
-		panics := make([]any, len(cells))
-		var wg sync.WaitGroup
-		i := 0
-		for _, site := range c.Sites {
-			for _, rate := range c.Rates {
-				wg.Add(1)
-				go func(i int, site faults.Site, rate float64) {
-					defer wg.Done()
-					defer func() {
-						if r := recover(); r != nil {
-							panics[i] = r
-						}
-					}()
-					run(i, site, rate)
-				}(i, site, rate)
-				i++
-			}
-		}
-		wg.Wait()
-		for _, p := range panics {
-			if p != nil {
-				panic(p)
-			}
+// Cells returns one function per (site, rate) cell, in site-major
+// declaration order; each sweeps every seed through RunOne against g.
+// Cells own their machines, so callers may run them concurrently.
+func (c Campaign) Cells(g *Golden) []func() CellReport {
+	var fns []func() CellReport
+	for _, site := range c.Sites {
+		for _, rate := range c.Rates {
+			fns = append(fns, func() CellReport {
+				cell := CellReport{Site: site, Rate: rate}
+				for _, seed := range c.Seeds {
+					rep := RunOne(c.Workload, site, rate, seed, g, c.Ctx)
+					cell.Outcomes[rep.First]++
+					cell.Reexecutions += rep.Attempts - 1
+					cell.OverheadCycles += rep.OverheadCycles
+					if rep.Recovered() {
+						cell.Recovered++
+					} else if rep.Final.failed() {
+						cell.Unrecovered++
+					}
+					cell.Runs = append(cell.Runs, rep)
+				}
+				return cell
+			})
 		}
 	}
-	return &Report{Golden: golden, Cells: cells}, nil
+	return fns
 }

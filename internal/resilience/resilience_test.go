@@ -7,6 +7,8 @@ import (
 
 	"omega/internal/core"
 	"omega/internal/faults"
+	"omega/internal/graph"
+	"omega/internal/ligra"
 	"omega/internal/pisc"
 )
 
@@ -50,35 +52,34 @@ func vals(fs ...float64) []pisc.Value {
 }
 
 func TestOutputsMatch(t *testing.T) {
-	tol := 1e-9
 	a := [][]pisc.Value{vals(0.25, 0.5, 0.25)}
-	if !outputsMatch(a, [][]pisc.Value{vals(0.25, 0.5, 0.25)}, tol) {
+	if !outputsMatch(a, [][]pisc.Value{vals(0.25, 0.5, 0.25)}) {
 		t.Fatal("identical vectors mismatch")
 	}
 	// Within relative tolerance.
-	if !outputsMatch([][]pisc.Value{vals(0.25*(1+1e-12), 0.5, 0.25)}, a, tol) {
+	if !outputsMatch([][]pisc.Value{vals(0.25*(1+1e-12), 0.5, 0.25)}, a) {
 		t.Fatal("within-tolerance drift rejected")
 	}
 	// Beyond tolerance.
-	if outputsMatch([][]pisc.Value{vals(0.25*(1+1e-6), 0.5, 0.25)}, a, tol) {
+	if outputsMatch([][]pisc.Value{vals(0.25*(1+1e-6), 0.5, 0.25)}, a) {
 		t.Fatal("beyond-tolerance drift accepted")
 	}
 	// NaN never matches anything but itself bit-for-bit being unequal.
-	if outputsMatch([][]pisc.Value{vals(math.NaN(), 0.5, 0.25)}, a, tol) {
+	if outputsMatch([][]pisc.Value{vals(math.NaN(), 0.5, 0.25)}, a) {
 		t.Fatal("NaN accepted")
 	}
 	// Shape mismatches.
-	if outputsMatch(nil, a, tol) || outputsMatch([][]pisc.Value{vals(0.25)}, a, tol) {
+	if outputsMatch(nil, a) || outputsMatch([][]pisc.Value{vals(0.25)}, a) {
 		t.Fatal("shape mismatch accepted")
 	}
 	// Integer-valued properties (raw small uint64 bit patterns decode to
 	// denormal floats) must compare exactly — off-by-one is corruption,
 	// not float noise.
 	ints := [][]pisc.Value{{pisc.Value(1), pisc.Value(2), pisc.Value(3)}}
-	if !outputsMatch(ints, [][]pisc.Value{{pisc.Value(1), pisc.Value(2), pisc.Value(3)}}, tol) {
+	if !outputsMatch(ints, [][]pisc.Value{{pisc.Value(1), pisc.Value(2), pisc.Value(3)}}) {
 		t.Fatal("identical ints mismatch")
 	}
-	if outputsMatch(ints, [][]pisc.Value{{pisc.Value(1), pisc.Value(2), pisc.Value(4)}}, tol) {
+	if outputsMatch(ints, [][]pisc.Value{{pisc.Value(1), pisc.Value(2), pisc.Value(4)}}) {
 		t.Fatal("off-by-one int accepted")
 	}
 }
@@ -94,54 +95,53 @@ func TestClassifyTaxonomy(t *testing.T) {
 	base.Cycles = 1000
 	out := [][]pisc.Value{vals(0.5, 0.5)}
 	g := syntheticGolden(base, out)
-	tol := 1e-9
 
 	// Clean: same stats, same outputs, no events.
-	if got := classify(base, out, g, tol); got != Clean {
+	if got := classify(base, out, g); got != Clean {
 		t.Fatalf("clean run classified %v", got)
 	}
 	// Detected-corrected: detections fired, outputs and signature intact
 	// (the fault log is normalized out of the signature).
 	det := base
 	det.Faults.DRAMCorrected = 3
-	if got := classify(det, out, g, tol); got != DetectedCorrected {
+	if got := classify(det, out, g); got != DetectedCorrected {
 		t.Fatalf("corrected run classified %v", got)
 	}
 	// Detected-degraded: detections plus permanent scratchpad damage.
 	deg := base
 	deg.Faults.SPParityErrors = 1
 	deg.SPDegraded = 1
-	if got := classify(deg, out, g, tol); got != DetectedDegraded {
+	if got := classify(deg, out, g); got != DetectedDegraded {
 		t.Fatalf("degraded run classified %v", got)
 	}
 	// NoC retry-budget exhaustion also counts as degraded.
 	gaveUp := base
 	gaveUp.Faults.NoCDropped = 1
 	gaveUp.Faults.NoCGaveUp = 1
-	if got := classify(gaveUp, out, g, tol); got != DetectedDegraded {
+	if got := classify(gaveUp, out, g); got != DetectedDegraded {
 		t.Fatalf("gave-up run classified %v", got)
 	}
 	// SDC by wrong outputs, even with detections present.
 	bad := det
-	if got := classify(bad, [][]pisc.Value{vals(0.5, 0.75)}, g, tol); got != SilentDataCorruption {
+	if got := classify(bad, [][]pisc.Value{vals(0.5, 0.75)}, g); got != SilentDataCorruption {
 		t.Fatalf("wrong-output run classified %v", got)
 	}
 	// SDC by escaped DRAM multi-bit flip.
 	silent := base
 	silent.Faults.DRAMSilent = 1
-	if got := classify(silent, out, g, tol); got != SilentDataCorruption {
+	if got := classify(silent, out, g); got != SilentDataCorruption {
 		t.Fatalf("escaped-ECC run classified %v", got)
 	}
 	// SDC by timing-signature divergence with zero detections.
 	drift := base
 	drift.Cycles = 1001
-	if got := classify(drift, out, g, tol); got != SilentDataCorruption {
+	if got := classify(drift, out, g); got != SilentDataCorruption {
 		t.Fatalf("silent timing drift classified %v", got)
 	}
 	// The same drift WITH a detection is accounted detected-corrected:
 	// detected faults legitimately change timing.
 	drift.Faults.LineBufGenCatches = 1
-	if got := classify(drift, out, g, tol); got != DetectedCorrected {
+	if got := classify(drift, out, g); got != DetectedCorrected {
 		t.Fatalf("detected timing drift classified %v", got)
 	}
 }
@@ -179,9 +179,20 @@ func TestRunReportRecovered(t *testing.T) {
 	}
 }
 
-func TestDefaultPolicy(t *testing.T) {
-	p := DefaultPolicy()
-	if p.MaxRetries <= 0 || p.BackoffCycles == 0 || p.Tolerance <= 0 {
-		t.Fatalf("default policy degenerate: %+v", p)
+// TestRunGoldenRejectsNilOutputs: a workload that hands the engine no
+// output vectors has nothing to validate runs against, so the golden run
+// refuses it instead of classifying every run on timing alone.
+func TestRunGoldenRejectsNilOutputs(t *testing.T) {
+	cfg, _ := core.ScaledPair(4, 8, 0.20)
+	w := Workload{
+		Name:   "nil-outputs",
+		Config: cfg,
+		Graph:  graph.FromEdges(4, false, []graph.Edge{{Src: 0, Dst: 1}, {Src: 1, Dst: 2}}, "tiny"),
+		Run: func(fw *ligra.Framework) (core.MachineStats, [][]pisc.Value) {
+			return fw.Machine().Stats(), nil
+		},
+	}
+	if g, err := RunGolden(w, nil); err == nil || !strings.Contains(err.Error(), "no outputs") {
+		t.Fatalf("RunGolden = %v, %v; want a no-outputs error", g, err)
 	}
 }
