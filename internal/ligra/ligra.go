@@ -182,11 +182,6 @@ func (f *Framework) Configure(mc pisc.Microcode) int {
 // Resident returns the scratchpad-resident vertex count.
 func (f *Framework) Resident() int { return f.resident }
 
-// Props returns the registered property arrays in registration order
-// (result validation in the resilience campaigns walks them to compare
-// algorithm outputs against a fault-free golden run).
-func (f *Framework) Props() []*PropArray { return f.props }
-
 // Raw returns the functional values without emitting simulated accesses
 // (initialization and result extraction).
 func (p *PropArray) Raw() []pisc.Value { return p.vals }
