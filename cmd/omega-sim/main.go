@@ -40,7 +40,7 @@ func main() {
 func run() error {
 	var (
 		algoName  = flag.String("algo", "PageRank", "algorithm (PageRank, BFS, SSSP, BC, Radii, CC, TC, KC)")
-		graphKdn  = flag.String("graph", "rmat", "dataset family: rmat, ba, er, road")
+		graphKdn  = flag.String("graph", "rmat", "dataset family: rmat, ba, er, road, ws")
 		scale     = flag.Int("scale", 14, "log2 of the vertex count for generated graphs")
 		seed      = flag.Uint64("seed", 42, "generator seed")
 		machine   = flag.String("machine", "both", "baseline, omega, or both")

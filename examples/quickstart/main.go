@@ -39,7 +39,7 @@ func main() {
 
 	// 4. Look inside via the observability layer: Compare records both
 	// runs' per-iteration metric series (the same stream omega-bench
-	// -metrics writes). This supersedes poking at LevelProfile() maps.
+	// -metrics writes).
 	offloads := uint64(0)
 	for _, s := range cmp.Series() {
 		if s.Machine == "omega" && s.Component == "machine" && s.Name == "offloads" {

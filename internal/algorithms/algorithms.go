@@ -215,10 +215,6 @@ type Params struct {
 	Iterations int
 	// Damping is PageRank's damping factor.
 	Damping float64
-	// Tolerance, when positive, stops PageRank once the L1 delta between
-	// consecutive rank vectors falls below it (run-to-convergence mode;
-	// Iterations then acts as an upper bound).
-	Tolerance float64
 }
 
 // withDefaults fills zero values.

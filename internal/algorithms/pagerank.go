@@ -14,9 +14,6 @@ type PageRankResult struct {
 	Ranks []float64
 	// Iterations is the number of iterations executed.
 	Iterations int
-	// Converged reports whether the Tolerance criterion stopped the run
-	// (always false for fixed-iteration runs).
-	Converged bool
 }
 
 // PageRank runs the paper's push-style PageRank (Figure 2): every vertex
@@ -72,28 +69,16 @@ func PageRank(fw *ligra.Framework, p Params) *PageRankResult {
 			})
 		// Fold damping and swap: sequential read of the vtxProp array
 		// (the §V.D access pattern), write back to curr, reset next.
-		delta := 0.0
 		m.ParallelFor(n, func(ctx *core.Ctx, v int) {
 			ctx.Exec(6)
 			sum := next.Get(ctx, uint32(v)).Float()
 			newRank := (1-p.Damping)/float64(n) + p.Damping*sum
-			delta += abs64(newRank - curr[v])
 			curr[v] = newRank
 			ctx.Write(currRegion, v)
 			next.Set(ctx, uint32(v), pisc.FloatValue(0))
 		})
-		if p.Tolerance > 0 && delta < p.Tolerance {
-			return &PageRankResult{Ranks: curr, Iterations: it + 1, Converged: true}
-		}
 	}
 	return &PageRankResult{Ranks: curr, Iterations: p.Iterations}
-}
-
-func abs64(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }
 
 // ReferencePageRank computes PageRank without simulation, for test

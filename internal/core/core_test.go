@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"omega/internal/memsys"
+	"omega/internal/obs"
 	"omega/internal/pisc"
 	"omega/internal/scratchpad"
 )
@@ -326,11 +327,33 @@ func TestSpeedupHelper(t *testing.T) {
 	}
 }
 
-func TestLevelProfileExposed(t *testing.T) {
+// levelProfile reads the per-level access counts and summed latencies
+// from the registry's machine/level_count and machine/level_latency
+// counters, keyed by level name; levels that served nothing are absent.
+func levelProfile(m *Machine) (counts, latencies map[string]uint64) {
+	counts = map[string]uint64{}
+	latencies = map[string]uint64{}
+	m.Metrics().Each(func(d obs.Desc) {
+		if d.Component != "machine" {
+			return
+		}
+		if v := d.Read(); v != 0 {
+			switch d.Name {
+			case "level_count":
+				counts[d.Level] = v
+			case "level_latency":
+				latencies[d.Level] = v
+			}
+		}
+	})
+	return counts, latencies
+}
+
+func TestLevelCountersExposed(t *testing.T) {
 	m := NewMachine(testBaseline())
 	r := m.Alloc("p", 64, 8, memsys.KindVtxProp)
 	m.Sequential(func(ctx *Ctx) { ctx.Read(r, 0) })
-	counts, lats := m.LevelProfile()
+	counts, lats := levelProfile(m)
 	if len(counts) == 0 || len(lats) == 0 {
 		t.Fatal("level profile empty")
 	}

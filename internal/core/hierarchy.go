@@ -30,9 +30,7 @@ type cachePath struct {
 	// (nil = no injection, the default).
 	faults *faults.Injector
 
-	atomics    stats.Counter
-	l1HitLat   memsys.Cycles
-	dramWrites stats.Counter
+	l1HitLat memsys.Cycles
 
 	// coreShift/coreMask strength-reduce the bank-interleaving div/mod to
 	// shift/mask when NumCores is a power of two (coreShift -1 otherwise).
@@ -43,7 +41,6 @@ type cachePath struct {
 	// model the instruction/OS traffic of a real machine's LLC.
 	pollAccum float64
 	pollNext  uint64
-	Pollution stats.Counter
 
 	// Prefetches counts next-line prefetches issued (Config.L1Prefetch).
 	Prefetches stats.Counter
@@ -119,9 +116,6 @@ func (p *cachePath) Access(now memsys.Cycles, a memsys.Access) memsys.Result {
 	op := a.Op
 	write := op != memsys.OpRead
 	atomic := op == memsys.OpAtomic
-	if atomic {
-		p.atomics.Inc()
-	}
 	line := memsys.LineAddr(a.Addr)
 	l1 := p.l1[a.Core]
 
@@ -186,8 +180,7 @@ func (p *cachePath) Access(now memsys.Cycles, a memsys.Access) memsys.Result {
 	if atomic {
 		lat += p.cfg.AtomicOpCycles
 	}
-	blocking := atomic || a.Dependent
-	return memsys.Result{Latency: lat + scrubLat, Blocking: blocking, Level: level}
+	return memsys.Result{Latency: lat + scrubLat, Blocking: atomic, Level: level}
 }
 
 // miss brings line toward the requesting core, returning the latency from
@@ -295,7 +288,6 @@ func (p *cachePath) pollute(bank int) {
 		// Spread across sets within the bank; reserved range above 2^40.
 		addr := memsys.Addr(pollutionBase + (p.pollNext%(1<<20))*memsys.LineSize)
 		p.l2[bank].Fill(p.l2Local(addr), false)
-		p.Pollution.Inc()
 	}
 }
 
@@ -355,7 +347,6 @@ func (p *cachePath) evictFromL2(now memsys.Cycles, bank int, victim cache.Evicte
 	}
 	if dirty {
 		p.dram.Write(now, global)
-		p.dramWrites.Inc()
 	}
 }
 
@@ -392,26 +383,7 @@ func (p *cachePath) fillL1(now memsys.Cycles, core int, r cache.Ref, line memsys
 			// Victim-of-victim: count the DRAM writeback, do not recurse.
 			if v2.Dirty {
 				p.dram.Write(now, p.l2Global(v2.Addr, bank))
-				p.dramWrites.Inc()
 			}
 		}
 	}
-}
-
-// l1HitRate aggregates across cores.
-func (p *cachePath) l1HitRate() (hits, total uint64) {
-	for _, c := range p.l1 {
-		hits += c.Reads.Hits + c.Writes.Hits
-		total += c.Reads.Total + c.Writes.Total
-	}
-	return
-}
-
-// l2HitRate aggregates across banks.
-func (p *cachePath) l2HitRate() (hits, total uint64) {
-	for _, c := range p.l2 {
-		hits += c.Reads.Hits + c.Writes.Hits
-		total += c.Reads.Total + c.Writes.Total
-	}
-	return
 }

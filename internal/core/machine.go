@@ -65,8 +65,7 @@ type Machine struct {
 	// levelCount/levelLatency break accesses down by the hierarchy level
 	// that served them (diagnostics and the Figure 3/15 analyses). They
 	// are dense arrays indexed by (level, atomic-op bit) — see levelIndex —
-	// so the per-access bookkeeping is branch-light and allocation-free;
-	// LevelProfile materializes the string-keyed view on demand.
+	// so the per-access bookkeeping is branch-light and allocation-free.
 	levelCount   [2 * memsys.NumLevels]uint64
 	levelLatency [2 * memsys.NumLevels]uint64
 
@@ -155,13 +154,10 @@ func NewMachineChecked(cfg Config) (*Machine, error) {
 		cfg:      cfg,
 		nextAddr: pageSize,
 	}
-	m.xbar = noc.New(noc.Config{
-		Ports:          cfg.NumCores,
-		BaseLatency:    cfg.NoCBaseLatency,
-		BusBytes:       cfg.NoCBusBytes,
-		CtrlBytes:      8,
-		MaxQueueCycles: 64,
-	})
+	nocCfg := noc.DefaultConfig(cfg.NumCores)
+	nocCfg.BaseLatency = cfg.NoCBaseLatency
+	nocCfg.BusBytes = cfg.NoCBusBytes
+	m.xbar = noc.New(nocCfg)
 	dramCfg := cfg.DRAM
 	dramCfg.Hybrid = cfg.HybridPagePolicy
 	m.mem = dram.New(dramCfg)
@@ -361,7 +357,7 @@ func (c *Ctx) Core() int { return c.core }
 // Exec retires ops ALU/branch instructions on this core.
 func (c *Ctx) Exec(ops int) { c.m.cores[c.core].Exec(ops) }
 
-func (c *Ctx) access(r *Region, i int, op memsys.Op, srcRead, dependent bool) {
+func (c *Ctx) access(r *Region, i int, op memsys.Op, srcRead bool) {
 	if m := c.m; m.fold.active {
 		// A fold window is open. An eligible read (plain, non-src,
 		// streaming kind, same core) may defer into it; anything else —
@@ -376,13 +372,12 @@ func (c *Ctx) access(r *Region, i int, op memsys.Op, srcRead, dependent bool) {
 		m.flushFold()
 	}
 	a := memsys.Access{
-		Core:      c.core,
-		Addr:      r.Addr(i),
-		Size:      uint8(r.ElemSize),
-		Op:        op,
-		Kind:      r.Kind,
-		SrcRead:   srcRead,
-		Dependent: dependent,
+		Core:    c.core,
+		Addr:    r.Addr(i),
+		Size:    uint8(r.ElemSize),
+		Op:      op,
+		Kind:    r.Kind,
+		SrcRead: srcRead,
 	}
 	if r.Kind == memsys.KindVtxProp {
 		a.Vertex = uint32(i)
@@ -442,7 +437,7 @@ type memoFault struct {
 // is per-vertex (two vertices in one 64 B line can differ) and resident
 // accesses consume fault-PRNG draws. A cache-path L1 read hit has exactly
 // three side effects — use-clock tick, LRU touch, read-hit counter — and a
-// constant result {l1HitLat, Dependent, LevelL1}; it touches no directory,
+// constant result {l1HitLat, LevelL1}; it touches no directory,
 // NoC, or DRAM state. Cache.SameLineReadHit replays those three effects
 // exactly, and only when the memoized line is provably the line a full
 // probe would hit (the memo dies on any eviction/invalidation of that
@@ -463,7 +458,7 @@ func (m *Machine) fastRead(core *cpu.Core, a memsys.Access) memsys.Result {
 			// replay this exact memo hit, so it can defer instead.
 			m.openFold(a.Core, line, l1.HotWay(line), a.Kind)
 		}
-		return memsys.Result{Latency: l1.Latency(), Blocking: a.Dependent, Level: memsys.LevelL1}
+		return memsys.Result{Latency: l1.Latency(), Level: memsys.LevelL1}
 	}
 	if m.memoFaults != nil {
 		if f := m.memoFaults[a.Core]; f.armed && f.line == line {
@@ -498,38 +493,6 @@ func (m *Machine) fastRead(core *cpu.Core, a memsys.Access) memsys.Result {
 	return res
 }
 
-// LevelProfile returns per-level access counts and summed latencies, keyed
-// by the level name ("L1", "SP-local", ...) with atomics reported
-// separately under an "atomic:" prefix ("atomic:PISC", ...). The maps are
-// materialized here from the dense per-level arrays the access path
-// maintains; only levels that served at least one access appear.
-//
-// Deprecated-ish: prefer the observability layer for new code — the same
-// numbers stream through AttachSink as machine/level_count and
-// machine/level_latency samples, per iteration and with the rest of the
-// registry (see Metrics). LevelProfile remains for end-of-run spot
-// checks and existing tests.
-func (m *Machine) LevelProfile() (counts, latencies map[string]uint64) {
-	m.flushFold()
-	counts = make(map[string]uint64, len(m.levelCount))
-	latencies = make(map[string]uint64, len(m.levelLatency))
-	for l := memsys.Level(0); l < memsys.NumLevels; l++ {
-		for _, atomic := range [2]bool{false, true} {
-			i := levelIndex(l, atomic)
-			if m.levelCount[i] == 0 {
-				continue
-			}
-			name := l.String()
-			if atomic {
-				name = "atomic:" + name
-			}
-			counts[name] = m.levelCount[i]
-			latencies[name] = m.levelLatency[i]
-		}
-	}
-	return
-}
-
 // TakeALUFault returns the XOR mask of an injected PISC ALU transient
 // latched by this context's most recent Atomic, clearing it, or zero when
 // the op executed cleanly. The framework applies the mask to the
@@ -542,19 +505,16 @@ func (c *Ctx) TakeALUFault() uint64 {
 }
 
 // Read emits a plain load of element i of region r.
-func (c *Ctx) Read(r *Region, i int) { c.access(r, i, memsys.OpRead, false, false) }
-
-// ReadDependent emits a load the core must stall for.
-func (c *Ctx) ReadDependent(r *Region, i int) { c.access(r, i, memsys.OpRead, false, true) }
+func (c *Ctx) Read(r *Region, i int) { c.access(r, i, memsys.OpRead, false) }
 
 // ReadSrc emits a source-vertex property read (served by OMEGA's source
 // vertex buffer when possible). Source reads from different edges are
 // independent, so the out-of-order window overlaps them like any other
 // load.
-func (c *Ctx) ReadSrc(r *Region, i int) { c.access(r, i, memsys.OpRead, true, false) }
+func (c *Ctx) ReadSrc(r *Region, i int) { c.access(r, i, memsys.OpRead, true) }
 
 // Write emits a plain store.
-func (c *Ctx) Write(r *Region, i int) { c.access(r, i, memsys.OpWrite, false, false) }
+func (c *Ctx) Write(r *Region, i int) { c.access(r, i, memsys.OpWrite, false) }
 
 // Atomic emits an atomic read-modify-write. Under the AtomicsAsPlain
 // ablation (§III) it degrades to a plain load + store pair: independent
@@ -562,11 +522,11 @@ func (c *Ctx) Write(r *Region, i int) { c.access(r, i, memsys.OpWrite, false, fa
 // semantics are gone.
 func (c *Ctx) Atomic(r *Region, i int) {
 	if c.m.cfg.AtomicsAsPlain {
-		c.access(r, i, memsys.OpRead, false, false)
-		c.access(r, i, memsys.OpWrite, false, false)
+		c.access(r, i, memsys.OpRead, false)
+		c.access(r, i, memsys.OpWrite, false)
 		return
 	}
-	c.access(r, i, memsys.OpAtomic, false, false)
+	c.access(r, i, memsys.OpAtomic, false)
 }
 
 // ParallelFor schedules body(i) for i in [0,n) over all cores using

@@ -145,15 +145,11 @@ func (h *omegaHier) spAccess(now memsys.Cycles, a memsys.Access, v uint32) memsy
 			}
 		}
 		if local {
-			return memsys.Result{
-				Latency:  spLat,
-				Blocking: a.Dependent,
-				Level:    memsys.LevelSPLocal,
-			}
+			return memsys.Result{Latency: spLat, Level: memsys.LevelSPLocal}
 		}
 		h.remoteReads.Inc()
 		lat := h.xbar.RoundTrip(now, a.Core, home, 0, size, noc.ClassWord) + spLat
-		return memsys.Result{Latency: lat, Blocking: a.Dependent, Level: memsys.LevelSPRemote}
+		return memsys.Result{Latency: lat, Level: memsys.LevelSPRemote}
 
 	default: // OpWrite
 		return h.spWrite(now, a.Core, home, local, size, spLat)

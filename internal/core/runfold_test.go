@@ -128,7 +128,7 @@ func runFoldScript(t *testing.T, cfg Config, perAccess bool) (MachineStats, map[
 			pisc.StandardMicrocode("add", pisc.OpFPAdd, false, false))
 	}
 	foldScript(m, el, wt, vp)
-	counts, lats := m.LevelProfile()
+	counts, lats := levelProfile(m)
 	return m.Stats(), counts, lats, buf.Samples()
 }
 

@@ -1,7 +1,7 @@
 // Package cpu models the timing of one out-of-order core at the level of
 // detail the OMEGA study needs: a ROB-style window of overlapping
 // outstanding misses (memory-level parallelism), full stalls for blocking
-// operations (baseline atomics, dependent loads), and a cycle breakdown in
+// operations (baseline atomics), and a cycle breakdown in
 // the spirit of Intel's Top-down Microarchitecture Analysis Method so
 // Figure 3 of the paper can be regenerated.
 //

@@ -187,16 +187,3 @@ func AblationPrefetcher(o Options) *Table {
 		"OMEGA's win must persist against the strengthened baseline")
 	return t
 }
-
-// RunAll executes every registered experiment sequentially in suite
-// order, with no watchdog or recovery — the raw runners, back to back.
-// Use Suite for the pooled, hardened execution path.
-func RunAll(o Options) []*Table {
-	o = o.Defaults()
-	specs := Registry()
-	tables := make([]*Table, len(specs))
-	for i, spec := range specs {
-		tables[i] = spec.Run(o)
-	}
-	return tables
-}

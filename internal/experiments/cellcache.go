@@ -64,9 +64,6 @@ type Cell struct {
 // counts surface in the suite summary so "how much of the suite is
 // cacheable" stays measured, not assumed.
 const (
-	// UncacheableGraph marks a run on a graph that is not identified by
-	// a dataset key (transformed, grown, or hand-built).
-	UncacheableGraph = "graph"
 	// UncacheableWorkload marks a workload whose Run closure is not the
 	// registered algorithm (custom schedules, instrumented variants).
 	UncacheableWorkload = "workload"
@@ -298,10 +295,7 @@ func registryWorkload(spec algorithms.Spec) bool {
 
 // uncacheableReason classifies a cell-routed run that must bypass the
 // cache, or returns "" when the cell is cacheable.
-func (o Options) uncacheableReason(spec algorithms.Spec, pr prepared) string {
-	if !pr.keyed {
-		return UncacheableGraph
-	}
+func (o Options) uncacheableReason(spec algorithms.Spec) string {
 	if !registryWorkload(spec) {
 		return UncacheableWorkload
 	}
@@ -326,7 +320,7 @@ func cellFor(o Options, spec algorithms.Spec, pr prepared, cfg core.Config, run 
 	if o.Cells == nil {
 		return buildCellDirect(o, spec, pr, cfg, run)
 	}
-	if reason := o.uncacheableReason(spec, pr); reason != "" {
+	if reason := o.uncacheableReason(spec); reason != "" {
 		o.Cells.noteUncacheable(reason, 1)
 		return buildCellDirect(o, spec, pr, cfg, run)
 	}

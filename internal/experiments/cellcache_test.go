@@ -124,21 +124,15 @@ func TestCellBuildPanicLeavesKeyRebuildable(t *testing.T) {
 	}
 }
 
-// TestUncacheableReasons pins the bypass classification: non-dataset
-// graphs and non-registry workloads must simulate directly, each under
-// its counted reason.
+// TestUncacheableReasons pins the bypass classification: non-registry
+// workloads must simulate directly, under their counted reason.
 func TestUncacheableReasons(t *testing.T) {
 	spec, _ := algorithms.ByName("PageRank")
 	o := Options{Scale: 9, Seed: 42, Coverage: 0.20}.Defaults()
-	pr := prepareDataset(mustDataset("rmat"), o, false)
-
-	if r := o.uncacheableReason(spec, pr); r != "" {
-		t.Fatalf("registry spec on keyed dataset classified %q, want cacheable", r)
+	if r := o.uncacheableReason(spec); r != "" {
+		t.Fatalf("registry spec classified %q, want cacheable", r)
 	}
-	if r := o.uncacheableReason(spec, prepared{g: pr.g}); r != UncacheableGraph {
-		t.Fatalf("unkeyed graph classified %q, want %q", r, UncacheableGraph)
-	}
-	if r := o.uncacheableReason(customSpec(spec), pr); r != UncacheableWorkload {
+	if r := o.uncacheableReason(customSpec(spec)); r != UncacheableWorkload {
 		t.Fatalf("custom workload classified %q, want %q", r, UncacheableWorkload)
 	}
 }

@@ -337,14 +337,11 @@ func DatasetByName(name string) (Dataset, bool) {
 
 // prepared bundles a generated, in-degree-reordered graph together with
 // the dataset key that identifies its build — the graph half of a cell
-// cache key. keyed is false for graphs the cache cannot identify
-// (transformed, grown, or hand-built), which makes their cells
-// uncacheable.
+// cache key.
 type prepared struct {
-	ds    Dataset
-	g     *graph.Graph
-	key   datasets.Key
-	keyed bool
+	ds  Dataset
+	g   *graph.Graph
+	key datasets.Key
 }
 
 // datasetKey is the cache identity of one dataset build.
@@ -384,10 +381,9 @@ func buildDataset(ds Dataset, o Options, weighted, reordered bool) *graph.Graph 
 // placement relies on in-degree ordering).
 func prepareDataset(ds Dataset, o Options, weighted bool) prepared {
 	return prepared{
-		ds:    ds,
-		g:     buildDataset(ds, o, weighted, true),
-		key:   datasetKey(ds, o, weighted, true),
-		keyed: true,
+		ds:  ds,
+		g:   buildDataset(ds, o, weighted, true),
+		key: datasetKey(ds, o, weighted, true),
 	}
 }
 

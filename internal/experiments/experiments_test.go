@@ -73,7 +73,7 @@ func TestAblationPrefetcherShape(t *testing.T) {
 }
 
 func TestBuildFamily(t *testing.T) {
-	for _, fam := range Families() {
+	for _, fam := range []string{"rmat", "ba", "er", "road", "ws"} {
 		g, err := BuildFamily(fam, 9, 3, false, false)
 		if err != nil {
 			t.Fatalf("%s: %v", fam, err)

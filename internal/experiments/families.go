@@ -9,7 +9,7 @@ import (
 
 // BuildFamily generates a graph from one of the named synthetic families —
 // the shared dataset constructor behind cmd/omega-sim, cmd/graphgen, and
-// ad-hoc studies. Families: "rmat", "ba", "er", "road".
+// ad-hoc studies. Families: "rmat", "ba", "er", "road", "ws".
 func BuildFamily(family string, scale int, seed uint64, undirected, weighted bool) (*graph.Graph, error) {
 	if scale < 2 || scale > 30 {
 		return nil, fmt.Errorf("experiments: scale %d out of range", scale)
@@ -47,6 +47,3 @@ func BuildFamily(family string, scale int, seed uint64, undirected, weighted boo
 	}
 	return nil, fmt.Errorf("experiments: unknown graph family %q (want rmat, ba, er, road, ws)", family)
 }
-
-// Families lists the synthetic family names BuildFamily accepts.
-func Families() []string { return []string{"rmat", "ba", "er", "road", "ws"} }

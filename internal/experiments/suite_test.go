@@ -156,13 +156,13 @@ func TestSuiteSummaryCellNote(t *testing.T) {
 	}
 	cells.dedups.Add(1)
 	cells.noteUncacheable(UncacheableCampaign, 9)
-	cells.noteUncacheable(UncacheableGraph, 1)
+	cells.noteUncacheable(UncacheableWorkload, 1)
 	o := Options{Datasets: datasets.New(), Cells: cells}.Defaults()
 	sum := suiteSummary(&SuiteResult{Parallelism: 1}, o)
 	note := sum.Notes[len(sum.Notes)-1]
 	for _, want := range []string{
 		"3 built", "2 replayed", "1 singleflight-shared", "3 cells resident",
-		"duplicate-cell rate 50.0%", "uncacheable: campaign=9, graph=1",
+		"duplicate-cell rate 50.0%", "uncacheable: campaign=9, workload=1",
 	} {
 		if !strings.Contains(note, want) {
 			t.Fatalf("cell-cache note %q missing %q", note, want)

@@ -18,7 +18,6 @@ package gen
 
 import (
 	"fmt"
-	"math"
 
 	"omega/internal/graph"
 	"omega/internal/stats"
@@ -334,28 +333,4 @@ func WattsStrogatz(cfg WSConfig) *graph.Graph {
 	}
 	b.Dedup()
 	return b.Build(fmt.Sprintf("ws-%d", n))
-}
-
-// ZipfDegrees generates n degree samples from a Zipf-like distribution with
-// exponent alpha (>1), useful for property-based tests of the power-law
-// classifier.
-func ZipfDegrees(n int, alpha float64, seed uint64) []int {
-	r := stats.NewRand(seed)
-	out := make([]int, n)
-	for i := range out {
-		u := r.Float64()
-		if u == 0 {
-			u = 0.5
-		}
-		// Inverse-CDF of a Pareto tail, clipped.
-		d := int(math.Pow(u, -1.0/(alpha-1.0)))
-		if d < 1 {
-			d = 1
-		}
-		if d > n {
-			d = n
-		}
-		out[i] = d
-	}
-	return out
 }

@@ -174,24 +174,6 @@ func TestWattsStrogatzBetaExtremes(t *testing.T) {
 	}
 }
 
-func TestZipfDegreesSkewed(t *testing.T) {
-	d := ZipfDegrees(10000, 2.0, 3)
-	max, sum := 0, 0
-	for _, x := range d {
-		if x < 1 {
-			t.Fatalf("degree %d < 1", x)
-		}
-		if x > max {
-			max = x
-		}
-		sum += x
-	}
-	mean := float64(sum) / float64(len(d))
-	if float64(max) < 10*mean {
-		t.Fatalf("Zipf tail too weak: max %d mean %.1f", max, mean)
-	}
-}
-
 func TestGeneratorsProduceDistinctSeededOutputs(t *testing.T) {
 	a := RMAT(DefaultRMAT(10, 1))
 	b := RMAT(DefaultRMAT(10, 2))

@@ -227,9 +227,6 @@ func (b *Builder) AddEdge(src, dst VertexID, weight int32) {
 	b.deduped = false
 }
 
-// NumEdgesAdded returns the number of stored arcs so far.
-func (b *Builder) NumEdgesAdded() int { return len(b.edges) }
-
 // Dedup removes duplicate (src,dst) pairs, keeping the first weight, and
 // removes self-loops. Useful for synthetic generators.
 func (b *Builder) Dedup() {

@@ -73,12 +73,6 @@ func New(m *core.Machine, g *graph.Graph, prog VertexProgram) *Engine {
 	return e
 }
 
-// Prop exposes the property array (results).
-func (e *Engine) Prop() *ligra.PropArray { return e.prop }
-
-// Machine exposes the bound machine.
-func (e *Engine) Machine() *core.Machine { return e.fw.Machine() }
-
 // RunResult reports a run's convergence.
 type RunResult struct {
 	Iterations int

@@ -9,7 +9,51 @@ import (
 	"omega/internal/graph"
 	"omega/internal/graph/gen"
 	"omega/internal/graph/reorder"
+	"omega/internal/pisc"
 )
+
+// inf is the unreachable sentinel for distance programs.
+const inf = int64(1) << 60
+
+// distanceProgram is the shared shape of BFS/SSSP: signed-min reduction of
+// (source distance + step).
+func distanceProgram(name string, root uint32, step func(w int32) int64) VertexProgram {
+	return VertexProgram{
+		Name:     name,
+		ReduceOp: pisc.OpSignedMin,
+		Identity: pisc.IntValue(inf),
+		InitProp: func(v uint32) pisc.Value {
+			if v == root {
+				return pisc.IntValue(0)
+			}
+			return pisc.IntValue(inf)
+		},
+		SendMessage: func(src pisc.Value, w int32) (pisc.Value, bool) {
+			if src.Int() >= inf {
+				return 0, false
+			}
+			return pisc.IntValue(src.Int() + step(w)), true
+		},
+		Apply: func(v uint32, old, reduced pisc.Value) (pisc.Value, bool) {
+			if reduced.Int() < old.Int() {
+				return reduced, true
+			}
+			return old, false
+		},
+	}
+}
+
+// runDistance runs a distance program from root on the engine's frontier
+// path and returns the final distances (inf for unreachable).
+func runDistance(m *core.Machine, g *graph.Graph, name string, root uint32, step func(w int32) int64) []int64 {
+	e := New(m, g, distanceProgram(name, root, step))
+	e.Run([]uint32{root}, g.NumVertices()+1)
+	out := make([]int64, g.NumVertices())
+	for v := range out {
+		out[v] = e.prop.Value(uint32(v)).Int()
+	}
+	return out
+}
 
 func testGraph(t testing.TB) *graph.Graph {
 	t.Helper()
@@ -59,10 +103,14 @@ func TestBFSMatchesReference(t *testing.T) {
 	want := algorithms.ReferenceBFS(g, root)
 	mb, mo := machines(g)
 	for _, m := range []*core.Machine{mb, mo} {
-		got := RunBFS(m, g, root)
+		got := runDistance(m, g, "gm-bfs", root, func(int32) int64 { return 1 })
 		for v := range want {
-			if got[v] != want[v] {
-				t.Fatalf("%s: level[%d] = %d, want %d", m.Config().Name, v, got[v], want[v])
+			level := ^uint32(0)
+			if got[v] < inf {
+				level = uint32(got[v])
+			}
+			if level != want[v] {
+				t.Fatalf("%s: level[%d] = %d, want %d", m.Config().Name, v, level, want[v])
 			}
 		}
 	}
@@ -76,7 +124,7 @@ func TestSSSPMatchesReference(t *testing.T) {
 	root := algorithms.DefaultRoot(g)
 	want := algorithms.ReferenceSSSP(g, root)
 	_, mo := machines(g)
-	got := RunSSSP(mo, g, root)
+	got := runDistance(mo, g, "gm-sssp", root, func(w int32) int64 { return int64(w) })
 	for v := range want {
 		if got[v] != want[v] {
 			t.Fatalf("dist[%d] = %d, want %d", v, got[v], want[v])

@@ -6,9 +6,6 @@ import (
 	"omega/internal/pisc"
 )
 
-// inf is the unreachable sentinel for distance programs.
-const inf = int64(1) << 60
-
 // RunPageRank executes iters PageRank iterations GraphMat-style and
 // returns the ranks. The property stores rank/out-degree (the "scaled
 // rank" GraphMat sends as the message), so SendMessage is the identity
@@ -48,62 +45,4 @@ func RunPageRank(m *core.Machine, g *graph.Graph, iters int, damping float64) []
 	e := New(m, g, prog)
 	e.Run(nil, iters)
 	return rank
-}
-
-// distanceProgram is the shared shape of BFS/SSSP: signed-min reduction of
-// (source distance + step).
-func distanceProgram(name string, root uint32, step func(w int32) int64) VertexProgram {
-	return VertexProgram{
-		Name:     name,
-		ReduceOp: pisc.OpSignedMin,
-		Identity: pisc.IntValue(inf),
-		InitProp: func(v uint32) pisc.Value {
-			if v == root {
-				return pisc.IntValue(0)
-			}
-			return pisc.IntValue(inf)
-		},
-		SendMessage: func(src pisc.Value, w int32) (pisc.Value, bool) {
-			if src.Int() >= inf {
-				return 0, false
-			}
-			return pisc.IntValue(src.Int() + step(w)), true
-		},
-		Apply: func(v uint32, old, reduced pisc.Value) (pisc.Value, bool) {
-			if reduced.Int() < old.Int() {
-				return reduced, true
-			}
-			return old, false
-		},
-	}
-}
-
-// RunSSSP executes GraphMat-style Bellman-Ford from root and returns the
-// distances (unweighted edges count 1; unreachable = 1<<60).
-func RunSSSP(m *core.Machine, g *graph.Graph, root uint32) []int64 {
-	prog := distanceProgram("gm-sssp", root, func(w int32) int64 { return int64(w) })
-	e := New(m, g, prog)
-	e.Run([]uint32{root}, g.NumVertices()+1)
-	out := make([]int64, g.NumVertices())
-	for v := range out {
-		out[v] = e.prop.Value(uint32(v)).Int()
-	}
-	return out
-}
-
-// RunBFS executes GraphMat-style BFS from root and returns levels
-// (^uint32(0) for unreachable).
-func RunBFS(m *core.Machine, g *graph.Graph, root uint32) []uint32 {
-	prog := distanceProgram("gm-bfs", root, func(int32) int64 { return 1 })
-	e := New(m, g, prog)
-	e.Run([]uint32{root}, g.NumVertices()+1)
-	out := make([]uint32, g.NumVertices())
-	for v := range out {
-		if d := e.prop.Value(uint32(v)).Int(); d >= inf {
-			out[v] = ^uint32(0)
-		} else {
-			out[v] = uint32(d)
-		}
-	}
-	return out
 }

@@ -50,7 +50,6 @@ type Framework struct {
 	inEdges    *core.Region
 	outWeights *core.Region
 	inWeights  *core.Region
-	scratch    *core.Region // nGraphData: loop temporaries, counters
 
 	props []*PropArray
 
@@ -97,7 +96,10 @@ func New(m *core.Machine, g *graph.Graph) *Framework {
 		f.outWeights = m.Alloc("edgeList.outWeights", maxInt(e, 1), 4, memsys.KindEdgeList)
 		f.inWeights = m.Alloc("edgeList.inWeights", maxInt(e, 1), 4, memsys.KindEdgeList)
 	}
-	f.scratch = m.Alloc("nGraphData", maxInt(n, 1), 8, memsys.KindNGraphData)
+	// The nGraphData region models Ligra's loop temporaries and counters.
+	// Nothing accesses it, but it holds its place in the address map and
+	// in the alloc gauges.
+	m.Alloc("nGraphData", maxInt(n, 1), 8, memsys.KindNGraphData)
 
 	// Register framework-level probes on the machine's registry. The
 	// registry replaces on re-registration (latest wins), so binding a
@@ -125,9 +127,6 @@ func (f *Framework) Machine() *core.Machine { return f.m }
 
 // Graph returns the bound graph.
 func (f *Framework) Graph() *graph.Graph { return f.g }
-
-// SetCostModel overrides the bookkeeping cost model.
-func (f *Framework) SetCostModel(c CostModel) { f.cost = c }
 
 // SetDensePull switches dense edgeMaps to the gather (pull) variant.
 func (f *Framework) SetDensePull(pull bool) { f.densePull = pull }
@@ -251,12 +250,6 @@ func (p *PropArray) Value(v uint32) pisc.Value { return p.vals[v] }
 // algorithms with custom scan orders (e.g. TC's intersections).
 func (f *Framework) OutEdgesRegion() *core.Region { return f.outEdges }
 
-// OutOffsetsRegion exposes the simulated out-offset array region.
-func (f *Framework) OutOffsetsRegion() *core.Region { return f.outOffsets }
-
-// ScratchRegion exposes the shared nGraphData scratch region.
-func (f *Framework) ScratchRegion() *core.Region { return f.scratch }
-
 // edgeSpanGrain bounds how many edges of one source vertex form a single
 // parallel work item. Ligra splits high-degree vertices' edge lists across
 // workers the same way; without this, a hub's edges serialize on one core
@@ -320,27 +313,9 @@ func (f *Framework) ParallelOutEdges(sources []uint32,
 	})
 }
 
-// EmitOutEdgeScan charges the offset read and the sequential edge (and
-// weight) reads of iterating s's outgoing edges, invoking fn once per edge
-// with the edge's position, destination, and weight.
-func (f *Framework) EmitOutEdgeScan(ctx *core.Ctx, s uint32, fn func(j int, d uint32, w int32)) {
-	ctx.Read(f.outOffsets, int(s))
-	neighbors := f.g.OutNeighbors(graph.VertexID(s))
-	weights := f.g.OutWeights(graph.VertexID(s))
-	base := int(f.g.OutOffsets[s])
-	for j, d := range neighbors {
-		ctx.Exec(f.cost.PerEdge)
-		ctx.Read(f.outEdges, base+j)
-		var w int32 = 1
-		if weights != nil {
-			ctx.Read(f.outWeights, base+j)
-			w = weights[j]
-		}
-		fn(j, d, w)
-	}
-}
-
-// EmitInEdgeScan is EmitOutEdgeScan for incoming edges.
+// EmitInEdgeScan charges the offset read and the sequential edge (and
+// weight) reads of iterating d's incoming edges, invoking fn once per edge
+// with the edge's position, source, and weight.
 func (f *Framework) EmitInEdgeScan(ctx *core.Ctx, d uint32, fn func(j int, s uint32, w int32)) {
 	ctx.Read(f.inOffsets, int(d))
 	neighbors := f.g.InNeighbors(graph.VertexID(d))

@@ -237,24 +237,23 @@ func TestForAllVertices(t *testing.T) {
 }
 
 func TestEmitEdgeScans(t *testing.T) {
-	fw, g := testSetup(t)
+	fw, _ := testSetup(t)
 	fw.Configure(pisc.StandardMicrocode("t", pisc.OpNop, false, false))
-	var outs, ins []uint32
+	var ins1, ins3 []uint32
 	fw.Machine().Sequential(func(ctx *core.Ctx) {
-		fw.EmitOutEdgeScan(ctx, 0, func(j int, d uint32, w int32) {
-			outs = append(outs, d)
+		fw.EmitInEdgeScan(ctx, 1, func(j int, s uint32, w int32) {
+			ins1 = append(ins1, s)
 		})
 		fw.EmitInEdgeScan(ctx, 3, func(j int, s uint32, w int32) {
-			ins = append(ins, s)
+			ins3 = append(ins3, s)
 		})
 	})
-	if len(outs) != 2 || outs[0] != 1 || outs[1] != 2 {
-		t.Fatalf("out scan %v", outs)
+	if len(ins1) != 1 || ins1[0] != 0 {
+		t.Fatalf("in scan of 1: %v", ins1)
 	}
-	if len(ins) != 2 || ins[0] != 1 || ins[1] != 2 {
-		t.Fatalf("in scan %v", ins)
+	if len(ins3) != 2 || ins3[0] != 1 || ins3[1] != 2 {
+		t.Fatalf("in scan of 3: %v", ins3)
 	}
-	_ = g
 }
 
 func TestWeightedEdgeScan(t *testing.T) {
@@ -268,7 +267,7 @@ func TestWeightedEdgeScan(t *testing.T) {
 	fw.Configure(pisc.StandardMicrocode("t", pisc.OpNop, false, false))
 	var got int32
 	fw.Machine().Sequential(func(ctx *core.Ctx) {
-		fw.EmitOutEdgeScan(ctx, 0, func(j int, d uint32, w int32) { got = w })
+		fw.EmitInEdgeScan(ctx, 1, func(j int, s uint32, w int32) { got = w })
 	})
 	if got != 17 {
 		t.Fatalf("weight %d", got)

@@ -146,10 +146,6 @@ type Access struct {
 	// processing — the access class served by OMEGA's source vertex
 	// buffer (paper §V.C).
 	SrcRead bool
-	// Dependent marks a load whose value gates further progress of the
-	// core (the core must stall for it rather than merely tracking an
-	// outstanding miss).
-	Dependent bool
 }
 
 // Result reports the outcome of simulating one access.
@@ -157,7 +153,7 @@ type Result struct {
 	// Latency is the time from issue to completion.
 	Latency Cycles
 	// Blocking forces the issuing core to stall for the full latency
-	// (atomics on the baseline; dependent reads anywhere).
+	// (atomics on the baseline).
 	Blocking bool
 	// Offloaded reports that the operation was handed to a PISC engine
 	// and the core does not wait for completion.

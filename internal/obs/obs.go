@@ -1,6 +1,6 @@
 // Package obs is the simulator's unified observability layer: a typed
-// metrics registry (counters / gauges / histograms keyed by component ×
-// name × hierarchy level) and the Sink contract through which every
+// metrics registry (counters / gauges keyed by component × name ×
+// hierarchy level) and the Sink contract through which every
 // consumer — per-iteration series emitters, the access tracer, span
 // timelines, the experiment harness — receives telemetry.
 //
@@ -19,8 +19,6 @@
 package obs
 
 import (
-	"strconv"
-
 	"omega/internal/memsys"
 )
 
@@ -103,8 +101,6 @@ const (
 	KindCounter MetricKind = iota
 	// KindGauge is an instantaneous value (occupancy, residency).
 	KindGauge
-	// KindHistogram is a fixed-bucket distribution.
-	KindHistogram
 )
 
 // String names the kind.
@@ -114,31 +110,19 @@ func (k MetricKind) String() string {
 		return "counter"
 	case KindGauge:
 		return "gauge"
-	case KindHistogram:
-		return "histogram"
 	}
 	return "metric"
 }
 
-// HistSnapshot is a histogram read-out: Counts[i] is the number of
-// samples in (Bounds[i-1], Bounds[i]]; the last count is the overflow
-// bucket.
-type HistSnapshot struct {
-	Bounds []uint64
-	Counts []uint64
-}
-
-// Desc describes one registered metric. Read (counters, gauges) or Hist
-// (histograms) is a closure over the owning component's live state, so a
-// registry is a view: it can never disagree with the counters the rest
-// of the system reads directly.
+// Desc describes one registered metric. Read is a closure over the
+// owning component's live state, so a registry is a view: it can never
+// disagree with the counters the rest of the system reads directly.
 type Desc struct {
 	Component string
 	Name      string
 	Level     string
 	Kind      MetricKind
 	Read      func() uint64
-	Hist      func() HistSnapshot
 }
 
 type metricKey struct {
@@ -184,11 +168,6 @@ func (r *Registry) RegisterGauge(component, name, level string, fn func() uint64
 	r.Register(Desc{Component: component, Name: name, Level: level, Kind: KindGauge, Read: fn})
 }
 
-// RegisterHistogram registers a histogram read through fn.
-func (r *Registry) RegisterHistogram(component, name, level string, fn func() HistSnapshot) {
-	r.Register(Desc{Component: component, Name: name, Level: level, Kind: KindHistogram, Hist: fn})
-}
-
 // Len returns the number of registered metrics.
 func (r *Registry) Len() int { return len(r.metrics) }
 
@@ -219,10 +198,8 @@ func (r *Registry) Get(component, name, level string) uint64 {
 
 // Emit reads every registered metric and sends the non-zero values to s
 // as samples stamped with the given machine name and iteration.
-// Histograms emit one sample per non-empty bucket, the bucket upper
-// bound appended to the name ("latency_le_64"; "latency_le_inf" for the
-// overflow bucket). Zero-valued samples are suppressed: absence means
-// zero, and the emitted series stays proportional to activity.
+// Zero-valued samples are suppressed: absence means zero, and the
+// emitted series stays proportional to activity.
 func (r *Registry) Emit(s Sink, machine string, iteration uint64) {
 	if s == nil {
 		return
@@ -230,13 +207,6 @@ func (r *Registry) Emit(s Sink, machine string, iteration uint64) {
 	sample := MetricSample{Machine: machine, Iteration: iteration}
 	for _, d := range r.metrics {
 		sample.Component, sample.Name, sample.Level = d.Component, d.Name, d.Level
-		if d.Kind == KindHistogram {
-			if d.Hist == nil {
-				continue
-			}
-			emitHist(s, sample, d.Hist())
-			continue
-		}
 		if d.Read == nil {
 			continue
 		}
@@ -244,21 +214,5 @@ func (r *Registry) Emit(s Sink, machine string, iteration uint64) {
 			sample.Value = v
 			s.Sample(sample)
 		}
-	}
-}
-
-func emitHist(s Sink, base MetricSample, h HistSnapshot) {
-	name := base.Name
-	for i, c := range h.Counts {
-		if c == 0 {
-			continue
-		}
-		if i < len(h.Bounds) {
-			base.Name = name + "_le_" + strconv.FormatUint(h.Bounds[i], 10)
-		} else {
-			base.Name = name + "_le_inf"
-		}
-		base.Value = c
-		s.Sample(base)
 	}
 }

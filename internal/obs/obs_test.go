@@ -53,26 +53,6 @@ func TestRegistryEmitSuppressesZeros(t *testing.T) {
 	r.Emit(nil, "omega", 4)
 }
 
-func TestRegistryEmitHistogramBuckets(t *testing.T) {
-	h := HistSnapshot{Bounds: []uint64{1, 4, 16}, Counts: []uint64{2, 0, 3, 1}}
-	r := NewRegistry()
-	r.RegisterHistogram("dram", "latency", "", func() HistSnapshot { return h })
-	b := NewBuffer()
-	r.Emit(b, "m", 1)
-	got := b.Samples()
-	names := make([]string, len(got))
-	for i, s := range got {
-		names[i] = s.Name
-	}
-	want := []string{"latency_le_1", "latency_le_16", "latency_le_inf"}
-	if len(got) != 3 || names[0] != want[0] || names[1] != want[1] || names[2] != want[2] {
-		t.Fatalf("histogram buckets = %v, want %v", names, want)
-	}
-	if got[0].Value != 2 || got[1].Value != 3 || got[2].Value != 1 {
-		t.Fatalf("bucket values wrong: %+v", got)
-	}
-}
-
 func TestSortSamplesIsTotalOrder(t *testing.T) {
 	mk := func(exp, run, m string, it uint64, comp, name, lvl string, v uint64) MetricSample {
 		return MetricSample{Experiment: exp, Run: run, Machine: m, Iteration: it,
@@ -271,34 +251,5 @@ func TestTimelineChromeTrace(t *testing.T) {
 	sp := doc.TraceEvents[2]
 	if sp.Pid != 1 || sp.Ts != 0 || sp.Dur != 8 {
 		t.Fatalf("first span = %+v, want baseline pid 1 ts 0 dur 8", sp)
-	}
-}
-
-func TestAccessAgg(t *testing.T) {
-	var g AccessAgg
-	a := memsys.Access{Kind: memsys.KindVtxProp}
-	g.Observe(a, memsys.Result{Latency: 3, Level: memsys.LevelL1})
-	g.Observe(a, memsys.Result{Latency: 5, Level: memsys.LevelL1})
-	g.Observe(memsys.Access{Kind: memsys.KindEdgeList}, memsys.Result{Latency: 100, Level: memsys.LevelL2Plus})
-	c := g.Cell(memsys.KindVtxProp, memsys.LevelL1)
-	if c.Count != 2 || c.Latency != 8 {
-		t.Fatalf("cell = %+v, want count 2 latency 8", c)
-	}
-	if avg := c.AvgLatency(); avg != 4 {
-		t.Fatalf("avg = %v, want 4", avg)
-	}
-	if q := g.Quantile(memsys.KindEdgeList, 0.5); q < 100 {
-		t.Fatalf("p50 = %d, want >= 100", q)
-	}
-	if q := g.Quantile(memsys.KindNGraphData, 0.5); q != 0 {
-		t.Fatalf("unobserved kind quantile = %d, want 0", q)
-	}
-	hs := g.HistSnapshot(memsys.KindVtxProp)
-	var n uint64
-	for _, c := range hs.Counts {
-		n += c
-	}
-	if n != 2 {
-		t.Fatalf("hist total = %d, want 2", n)
 	}
 }

@@ -274,11 +274,3 @@ func (e *Engine) Offload(arrival memsys.Cycles) (senderStall memsys.Cycles, done
 	e.BusyTime.Add(uint64(occ))
 	return senderStall, arrival + wait + lat
 }
-
-// ExecuteSync models a synchronous (blocking) engine operation, e.g. a
-// read-modify issued by the local controller on behalf of a core that
-// needs the result. Returns the total latency from arrival to completion.
-func (e *Engine) ExecuteSync(arrival memsys.Cycles) memsys.Cycles {
-	_, done := e.Offload(arrival)
-	return done - arrival
-}

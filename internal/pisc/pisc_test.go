@@ -204,14 +204,6 @@ func TestEngineKeepsUpAtCapacity(t *testing.T) {
 	}
 }
 
-func TestEngineExecuteSync(t *testing.T) {
-	e := NewEngine(DefaultConfig(3))
-	e.LoadMicrocode(StandardMicrocode("pr", OpFPAdd, false, false))
-	if lat := e.ExecuteSync(50); lat != 9 {
-		t.Fatalf("sync latency %d, want 9", lat)
-	}
-}
-
 func TestOpStringsAndLatencies(t *testing.T) {
 	ops := []Op{OpNop, OpFPAdd, OpUnsignedCompareSwap, OpSignedMin, OpSignedAdd, OpOr, OpBoolComp}
 	for _, o := range ops {

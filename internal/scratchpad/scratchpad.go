@@ -63,17 +63,6 @@ type Config struct {
 	SrcBufferEntries int
 }
 
-// DefaultConfig returns a Table III-like scratchpad arrangement.
-func DefaultConfig(numCores, bytesPerCore int) Config {
-	return Config{
-		NumCores:         numCores,
-		BytesPerCore:     bytesPerCore,
-		LatencyCycles:    3,
-		ChunkSize:        64,
-		SrcBufferEntries: 64,
-	}
-}
-
 // Controller is the distributed scratchpad controller: one logical entity
 // in the model, representing the per-core controllers of Figure 7.
 // Not safe for concurrent use.

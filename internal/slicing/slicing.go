@@ -111,17 +111,6 @@ func BuildPlan(g *graph.Graph, capacityVertices int, hotFraction float64, mode M
 	return p
 }
 
-// Reduction returns how many times fewer slices power-law-aware slicing
-// needs than plain slicing at the same capacity.
-func Reduction(g *graph.Graph, capacityVertices int, hotFraction float64) float64 {
-	plain := BuildPlan(g, capacityVertices, hotFraction, Plain)
-	aware := BuildPlan(g, capacityVertices, hotFraction, PowerLawAware)
-	if aware.NumSlices() == 0 {
-		return 0
-	}
-	return float64(plain.NumSlices()) / float64(aware.NumSlices())
-}
-
 // PageRankSliced runs PageRank iteration-by-iteration, processing the
 // graph one slice at a time (each slice applies only the updates into its
 // destination range) and merging at iteration end. It is functionally

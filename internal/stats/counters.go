@@ -1,10 +1,6 @@
 package stats
 
-import (
-	"fmt"
-	"sort"
-	"strings"
-)
+import "sort"
 
 // Counter is a monotonically increasing event count.
 type Counter struct {
@@ -48,59 +44,10 @@ func (r *Ratio) Rate() float64 {
 	return float64(r.Hits) / float64(r.Total)
 }
 
-// Set is an ordered collection of named counters, used for stats dumps.
-type Set struct {
-	names  []string
-	values map[string]*Counter
-}
-
-// NewSet returns an empty counter set.
-func NewSet() *Set {
-	return &Set{values: make(map[string]*Counter)}
-}
-
-// Get returns the counter with the given name, creating it on first use.
-func (s *Set) Get(name string) *Counter {
-	if c, ok := s.values[name]; ok {
-		return c
-	}
-	c := &Counter{}
-	s.values[name] = c
-	s.names = append(s.names, name)
-	return c
-}
-
-// Value returns the count for name, or zero when never touched.
-func (s *Set) Value(name string) uint64 {
-	if c, ok := s.values[name]; ok {
-		return c.Value()
-	}
-	return 0
-}
-
-// Names returns the counter names in first-use order.
-func (s *Set) Names() []string {
-	out := make([]string, len(s.names))
-	copy(out, s.names)
-	return out
-}
-
-// String renders the set sorted by name, one "name=value" per line.
-func (s *Set) String() string {
-	names := s.Names()
-	sort.Strings(names)
-	var b strings.Builder
-	for _, n := range names {
-		fmt.Fprintf(&b, "%s=%d\n", n, s.values[n].Value())
-	}
-	return b.String()
-}
-
 // Histogram is a fixed-bucket histogram over non-negative integer samples.
 type Histogram struct {
 	bounds []uint64 // ascending upper bounds; implicit +Inf last bucket
 	counts []uint64
-	sum    uint64
 	n      uint64
 	max    uint64
 }
@@ -124,33 +71,10 @@ func NewHistogram(bounds ...uint64) *Histogram {
 func (h *Histogram) Observe(x uint64) {
 	i := sort.Search(len(h.bounds), func(i int) bool { return x <= h.bounds[i] })
 	h.counts[i]++
-	h.sum += x
 	h.n++
 	if x > h.max {
 		h.max = x
 	}
-}
-
-// Count returns the number of samples observed.
-func (h *Histogram) Count() uint64 { return h.n }
-
-// Mean returns the sample mean, or 0 when empty.
-func (h *Histogram) Mean() float64 {
-	if h.n == 0 {
-		return 0
-	}
-	return float64(h.sum) / float64(h.n)
-}
-
-// Max returns the largest observed sample.
-func (h *Histogram) Max() uint64 { return h.max }
-
-// Buckets returns (upperBound, count) pairs; the final pair has bound
-// ^uint64(0) for the overflow bucket.
-func (h *Histogram) Buckets() ([]uint64, []uint64) {
-	bounds := append(append([]uint64(nil), h.bounds...), ^uint64(0))
-	counts := append([]uint64(nil), h.counts...)
-	return bounds, counts
 }
 
 // Quantile returns an upper-bound estimate of the q-quantile (0<=q<=1)

@@ -137,50 +137,26 @@ func TestRatio(t *testing.T) {
 	}
 }
 
-func TestSet(t *testing.T) {
-	s := NewSet()
-	s.Get("b").Add(2)
-	s.Get("a").Inc()
-	s.Get("b").Inc()
-	if s.Value("b") != 3 || s.Value("a") != 1 || s.Value("missing") != 0 {
-		t.Fatalf("unexpected values: %v", s.String())
-	}
-	names := s.Names()
-	if len(names) != 2 || names[0] != "b" || names[1] != "a" {
-		t.Fatalf("names order: %v", names)
-	}
-}
-
 func TestHistogramBasics(t *testing.T) {
 	h := NewHistogram(10, 100, 1000)
 	for _, x := range []uint64{1, 5, 10, 11, 100, 500, 5000} {
 		h.Observe(x)
 	}
-	if h.Count() != 7 {
-		t.Fatalf("count %d", h.Count())
+	if h.n != 7 {
+		t.Fatalf("count %d", h.n)
 	}
-	if h.Max() != 5000 {
-		t.Fatalf("max %d", h.Max())
-	}
-	bounds, counts := h.Buckets()
-	if len(bounds) != 4 || len(counts) != 4 {
-		t.Fatalf("bucket shape: %v %v", bounds, counts)
+	if h.max != 5000 {
+		t.Fatalf("max %d", h.max)
 	}
 	// <=10: {1,5,10} ; <=100: {11,100} ; <=1000: {500} ; overflow: {5000}
 	want := []uint64{3, 2, 1, 1}
-	for i := range want {
-		if counts[i] != want[i] {
-			t.Fatalf("bucket %d = %d, want %d", i, counts[i], want[i])
-		}
+	if len(h.counts) != len(want) {
+		t.Fatalf("bucket shape: %v", h.counts)
 	}
-}
-
-func TestHistogramMean(t *testing.T) {
-	h := NewHistogram(100)
-	h.Observe(10)
-	h.Observe(20)
-	if h.Mean() != 15 {
-		t.Fatalf("mean %v", h.Mean())
+	for i := range want {
+		if h.counts[i] != want[i] {
+			t.Fatalf("bucket %d = %d, want %d", i, h.counts[i], want[i])
+		}
 	}
 }
 

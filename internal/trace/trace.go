@@ -12,6 +12,7 @@ import (
 
 	"omega/internal/memsys"
 	"omega/internal/obs"
+	"omega/internal/stats"
 )
 
 // Event is one recorded access.
@@ -35,16 +36,23 @@ type Event struct {
 // Collector accumulates events in memory (bounded) and aggregates
 // per-(kind, level) statistics unboundedly. It is an obs.AccessSink:
 // attach it with Machine.AttachSink to receive the per-access firehose.
-// Aggregation delegates to obs.AccessAgg's dense (Kind, Level) enum
-// arrays, so recording an access allocates nothing once the event buffer
-// is full.
+// Aggregates live in dense (Kind, Level) enum arrays plus a per-kind
+// latency histogram, so recording an access allocates nothing once the
+// event buffer is full and each kind's histogram exists.
 type Collector struct {
 	// MaxEvents bounds the retained raw events (0 = keep none, aggregate
 	// only).
 	MaxEvents int
 
 	events []Event
-	agg    obs.AccessAgg
+	cells  [memsys.NumKinds][memsys.NumLevels]cell
+	hist   [memsys.NumKinds]*stats.Histogram
+}
+
+// cell is one (kind, level) aggregate: accesses served and their summed
+// completion latency in cycles.
+type cell struct {
+	count, latency uint64
 }
 
 // NewCollector builds a collector retaining up to maxEvents raw events.
@@ -72,11 +80,16 @@ func (c *Collector) Record(now memsys.Cycles, a memsys.Access, r memsys.Result) 
 			Blocking: r.Blocking, Offloaded: r.Offloaded,
 		})
 	}
-	c.agg.Observe(a, r)
+	v := &c.cells[a.Kind][r.Level]
+	v.count++
+	v.latency += uint64(r.Latency)
+	h := c.hist[a.Kind]
+	if h == nil {
+		h = stats.NewHistogram(1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024)
+		c.hist[a.Kind] = h
+	}
+	h.Observe(uint64(r.Latency))
 }
-
-// Events returns the retained raw events.
-func (c *Collector) Events() []Event { return c.events }
 
 // Row is one aggregate line of the summary.
 type Row struct {
@@ -91,15 +104,15 @@ func (c *Collector) Summary() []Row {
 	var rows []Row
 	for kind := memsys.Kind(0); kind < memsys.NumKinds; kind++ {
 		for level := memsys.Level(0); level < memsys.NumLevels; level++ {
-			v := c.agg.Cell(kind, level)
-			if v.Count == 0 {
+			v := c.cells[kind][level]
+			if v.count == 0 {
 				continue
 			}
 			rows = append(rows, Row{
 				Kind:       kind,
 				Level:      level.String(),
-				Count:      v.Count,
-				AvgLatency: v.AvgLatency(),
+				Count:      v.count,
+				AvgLatency: float64(v.latency) / float64(v.count),
 			})
 		}
 	}
@@ -118,7 +131,11 @@ func (c *Collector) Summary() []Row {
 // LatencyQuantile returns the q-quantile latency estimate for one access
 // kind (0 when the kind was never observed).
 func (c *Collector) LatencyQuantile(kind memsys.Kind, q float64) uint64 {
-	return c.agg.Quantile(kind, q)
+	h := c.hist[kind]
+	if h == nil {
+		return 0
+	}
+	return h.Quantile(q)
 }
 
 // WriteSummary renders the aggregate table.

@@ -19,8 +19,8 @@ func TestCollectorAggregates(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		c.Record(memsys.Cycles(i), a, r)
 	}
-	if len(c.Events()) != 2 {
-		t.Fatalf("retained %d events, cap 2", len(c.Events()))
+	if len(c.events) != 2 {
+		t.Fatalf("retained %d events, cap 2", len(c.events))
 	}
 	rows := c.Summary()
 	if len(rows) != 1 || rows[0].Count != 5 || rows[0].AvgLatency != 100 {
@@ -31,6 +31,36 @@ func TestCollectorAggregates(t *testing.T) {
 	}
 	if c.LatencyQuantile(memsys.KindEdgeList, 0.5) != 0 {
 		t.Fatal("unseen kind should report 0")
+	}
+}
+
+// TestCollectorCells checks the per-(kind, level) cells and the per-kind
+// latency histograms across two kinds and levels.
+func TestCollectorCells(t *testing.T) {
+	c := NewCollector(0)
+	a := memsys.Access{Kind: memsys.KindVtxProp}
+	c.Record(0, a, memsys.Result{Latency: 3, Level: memsys.LevelL1})
+	c.Record(0, a, memsys.Result{Latency: 5, Level: memsys.LevelL1})
+	c.Record(0, memsys.Access{Kind: memsys.KindEdgeList}, memsys.Result{Latency: 100, Level: memsys.LevelL2Plus})
+	if v := c.cells[memsys.KindVtxProp][memsys.LevelL1]; v.count != 2 || v.latency != 8 {
+		t.Fatalf("cell = %+v, want count 2 latency 8", v)
+	}
+	rows := c.Summary()
+	if len(rows) != 2 || rows[0].Kind != memsys.KindVtxProp || rows[0].AvgLatency != 4 {
+		t.Fatalf("summary %+v, want vtxProp/L1 first with avg 4", rows)
+	}
+	if q := c.LatencyQuantile(memsys.KindEdgeList, 0.5); q < 100 {
+		t.Fatalf("p50 = %d, want >= 100", q)
+	}
+	if q := c.LatencyQuantile(memsys.KindNGraphData, 0.5); q != 0 {
+		t.Fatalf("unobserved kind quantile = %d, want 0", q)
+	}
+	// vtxProp latencies 3 and 5 land in the <=4 and <=8 buckets.
+	if p50, p100 := c.LatencyQuantile(memsys.KindVtxProp, 0.5), c.LatencyQuantile(memsys.KindVtxProp, 1); p50 != 4 || p100 != 8 {
+		t.Fatalf("vtxProp p50/p100 = %d/%d, want 4/8", p50, p100)
+	}
+	if len(c.events) != 0 {
+		t.Fatalf("MaxEvents 0 retained %d events", len(c.events))
 	}
 }
 
@@ -81,8 +111,8 @@ func TestTracedSimulation(t *testing.T) {
 	if !foundPISC {
 		t.Fatal("no PISC-served accesses in the trace")
 	}
-	if len(col.Events()) != 1000 {
-		t.Fatalf("event cap not honored: %d", len(col.Events()))
+	if len(col.events) != 1000 {
+		t.Fatalf("event cap not honored: %d", len(col.events))
 	}
 }
 

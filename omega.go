@@ -77,8 +77,7 @@ type (
 	// the simulator. Attach one with Machine.AttachSink (or set
 	// ExperimentOptions.Metrics for harness runs) to stream per-iteration
 	// telemetry; see internal/obs for the registry model and the optional
-	// per-access / per-span extension interfaces. Prefer this over
-	// post-hoc poking at Machine.LevelProfile maps: sinks see every
+	// per-access / per-span extension interfaces. Sinks see every
 	// iteration, carry stable component × name × level addresses, and
 	// cost nothing when detached.
 	Sink = obs.Sink
