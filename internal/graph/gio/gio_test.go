@@ -205,3 +205,16 @@ func TestLoadBinaryRejectsTruncated(t *testing.T) {
 		}
 	}
 }
+
+func TestLoadBinaryRejectsUnsortedNeighbors(t *testing.T) {
+	g := graph.FromEdges(3, false, []graph.Edge{{Src: 0, Dst: 1}, {Src: 0, Dst: 2}}, "swapped")
+	g.OutEdges[0], g.OutEdges[1] = g.OutEdges[1], g.OutEdges[0]
+	var buf bytes.Buffer
+	if err := StoreBinary(&buf, g); err != nil {
+		t.Fatalf("store: %v", err)
+	}
+	_, err := LoadBinary(&buf)
+	if err == nil || !strings.Contains(err.Error(), "vertex 0 are not sorted") {
+		t.Fatalf("want an unsorted-list error naming vertex 0, got %v", err)
+	}
+}

@@ -82,7 +82,7 @@ func (g *Graph) OutWeights(v VertexID) []int32 {
 	return g.Weights[g.OutOffsets[v]:g.OutOffsets[v+1]]
 }
 
-// InWeights returns the weights parallel to InNeighbors(v), or nil for an
+// InWeightsOf returns the weights parallel to InNeighbors(v), or nil for an
 // unweighted graph.
 func (g *Graph) InWeightsOf(v VertexID) []int32 {
 	if g.InWeights == nil {
@@ -95,8 +95,9 @@ func (g *Graph) InWeightsOf(v VertexID) []int32 {
 func (g *Graph) Weighted() bool { return g.Weights != nil }
 
 // Validate checks structural invariants: monotone offsets, in/out edge
-// count agreement, neighbor IDs in range, and (for undirected graphs)
-// symmetry of the adjacency structure. It is used by tests and loaders.
+// count agreement, neighbor IDs in range, sorted neighbor lists, and (for
+// undirected graphs) symmetry of the adjacency structure. It is used by
+// tests and loaders.
 func (g *Graph) Validate() error {
 	n := g.NumVertices()
 	if len(g.InOffsets) != len(g.OutOffsets) {
@@ -158,6 +159,16 @@ func (g *Graph) Validate() error {
 				v, got, inDeg[v])
 		}
 	}
+	// TC's merge intersection and checkSymmetric's binary search rely on
+	// sorted neighbor lists.
+	for v := 0; v < n; v++ {
+		if !slices.IsSorted(g.OutNeighbors(VertexID(v))) {
+			return fmt.Errorf("graph: out-neighbors of vertex %d are not sorted", v)
+		}
+		if !slices.IsSorted(g.InNeighbors(VertexID(v))) {
+			return fmt.Errorf("graph: in-neighbors of vertex %d are not sorted", v)
+		}
+	}
 	if g.Undirected {
 		if err := g.checkSymmetric(); err != nil {
 			return err
@@ -197,11 +208,9 @@ type Builder struct {
 	undirected bool
 	weighted   bool
 	// deduped records that edges are (src,dst)-sorted with unique keys
-	// (established by Dedup, broken by AddEdge), letting Build skip both
-	// of its sorts: the out fill consumes the existing order directly,
-	// and scattering that same order into the in buckets yields each
-	// in-list ascending by source — exactly the (dst,src) sort's result,
-	// since unique keys admit only one sorted permutation.
+	// (established by Dedup, broken by AddEdge), so Build skips its sort:
+	// unique keys admit only one sorted permutation, which is the order
+	// Build's own sort would produce.
 	deduped bool
 }
 
@@ -227,24 +236,20 @@ func (b *Builder) AddEdge(src, dst VertexID, weight int32) {
 	b.deduped = false
 }
 
-// Dedup removes duplicate (src,dst) pairs, keeping the first weight, and
-// removes self-loops. Useful for synthetic generators.
+// Dedup sorts the edges by (src,dst), removes duplicate (src,dst) pairs,
+// keeping the first weight in that order, and removes self-loops. Build
+// then reuses the sorted order without sorting again. Useful for
+// synthetic generators.
 func (b *Builder) Dedup() {
 	if b.weighted {
 		// Weighted: "the first weight" after sorting depends on the
 		// comparator sort's (unstable) ordering of equal (src,dst) keys,
 		// so the sort algorithm is part of the observable behaviour.
-		slices.SortFunc(b.edges, func(x, y Edge) int {
-			if x.Src != y.Src {
-				return cmp.Compare(x.Src, y.Src)
-			}
-			return cmp.Compare(x.Dst, y.Dst)
-		})
+		slices.SortFunc(b.edges, bySrcDst)
 	} else {
 		// Unweighted: weights are never materialized by Build, so edges
 		// with equal (src,dst) are observably identical and any sorted
-		// permutation dedups to the same result — a radix sort is free to
-		// replace the comparator sort.
+		// permutation dedups to the same result.
 		radixSortEdges(b.edges)
 	}
 	out := b.edges[:0]
@@ -265,18 +270,31 @@ func (b *Builder) Dedup() {
 	b.deduped = true
 }
 
+// bySrcDst orders edges by (Src, Dst).
+func bySrcDst(x, y Edge) int {
+	if x.Src != y.Src {
+		return cmp.Compare(x.Src, y.Src)
+	}
+	return cmp.Compare(x.Dst, y.Dst)
+}
+
+// byDstSrc orders edges by (Dst, Src).
+func byDstSrc(x, y Edge) int {
+	if x.Dst != y.Dst {
+		return cmp.Compare(x.Dst, y.Dst)
+	}
+	return cmp.Compare(x.Src, y.Src)
+}
+
 // radixSortEdges sorts edges by (Src, Dst) with an LSD counting sort over
 // the packed 64-bit key — four 16-bit digit passes, each stable, so the
-// result is fully sorted. Used on the unweighted Dedup path, where equal
-// keys carry no observable payload and tie order cannot matter.
+// result is fully sorted. Short lists take a comparator sort instead. The
+// order of equal keys is unspecified: callers use it only where equal
+// keys cannot be told apart (unweighted edges, or weighted edges whose
+// keys do not repeat).
 func radixSortEdges(edges []Edge) {
 	if len(edges) < 64 {
-		slices.SortFunc(edges, func(x, y Edge) int {
-			if x.Src != y.Src {
-				return cmp.Compare(x.Src, y.Src)
-			}
-			return cmp.Compare(x.Dst, y.Dst)
-		})
+		slices.SortFunc(edges, bySrcDst)
 		return
 	}
 	key := func(e Edge) uint64 { return uint64(e.Src)<<32 | uint64(e.Dst) }
@@ -319,7 +337,19 @@ func radixSortEdges(edges []Edge) {
 	}
 }
 
-// Build produces the CSR graph. Neighbor lists are sorted by target ID.
+// Build produces the CSR graph. Out-lists are sorted by target ID and
+// in-lists by source ID.
+//
+// Build sorts the edges once, by (src, dst), with radixSortEdges (a
+// deduped builder is already in that order). The out fill consumes that
+// order, and scattering the same order into the in buckets leaves each
+// in-list ascending by source: the (dst, src) sort's result whenever edges
+// with equal keys cannot be told apart. That holds for every unweighted
+// list and for every weighted list whose keys do not repeat. A weighted
+// list with a repeated (src, dst) key is the exception: there the
+// comparator sorts' unstable tie order decides which weight lands where,
+// so Build keeps a copy of the original order and, on finding a repeat,
+// runs both comparator sorts on it instead.
 func (b *Builder) Build(name string) *Graph {
 	g := &Graph{
 		Name:       name,
@@ -342,15 +372,9 @@ func (b *Builder) Build(name string) *Graph {
 		g.OutOffsets[v+1] += g.OutOffsets[v]
 		g.InOffsets[v+1] += g.InOffsets[v]
 	}
-	// Fill, sorted by (src, dst) for out and (dst, src) for in. A deduped
-	// builder skips both sorts (see the deduped field).
+	resort := false
 	if !b.deduped {
-		slices.SortFunc(b.edges, func(x, y Edge) int {
-			if x.Src != y.Src {
-				return cmp.Compare(x.Src, y.Src)
-			}
-			return cmp.Compare(x.Dst, y.Dst)
-		})
+		resort = b.sortEdges()
 	}
 	outPos := make([]uint64, b.n)
 	for _, e := range b.edges {
@@ -361,13 +385,8 @@ func (b *Builder) Build(name string) *Graph {
 		}
 		outPos[e.Src]++
 	}
-	if !b.deduped {
-		slices.SortFunc(b.edges, func(x, y Edge) int {
-			if x.Dst != y.Dst {
-				return cmp.Compare(x.Dst, y.Dst)
-			}
-			return cmp.Compare(x.Src, y.Src)
-		})
+	if resort {
+		slices.SortFunc(b.edges, byDstSrc)
 	}
 	inPos := make([]uint64, b.n)
 	for _, e := range b.edges {
@@ -379,6 +398,27 @@ func (b *Builder) Build(name string) *Graph {
 		inPos[e.Dst]++
 	}
 	return g
+}
+
+// sortEdges puts the edges in (src, dst) order and reports whether the in
+// fill must sort them again by (dst, src): true only for a weighted list
+// with a repeated key, which is comparator-sorted from its original order
+// (see Build).
+func (b *Builder) sortEdges() (resort bool) {
+	if !b.weighted {
+		radixSortEdges(b.edges)
+		return false
+	}
+	orig := slices.Clone(b.edges)
+	radixSortEdges(b.edges)
+	for i := 1; i < len(b.edges); i++ {
+		if b.edges[i].Src == b.edges[i-1].Src && b.edges[i].Dst == b.edges[i-1].Dst {
+			b.edges = orig
+			slices.SortFunc(b.edges, bySrcDst)
+			return true
+		}
+	}
+	return false
 }
 
 // FromEdges is a convenience wrapper: build a graph from an edge list.

@@ -241,3 +241,26 @@ func TestMethodStrings(t *testing.T) {
 		t.Fatal("unknown method should say so")
 	}
 }
+
+var benchGraph *graph.Graph
+
+// BenchmarkApply times the in-degree relabeling of an R-MAT scale-14
+// graph, the step every reordered dataset build ends with.
+func BenchmarkApply(b *testing.B) {
+	for _, weighted := range []bool{false, true} {
+		name := "unweighted"
+		if weighted {
+			name = "weighted"
+		}
+		b.Run(name, func(b *testing.B) {
+			cfg := gen.DefaultRMAT(14, 42)
+			cfg.Weighted = weighted
+			g := gen.RMAT(cfg)
+			p := Compute(g, InDegree)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				benchGraph = Apply(g, p)
+			}
+		})
+	}
+}
