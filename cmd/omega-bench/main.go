@@ -51,6 +51,7 @@ import (
 	"strings"
 	"time"
 
+	"omega/internal/core"
 	"omega/internal/experiments"
 	"omega/internal/obs"
 )
@@ -82,6 +83,9 @@ func run() error {
 		traceOut = flag.String("trace", "", "write a runtime execution trace of the suite to this file (go tool trace)")
 	)
 	flag.Parse()
+	if err := core.CheckCoverage(*coverage); err != nil {
+		return fmt.Errorf("-coverage: %w", err)
+	}
 
 	if *traceOut != "" {
 		f, err := os.Create(*traceOut)

@@ -56,6 +56,9 @@ func run() error {
 		timeline  = flag.String("timeline", "", "write a chrome://tracing span timeline of per-core activity to this file")
 	)
 	flag.Parse()
+	if err := core.CheckCoverage(*coverage); err != nil {
+		return fmt.Errorf("-coverage: %w", err)
+	}
 
 	spec, ok := algorithms.ByName(*algoName)
 	if !ok {

@@ -49,9 +49,9 @@ type Config struct {
 	// 0 disables the buffer.
 	SrcBufEntries int
 	// SPResidentCap bounds how many vertices are scratchpad-resident
-	// regardless of capacity; 0 means capacity-bound. The paper's static
-	// partitioning maps the top 20% of vertices (the §VI n-th-element
-	// cutoff), so ScaledPair sets this to 20% of the vertex count.
+	// regardless of capacity; 0 means capacity-bound. ScaledPair leaves it
+	// 0; Figure 19 sets it to emulate scratchpads smaller than 20% of
+	// vtxProp while the arrays stay 20%-sized.
 	SPResidentCap int
 
 	// AtomicOpCycles is the core-side cost of executing an atomic
@@ -207,6 +207,17 @@ func OMEGA() Config {
 	c.PISC = true
 	c.SrcBufEntries = 64
 	return c
+}
+
+// CheckCoverage rejects a scratchpad coverage that is not a finite
+// fraction in (0, 1]. ScaledPair does not check: below one L2 bank set per
+// core it floors the scratchpads, so a zero or negative coverage would
+// silently size them like a small positive one.
+func CheckCoverage(coverage float64) error {
+	if !(coverage > 0 && coverage <= 1) {
+		return fmt.Errorf("%g is not in (0, 1]", coverage)
+	}
+	return nil
 }
 
 // ScaledPair returns a (baseline, omega) pair whose on-chip storage is

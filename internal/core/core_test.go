@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -67,6 +68,19 @@ func TestScaledPairCoversTwentyPercent(t *testing.T) {
 	frac := float64(resident) / float64(n)
 	if frac < 0.15 || frac > 0.30 {
 		t.Fatalf("resident fraction %.2f outside the paper's ~20%% regime", frac)
+	}
+}
+
+func TestCheckCoverage(t *testing.T) {
+	for _, c := range []float64{0.20, 0.05, 1} {
+		if err := CheckCoverage(c); err != nil {
+			t.Errorf("CheckCoverage(%g) = %v, want nil", c, err)
+		}
+	}
+	for _, c := range []float64{-1, 0, 1.5, math.NaN(), math.Inf(1)} {
+		if err := CheckCoverage(c); err == nil {
+			t.Errorf("CheckCoverage(%g) = nil, want an error", c)
+		}
 	}
 }
 

@@ -1,8 +1,7 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (see DESIGN.md §4 for the experiment index). Each runner
 // returns a structured Table whose rows mirror what the paper reports;
-// cmd/omega-bench prints them all and bench_test.go wraps each in a
-// testing.B benchmark.
+// cmd/omega-bench prints them all.
 package experiments
 
 import (

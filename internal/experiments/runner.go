@@ -19,7 +19,7 @@ type Spec struct {
 }
 
 // Registry returns every registered experiment in suite order — the
-// single source cmd/omega-bench and the benchmarks iterate.
+// single source cmd/omega-bench, perfbench and the facade iterate.
 func Registry() []Spec {
 	return []Spec{
 		{"Table I", Table1},

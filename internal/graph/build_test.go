@@ -1,14 +1,23 @@
 package graph
 
 import (
+	"cmp"
 	"slices"
 	"strings"
 	"testing"
 )
 
-// referenceBuild is Build as a pair of comparator sorts: (src,dst) for the
-// out fill, then (dst,src) for the in fill, both skipped for a deduped
-// builder. It leaves b untouched. FuzzBuild holds Build's one-sort
+// byDstSrc orders edges by (Dst, Src).
+func byDstSrc(x, y Edge) int {
+	if x.Dst != y.Dst {
+		return cmp.Compare(x.Dst, y.Dst)
+	}
+	return cmp.Compare(x.Src, y.Src)
+}
+
+// referenceBuild is Build as a pair of stable comparator sorts: (src,dst)
+// for the out fill, then (dst,src) for the in fill, both skipped for a
+// deduped builder. It leaves b untouched. FuzzBuild holds Build's one-sort
 // construction to it.
 func referenceBuild(b *Builder, name string) *Graph {
 	edges := slices.Clone(b.edges)
@@ -33,7 +42,7 @@ func referenceBuild(b *Builder, name string) *Graph {
 		g.InOffsets[v+1] += g.InOffsets[v]
 	}
 	if !b.deduped {
-		slices.SortFunc(edges, bySrcDst)
+		slices.SortStableFunc(edges, bySrcDst)
 	}
 	outPos := make([]uint64, b.n)
 	for _, e := range edges {
@@ -45,7 +54,7 @@ func referenceBuild(b *Builder, name string) *Graph {
 		outPos[e.Src]++
 	}
 	if !b.deduped {
-		slices.SortFunc(edges, byDstSrc)
+		slices.SortStableFunc(edges, byDstSrc)
 	}
 	inPos := make([]uint64, b.n)
 	for _, e := range edges {
@@ -95,8 +104,8 @@ func fuzzEdges(edges ...Edge) []byte {
 // Build must produce the reference's six CSR arrays, with and without
 // Dedup, and the result must validate.
 func FuzzBuild(f *testing.F) {
-	// Weighted repeated keys: Build's comparator-sort fallback, both
-	// below and above radixSortEdges' short-list cutoff.
+	// Weighted repeated keys, whose weights must keep insertion order,
+	// both below and above radixSortEdges' short-list cutoff.
 	repeated := fuzzEdges(Edge{0, 1, 5}, Edge{0, 1, 9}, Edge{2, 1, 3}, Edge{0, 1, 7})
 	f.Add(uint8(3), true, false, repeated)
 	var long []byte
@@ -134,6 +143,28 @@ func FuzzBuild(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestBuildKeepsInsertionOrderOfRepeatedKeys: 13 out-arcs of vertex 0 in
+// descending target order, then a second 0->1 arc. slices.SortFunc
+// insertion-sorts 12 or fewer elements, which is stable, so only a longer
+// list tells it from a stable sort; below radixSortEdges' 64-edge cutoff
+// the list takes the comparator path.
+func TestBuildKeepsInsertionOrderOfRepeatedKeys(t *testing.T) {
+	b := NewBuilder(14, false)
+	b.SetWeighted()
+	for dst := 13; dst >= 1; dst-- {
+		b.AddEdge(0, VertexID(dst), int32(14-dst))
+	}
+	b.AddEdge(0, 1, 99)
+	g := b.Build("ties")
+	wantOut := []int32{13, 99, 12, 11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1}
+	if got := g.OutWeights(0); !slices.Equal(got, wantOut) {
+		t.Errorf("out-weights of vertex 0 = %v, want %v", got, wantOut)
+	}
+	if got, want := g.InWeightsOf(1), []int32{13, 99}; !slices.Equal(got, want) {
+		t.Errorf("in-weights of vertex 1 = %v, want %v", got, want)
+	}
 }
 
 func TestValidateRejectsUnsortedOutList(t *testing.T) {

@@ -278,23 +278,13 @@ func bySrcDst(x, y Edge) int {
 	return cmp.Compare(x.Dst, y.Dst)
 }
 
-// byDstSrc orders edges by (Dst, Src).
-func byDstSrc(x, y Edge) int {
-	if x.Dst != y.Dst {
-		return cmp.Compare(x.Dst, y.Dst)
-	}
-	return cmp.Compare(x.Src, y.Src)
-}
-
-// radixSortEdges sorts edges by (Src, Dst) with an LSD counting sort over
-// the packed 64-bit key — four 16-bit digit passes, each stable, so the
-// result is fully sorted. Short lists take a comparator sort instead. The
-// order of equal keys is unspecified: callers use it only where equal
-// keys cannot be told apart (unweighted edges, or weighted edges whose
-// keys do not repeat).
+// radixSortEdges stably sorts edges by (Src, Dst), with an LSD counting
+// sort over the packed 64-bit key (four 16-bit digit passes) or, for
+// short lists, a stable comparator sort: edges with equal keys keep their
+// order.
 func radixSortEdges(edges []Edge) {
 	if len(edges) < 64 {
-		slices.SortFunc(edges, bySrcDst)
+		slices.SortStableFunc(edges, bySrcDst)
 		return
 	}
 	key := func(e Edge) uint64 { return uint64(e.Src)<<32 | uint64(e.Dst) }
@@ -338,18 +328,13 @@ func radixSortEdges(edges []Edge) {
 }
 
 // Build produces the CSR graph. Out-lists are sorted by target ID and
-// in-lists by source ID.
+// in-lists by source ID; edges with equal (src, dst) keep their insertion
+// order in both.
 //
-// Build sorts the edges once, by (src, dst), with radixSortEdges (a
-// deduped builder is already in that order). The out fill consumes that
-// order, and scattering the same order into the in buckets leaves each
-// in-list ascending by source: the (dst, src) sort's result whenever edges
-// with equal keys cannot be told apart. That holds for every unweighted
-// list and for every weighted list whose keys do not repeat. A weighted
-// list with a repeated (src, dst) key is the exception: there the
-// comparator sorts' unstable tie order decides which weight lands where,
-// so Build keeps a copy of the original order and, on finding a repeat,
-// runs both comparator sorts on it instead.
+// Build stably sorts the edges once, by (src, dst), with radixSortEdges
+// (a deduped builder is already in that order). The out fill consumes
+// that order, and scattering the same order into the in buckets leaves
+// each in-list ascending by source.
 func (b *Builder) Build(name string) *Graph {
 	g := &Graph{
 		Name:       name,
@@ -372,9 +357,8 @@ func (b *Builder) Build(name string) *Graph {
 		g.OutOffsets[v+1] += g.OutOffsets[v]
 		g.InOffsets[v+1] += g.InOffsets[v]
 	}
-	resort := false
 	if !b.deduped {
-		resort = b.sortEdges()
+		radixSortEdges(b.edges)
 	}
 	outPos := make([]uint64, b.n)
 	for _, e := range b.edges {
@@ -384,9 +368,6 @@ func (b *Builder) Build(name string) *Graph {
 			g.Weights[p] = e.Weight
 		}
 		outPos[e.Src]++
-	}
-	if resort {
-		slices.SortFunc(b.edges, byDstSrc)
 	}
 	inPos := make([]uint64, b.n)
 	for _, e := range b.edges {
@@ -398,27 +379,6 @@ func (b *Builder) Build(name string) *Graph {
 		inPos[e.Dst]++
 	}
 	return g
-}
-
-// sortEdges puts the edges in (src, dst) order and reports whether the in
-// fill must sort them again by (dst, src): true only for a weighted list
-// with a repeated key, which is comparator-sorted from its original order
-// (see Build).
-func (b *Builder) sortEdges() (resort bool) {
-	if !b.weighted {
-		radixSortEdges(b.edges)
-		return false
-	}
-	orig := slices.Clone(b.edges)
-	radixSortEdges(b.edges)
-	for i := 1; i < len(b.edges); i++ {
-		if b.edges[i].Src == b.edges[i-1].Src && b.edges[i].Dst == b.edges[i-1].Dst {
-			b.edges = orig
-			slices.SortFunc(b.edges, bySrcDst)
-			return true
-		}
-	}
-	return false
 }
 
 // FromEdges is a convenience wrapper: build a graph from an edge list.

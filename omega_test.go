@@ -81,7 +81,8 @@ func TestAlgorithmRegistry(t *testing.T) {
 
 func TestRunExperimentResolvesAllIDs(t *testing.T) {
 	// Light smoke: run the cheapest experiments through the facade; check
-	// the rest resolve (their heavy runs are covered by bench_test.go).
+	// the rest resolve (their heavy runs are covered by the scale-9 goldens
+	// and perfbench's suite-s12 workload).
 	for _, id := range []string{"Table III", "Table IV"} {
 		tbl, err := RunExperiment(id, ExperimentOptions{Scale: 10})
 		if err != nil {
