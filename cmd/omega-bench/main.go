@@ -86,6 +86,17 @@ func run() error {
 	if err := core.CheckCoverage(*coverage); err != nil {
 		return fmt.Errorf("-coverage: %w", err)
 	}
+	// Options.Defaults reads a zero scale or seed as "use the default",
+	// so reject them here rather than run a suite the flags did not ask for.
+	if err := experiments.CheckScale(*scale); err != nil {
+		return fmt.Errorf("-scale: %w", err)
+	}
+	if *seed == 0 {
+		return fmt.Errorf("-seed: 0 is not a valid seed")
+	}
+	if *faultSd == 0 {
+		return fmt.Errorf("-fault-seed: 0 is not a valid seed")
+	}
 
 	if *traceOut != "" {
 		f, err := os.Create(*traceOut)

@@ -34,24 +34,9 @@ type Spec struct {
 	NeedsUndirected bool
 	// NeedsWeights restricts the algorithm to weighted graphs.
 	NeedsWeights bool
-	// Schedule names the iteration schedule Run bakes in (iteration
-	// bounds, roots, sampling parameters) so two workloads that share a
-	// Name but run different schedules stay distinguishable — the cell
-	// cache keys on WorkloadID. Empty means the algorithm has no
-	// tunables beyond the graph.
-	Schedule string
 	// Run executes the algorithm with default parameters on fw and
 	// returns the machine statistics of the run.
 	Run func(fw *ligra.Framework) core.MachineStats
-}
-
-// WorkloadID is the workload identity used in cache keys: the algorithm
-// name qualified by its baked-in iteration schedule.
-func (s Spec) WorkloadID() string {
-	if s.Schedule == "" {
-		return s.Name
-	}
-	return s.Name + "[" + s.Schedule + "]"
 }
 
 // All returns the specs in the paper's Table II order.
@@ -61,7 +46,6 @@ func All() []Spec {
 			Name: "PageRank", AtomicOp: "fp add",
 			AtomicIntensity: "high", RandomIntensity: "high",
 			VtxPropBytes: 8, NumProps: 1, ActiveList: false, ReadsSrc: false,
-			Schedule: "iters=1,damping=0.85",
 			Run: func(fw *ligra.Framework) core.MachineStats {
 				PageRank(fw, Params{Iterations: 1})
 				return fw.Machine().Stats()
@@ -71,7 +55,6 @@ func All() []Spec {
 			Name: "BFS", AtomicOp: "unsigned comp.",
 			AtomicIntensity: "low", RandomIntensity: "high",
 			VtxPropBytes: 4, NumProps: 1, ActiveList: true, ReadsSrc: false,
-			Schedule: "root=default",
 			Run: func(fw *ligra.Framework) core.MachineStats {
 				BFS(fw, DefaultRoot(fw.Graph()))
 				return fw.Machine().Stats()
@@ -81,7 +64,6 @@ func All() []Spec {
 			Name: "SSSP", AtomicOp: "signed min & bool comp.",
 			AtomicIntensity: "high", RandomIntensity: "high",
 			VtxPropBytes: 8, NumProps: 2, ActiveList: true, ReadsSrc: true,
-			Schedule: "root=default",
 			Run: func(fw *ligra.Framework) core.MachineStats {
 				SSSP(fw, DefaultRoot(fw.Graph()))
 				return fw.Machine().Stats()
@@ -91,7 +73,6 @@ func All() []Spec {
 			Name: "BC", AtomicOp: "fp add",
 			AtomicIntensity: "medium", RandomIntensity: "high",
 			VtxPropBytes: 8, NumProps: 1, ActiveList: true, ReadsSrc: true,
-			Schedule: "root=default",
 			Run: func(fw *ligra.Framework) core.MachineStats {
 				BC(fw, DefaultRoot(fw.Graph()))
 				return fw.Machine().Stats()
@@ -101,7 +82,6 @@ func All() []Spec {
 			Name: "Radii", AtomicOp: "or & signed min",
 			AtomicIntensity: "high", RandomIntensity: "high",
 			VtxPropBytes: 12, NumProps: 3, ActiveList: true, ReadsSrc: true,
-			Schedule: "k=16,seed=12345",
 			Run: func(fw *ligra.Framework) core.MachineStats {
 				Radii(fw, 16, 12345)
 				return fw.Machine().Stats()
@@ -112,7 +92,6 @@ func All() []Spec {
 			AtomicIntensity: "high", RandomIntensity: "high",
 			VtxPropBytes: 8, NumProps: 2, ActiveList: true, ReadsSrc: true,
 			NeedsUndirected: true,
-			Schedule:        "converge",
 			Run: func(fw *ligra.Framework) core.MachineStats {
 				CC(fw)
 				return fw.Machine().Stats()
@@ -133,7 +112,6 @@ func All() []Spec {
 			AtomicIntensity: "low", RandomIntensity: "low",
 			VtxPropBytes: 4, NumProps: 1, ActiveList: false, ReadsSrc: false,
 			NeedsUndirected: true,
-			Schedule:        "k=0",
 			Run: func(fw *ligra.Framework) core.MachineStats {
 				KC(fw, 0)
 				return fw.Machine().Stats()

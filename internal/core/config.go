@@ -92,10 +92,12 @@ type Config struct {
 	NoCBusBytes    int
 
 	// Faults configures the seed-driven fault injector for the resilience
-	// experiments: DRAM read bit-flips behind SECDED ECC, NoC message
-	// drops with bounded retransmission, and scratchpad parity errors
-	// that degrade vertex lines to the cache hierarchy. The zero value
-	// (all rates 0) disables injection entirely and is the default.
+	// experiments at its six sites: DRAM read bit-flips behind SECDED
+	// ECC, NoC message drops with bounded retransmission, scratchpad
+	// parity errors that degrade vertex lines to the cache hierarchy,
+	// coherence-directory tag flips, same-line memo corruption, and PISC
+	// ALU transients. The zero value (all rates 0) disables injection
+	// entirely and is the default.
 	Faults faults.Config
 
 	// DisableLineBuffer turns off the same-line read fast path (each
@@ -105,7 +107,7 @@ type Config struct {
 	// probe draws a directory flip per access that a memo hit skips, and
 	// memo corruptions are drawn only on the fast path's full probes, so
 	// those injector streams differ. The knob exists so equivalence tests
-	// and benchmarks can compare the memoized path against the full probe.
+	// can compare the memoized path against the full probe.
 	DisableLineBuffer bool
 
 	// OpenMPChunk is the scheduling chunk size of the framework's
@@ -151,8 +153,8 @@ func (c Config) Validate() error {
 	if c.NoCBusBytes <= 0 {
 		return fmt.Errorf("core: NoCBusBytes must be positive")
 	}
-	if c.LLCPollution < 0 {
-		return fmt.Errorf("core: negative LLCPollution")
+	if !(c.LLCPollution >= 0) {
+		return fmt.Errorf("core: LLCPollution %g is not a non-negative rate", c.LLCPollution)
 	}
 	if err := c.Faults.Validate(); err != nil {
 		return fmt.Errorf("core: %v", err)

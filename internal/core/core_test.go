@@ -43,6 +43,11 @@ func TestConfigValidate(t *testing.T) {
 	if bad.Validate() == nil {
 		t.Fatal("zero chunk should fail")
 	}
+	bad = Baseline()
+	bad.LLCPollution = math.NaN()
+	if bad.Validate() == nil {
+		t.Fatal("NaN LLCPollution should fail")
+	}
 }
 
 func TestSameTotalStorage(t *testing.T) {

@@ -26,7 +26,7 @@ func AblationScratchpadOnly(o Options) *Table {
 		noPisc := omCfg
 		noPisc.PISC = false
 		noPisc.Name = "omega-nopisc"
-		res := runMachines(o, spec, pr, baseCfg, noPisc, omCfg)
+		res := runMachines(o, spec.Name, pr, baseCfg, noPisc, omCfg)
 		base, sp, full := res[0], res[1], res[2]
 		t.AddRow(name, sp.Speedup(base), full.Speedup(base))
 	}
@@ -51,7 +51,7 @@ func AblationAtomicOverhead(o Options) *Table {
 		plainCfg := baseCfg
 		plainCfg.AtomicsAsPlain = true
 		plainCfg.Name = "baseline-plain"
-		res := runMachines(o, spec, pr, baseCfg, plainCfg)
+		res := runMachines(o, spec.Name, pr, baseCfg, plainCfg)
 		atomic, plain := res[0], res[1]
 		ovh := 100 * (float64(atomic.Cycles)/float64(plain.Cycles) - 1)
 		t.AddRow(name, uint64(atomic.Cycles), uint64(plain.Cycles), ovh)
@@ -120,7 +120,7 @@ func AblationChunkMapping(o Options) *Table {
 		cfgs[i] = omCfg
 		cfgs[i].SPChunkSize = spChunk
 	}
-	for i, st := range runMachines(o, spec, pr, cfgs...) {
+	for i, st := range runMachines(o, spec.Name, pr, cfgs...) {
 		t.AddRow(chunks[i], omCfg.OpenMPChunk, 100*st.SPLocalFraction, uint64(st.Cycles))
 	}
 	t.Notes = append(t.Notes,
@@ -146,7 +146,7 @@ func AblationLockedCache(o Options) *Table {
 		lockedCfg := baseCfg
 		lockedCfg.LockedLines = true
 		lockedCfg.Name = "locked-cache"
-		res := runMachines(o, spec, pr, baseCfg, lockedCfg, omCfg)
+		res := runMachines(o, spec.Name, pr, baseCfg, lockedCfg, omCfg)
 		base, locked, om := res[0], res[1], res[2]
 		t.AddRow(name,
 			locked.Speedup(base), om.Speedup(base),
@@ -178,7 +178,7 @@ func AblationPrefetcher(o Options) *Table {
 		pfCfg := baseCfg
 		pfCfg.L1Prefetch = true
 		pfCfg.Name = "baseline+prefetch"
-		res := runMachines(o, spec, pr, baseCfg, pfCfg, omCfg)
+		res := runMachines(o, spec.Name, pr, baseCfg, pfCfg, omCfg)
 		base, pf, om := res[0], res[1], res[2]
 		t.AddRow(name, om.Speedup(base), om.Speedup(pf))
 	}

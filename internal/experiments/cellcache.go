@@ -3,10 +3,7 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"reflect"
 	"runtime/pprof"
-	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -31,22 +28,24 @@ import (
 
 // CellKey identifies one deterministic simulation cell. Every input
 // that can influence the simulated numbers is part of the key: the
-// machine configuration in canonical encoding (including the fault
-// configuration and its seed, access-batching mode, and the machine
-// name that labels emitted samples), the dataset build key, and the
-// workload identity including its baked-in iteration schedule.
+// machine configuration (including the fault configuration and its
+// seed, access-batching mode, and the machine name that labels emitted
+// samples), the dataset build key, and the registered algorithm whose
+// Run the cell executes. CellKey is a plain comparable value: core.Config
+// holds only scalars and structs of scalars, so a slice, map or func
+// field added to it stops map[CellKey] from compiling.
 type CellKey struct {
-	// Config is core.Config.CanonicalKey() of the effective config.
-	Config string
+	// Config is the effective machine configuration.
+	Config core.Config
 	// Dataset identifies the graph build.
 	Dataset datasets.Key
-	// Workload is algorithms.Spec.WorkloadID().
+	// Workload is the registered algorithm name (algorithms.ByName).
 	Workload string
 }
 
 // Cell is one cached simulation: the stats snapshot, the vtxProp
-// access skew, and the canonical pre-stamp metric-sample stream
-// (sorted, with Run and Experiment fields unset — each requesting run
+// access skew, and the pre-stamp metric-sample stream (in emission
+// order, with Run and Experiment fields unset — each requesting run
 // restamps its own labels at replay, so differently-labeled call sites
 // can share one cell and still emit byte-identical streams).
 type Cell struct {
@@ -56,22 +55,9 @@ type Cell struct {
 	// highest-in-degree vertices (Figures 4(b) and 5). Only the share is
 	// kept: the per-vertex profile it is computed from costs 8 B/vertex.
 	TopShare float64
-	// samples is the canonical pre-stamp sample stream.
+	// samples is the pre-stamp sample stream.
 	samples []obs.MetricSample
 }
-
-// Uncacheable reasons: why a cell-routed run bypassed the cache. The
-// counts surface in the suite summary so "how much of the suite is
-// cacheable" stays measured, not assumed.
-const (
-	// UncacheableWorkload marks a workload whose Run closure is not the
-	// registered algorithm (custom schedules, instrumented variants).
-	UncacheableWorkload = "workload"
-	// UncacheableCampaign marks machine runs under the resilience
-	// campaign engine, whose fault-injected attempts and recovery
-	// re-executions the cell abstraction cannot represent.
-	UncacheableCampaign = "campaign"
-)
 
 // cellEntry is one cache slot: done closes when the first builder
 // finishes (successfully or not); failed marks a builder that panicked,
@@ -87,7 +73,7 @@ type cellEntry struct {
 
 // CellCache memoizes complete simulation cells across experiments. It
 // is safe for concurrent use; a nil *CellCache disables caching (every
-// cell simulates fresh — the pre-cache behaviour).
+// cell simulates fresh and nothing is stored).
 type CellCache struct {
 	mu      sync.Mutex
 	entries map[CellKey]*cellEntry
@@ -95,17 +81,14 @@ type CellCache struct {
 	hits   atomic.Uint64
 	misses atomic.Uint64
 	dedups atomic.Uint64
-
-	uncMu sync.Mutex
-	unc   map[string]uint64
+	// campaign counts resilience-campaign runs, the only simulations
+	// that bypass the cache.
+	campaign atomic.Uint64
 }
 
 // NewCellCache returns an empty cell cache.
 func NewCellCache() *CellCache {
-	return &CellCache{
-		entries: make(map[CellKey]*cellEntry),
-		unc:     make(map[string]uint64),
-	}
+	return &CellCache{entries: make(map[CellKey]*cellEntry)}
 }
 
 // CellCacheStats is a point-in-time snapshot of cache effectiveness.
@@ -121,8 +104,8 @@ type CellCacheStats struct {
 	Dedups uint64
 	// Resident is the number of cells held.
 	Resident int
-	// Uncacheable counts bypasses by reason.
-	Uncacheable map[string]uint64
+	// Campaign counts resilience-campaign runs that bypassed the cache.
+	Campaign uint64
 }
 
 // DuplicateRate is the fraction of cacheable cell requests that were
@@ -140,21 +123,13 @@ func (c *CellCache) Stats() CellCacheStats {
 	if c == nil {
 		return CellCacheStats{}
 	}
-	st := CellCacheStats{
-		Hits:        c.hits.Load(),
-		Misses:      c.misses.Load(),
-		Dedups:      c.dedups.Load(),
-		Uncacheable: make(map[string]uint64),
+	return CellCacheStats{
+		Hits:     c.hits.Load(),
+		Misses:   c.misses.Load(),
+		Dedups:   c.dedups.Load(),
+		Resident: c.Len(),
+		Campaign: c.campaign.Load(),
 	}
-	c.mu.Lock()
-	st.Resident = len(c.entries)
-	c.mu.Unlock()
-	c.uncMu.Lock()
-	for k, v := range c.unc {
-		st.Uncacheable[k] = v
-	}
-	c.uncMu.Unlock()
-	return st
 }
 
 // Len returns the number of resident cells.
@@ -167,32 +142,21 @@ func (c *CellCache) Len() int {
 	return len(c.entries)
 }
 
-// noteUncacheable counts n cache bypasses for the given reason.
-func (c *CellCache) noteUncacheable(reason string, n uint64) {
-	if c == nil || n == 0 {
-		return
+// noteCampaign counts n resilience-campaign runs that bypassed the
+// cache.
+func (c *CellCache) noteCampaign(n uint64) {
+	if c != nil {
+		c.campaign.Add(n)
 	}
-	c.uncMu.Lock()
-	c.unc[reason] += n
-	c.uncMu.Unlock()
 }
 
-// uncacheableNote renders the bypass counts for the suite summary
-// ("; uncacheable: campaign=9, workload=2"), empty when none.
+// uncacheableNote renders the bypass count for the suite summary
+// ("; uncacheable: campaign=25"), empty when none.
 func (s CellCacheStats) uncacheableNote() string {
-	if len(s.Uncacheable) == 0 {
+	if s.Campaign == 0 {
 		return ""
 	}
-	reasons := make([]string, 0, len(s.Uncacheable))
-	for r := range s.Uncacheable {
-		reasons = append(reasons, r)
-	}
-	sort.Strings(reasons)
-	parts := make([]string, len(reasons))
-	for i, r := range reasons {
-		parts[i] = fmt.Sprintf("%s=%d", r, s.Uncacheable[r])
-	}
-	return "; uncacheable: " + strings.Join(parts, ", ")
+	return fmt.Sprintf("; uncacheable: campaign=%d", s.Campaign)
 }
 
 // cellOutcome classifies one getOrRun call.
@@ -209,8 +173,11 @@ const (
 // cancellation) evicts its entry and re-panics on its own goroutine;
 // waiters of a failed build retry the lookup — one becomes the next
 // builder under its own context, so a cancelled requester never fails
-// an innocent sharer.
+// an innocent sharer. On a nil cache it builds without storing.
 func (c *CellCache) getOrRun(k CellKey, build func() Cell) (Cell, cellOutcome) {
+	if c == nil {
+		return build(), cellBuilt
+	}
 	for {
 		c.mu.Lock()
 		e, ok := c.entries[k]
@@ -263,82 +230,31 @@ func (c *CellCache) getOrRun(k CellKey, build func() Cell) (Cell, cellOutcome) {
 	}
 }
 
-// cellCounters attributes cell-cache traffic to one experiment run
-// (the per-suite analog of datasets.Counters). Nil discards records.
-type cellCounters struct {
-	cells atomic.Uint64
-	hits  atomic.Uint64
-}
-
-func (c *cellCounters) noteCell() {
-	if c != nil {
-		c.cells.Add(1)
-	}
-}
-
-func (c *cellCounters) noteHit() {
-	if c != nil {
-		c.hits.Add(1)
-	}
-}
-
-// registryWorkload reports whether spec.Run is the registered algorithm
-// closure for spec.Name — the cacheability guard against custom
-// closures reusing a registry name with a different schedule. Closures
-// instantiated from the same func literal share one code pointer, so
-// specs obtained from algorithms.All()/ByName always pass.
-func registryWorkload(spec algorithms.Spec) bool {
-	reg, ok := algorithms.ByName(spec.Name)
-	return ok &&
-		reflect.ValueOf(reg.Run).Pointer() == reflect.ValueOf(spec.Run).Pointer()
-}
-
-// uncacheableReason classifies a cell-routed run that must bypass the
-// cache, or returns "" when the cell is cacheable.
-func (o Options) uncacheableReason(spec algorithms.Spec) string {
-	if !registryWorkload(spec) {
-		return UncacheableWorkload
-	}
-	return ""
-}
-
 // runCell simulates one (config, graph, workload) cell and returns its
 // stats; see cellFor.
-func runCell(o Options, spec algorithms.Spec, pr prepared, cfg core.Config, run string) core.MachineStats {
-	return cellFor(o, spec, pr, cfg, run).Stats
+func runCell(o Options, workload string, pr prepared, cfg core.Config, run string) core.MachineStats {
+	return cellFor(o, workload, pr, cfg, run).Stats
 }
 
-// cellFor simulates one (config, graph, workload) cell, drawing from
-// o.Cells when the cell is cacheable. run is the label stamped into the
-// requesting run's sample stream; it is NOT part of the cell identity —
-// cells store pre-stamp samples and each requester restamps, so call
-// sites with different labeling conventions share cells. The returned
-// Cell's sample stream is the cache's; callers read only Stats and
-// TopShare.
-func cellFor(o Options, spec algorithms.Spec, pr prepared, cfg core.Config, run string) Cell {
-	o.cellStats.noteCell()
-	if o.Cells == nil {
-		return buildCellDirect(o, spec, pr, cfg, run)
-	}
-	if reason := o.uncacheableReason(spec); reason != "" {
-		o.Cells.noteUncacheable(reason, 1)
-		return buildCellDirect(o, spec, pr, cfg, run)
-	}
-	key := CellKey{
-		Config:   cfg.CanonicalKey(),
-		Dataset:  pr.key,
-		Workload: spec.WorkloadID(),
-	}
+// cellFor returns the cell that runs the registered algorithm named
+// workload on pr under cfg, drawing from o.Cells. run is the label
+// stamped into the requesting run's sample stream; it is NOT part of the
+// cell identity — cells store pre-stamp samples and each requester
+// restamps, so call sites with different labeling conventions share
+// cells. The returned Cell's sample stream is the cache's; callers read
+// only Stats and TopShare.
+func cellFor(o Options, workload string, pr prepared, cfg core.Config, run string) Cell {
+	key := CellKey{Config: cfg, Dataset: pr.key, Workload: workload}
 	cell, outcome := o.Cells.getOrRun(key, func() Cell {
-		return buildCell(o, spec, pr, cfg)
+		return buildCell(o, key, pr)
 	})
+	o.tally.cell(outcome != cellBuilt)
 	if outcome == cellBuilt {
 		// The builder forwards its freshly captured stream (already part
 		// of the build's cost; no replay label).
 		replaySamples(o.sink, cell.samples, run)
 		return cell
 	}
-	o.cellStats.noteHit()
 	if o.sink != nil {
 		// Replay under its own pprof label so suite profiles attribute
 		// restamp/copy time to the cache, not to simulation.
@@ -349,52 +265,31 @@ func cellFor(o Options, spec algorithms.Spec, pr prepared, cfg core.Config, run 
 	return cell
 }
 
-// buildCell simulates a cacheable cell: the machine always emits into a
-// private capture buffer — even when this run has no sink — so the
-// stored stream is complete for future requesters. Attaching a sink is
-// read-only by contract (the golden tests enforce it), so capture never
-// perturbs the cached stats.
-func buildCell(o Options, spec algorithms.Spec, pr prepared, cfg core.Config) Cell {
+// buildCell simulates one cell on a fresh machine running the
+// registered algorithm's Run, so only registry workloads can reach the
+// cache. The machine always emits into a private capture buffer — even
+// when this run has no sink — so a stored stream is complete for future
+// requesters; the harness sorts every experiment's stream downstream
+// (emitRunMetrics). Attaching a sink is read-only by contract (the
+// golden tests enforce it), and so is the vtxProp profile, which is
+// reduced to the cell's top-20% access share: neither moves the stats.
+func buildCell(o Options, k CellKey, pr prepared) Cell {
+	spec, _ := algorithms.ByName(k.Workload)
 	capture := obs.NewBuffer()
 	var c Cell
-	pprof.Do(o.Context(), pprof.Labels("cell", "build", "machine", cfg.Name), func(context.Context) {
-		c = simulateCell(o, spec, pr, cfg, capture)
+	pprof.Do(o.Context(), pprof.Labels("cell", "build", "machine", k.Config.Name), func(context.Context) {
+		m := core.NewMachine(k.Config)
+		m.AttachContext(o.ctx)
+		m.AttachSink(capture)
+		m.EnableVertexProfile(pr.g.NumVertices())
+		st := spec.Run(ligra.New(m, pr.g))
+		c = Cell{Stats: st, TopShare: graph.AccessShareToTopK(pr.g, m.VertexProfile(), 0.20)}
 	})
 	c.samples = capture.Drain()
-	// Canonicalize once at build time: Run/Experiment are unset here, and
-	// the sort order is total, so every replay starts from one canonical
-	// sequence regardless of emission interleavings.
-	obs.SortSamples(c.samples)
 	return c
 }
 
-// buildCellDirect is the bypass path (cache disabled or cell
-// uncacheable): simulate exactly like the pre-cache harness, emitting
-// straight into the run's sink under its run label.
-func buildCellDirect(o Options, spec algorithms.Spec, pr prepared, cfg core.Config, run string) (c Cell) {
-	var sink obs.Sink
-	if o.sink != nil {
-		sink = obs.WithRun(o.sink, run)
-	}
-	pprof.Do(o.Context(), pprof.Labels("machine", cfg.Name), func(context.Context) {
-		c = simulateCell(o, spec, pr, cfg, sink)
-	})
-	return c
-}
-
-// simulateCell runs the workload on a fresh machine with the vtxProp
-// profile on (a read-only counter, so the stats do not move) and
-// reduces the profile to the cell's top-20% access share.
-func simulateCell(o Options, spec algorithms.Spec, pr prepared, cfg core.Config, sink obs.Sink) Cell {
-	m := core.NewMachine(cfg)
-	m.AttachContext(o.ctx)
-	m.AttachSink(sink)
-	m.EnableVertexProfile(pr.g.NumVertices())
-	st := spec.Run(ligra.New(m, pr.g))
-	return Cell{Stats: st, TopShare: graph.AccessShareToTopK(pr.g, m.VertexProfile(), 0.20)}
-}
-
-// replaySamples re-emits a cell's canonical stream into a run's sink,
+// replaySamples re-emits a cell's sample stream into a run's sink,
 // restamped with the run's label. The experiment ID is stamped later by
 // the harness (emitRunMetrics), exactly as for a live machine.
 func replaySamples(sink obs.Sink, samples []obs.MetricSample, run string) {

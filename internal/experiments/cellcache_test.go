@@ -25,7 +25,7 @@ import (
 // builder and sharing its result.
 func TestCellSingleflight(t *testing.T) {
 	c := NewCellCache()
-	key := CellKey{Config: "cfg", Workload: "w"}
+	key := CellKey{Workload: "w"}
 	var builds atomic.Uint64
 	release := make(chan struct{})
 	const n = 16
@@ -71,7 +71,7 @@ func TestCellSingleflight(t *testing.T) {
 // becomes the next builder.
 func TestCellBuildPanicLeavesKeyRebuildable(t *testing.T) {
 	c := NewCellCache()
-	key := CellKey{Config: "cfg", Workload: "w"}
+	key := CellKey{Workload: "w"}
 
 	func() {
 		defer func() {
@@ -124,26 +124,38 @@ func TestCellBuildPanicLeavesKeyRebuildable(t *testing.T) {
 	}
 }
 
-// TestUncacheableReasons pins the bypass classification: non-registry
-// workloads must simulate directly, under their counted reason.
-func TestUncacheableReasons(t *testing.T) {
+// TestCellKeySeparatesConfigs pins the cell identity: requests whose
+// configs differ in one field — top-level, nested DRAM, the fault seed,
+// the machine name — build separate cells, and an equal config shares
+// the first one's cell.
+func TestCellKeySeparatesConfigs(t *testing.T) {
+	cells := NewCellCache()
+	o := Options{Scale: 8, Seed: 42, Cells: cells}.Defaults()
 	spec, _ := algorithms.ByName("PageRank")
-	o := Options{Scale: 9, Seed: 42, Coverage: 0.20}.Defaults()
-	if r := o.uncacheableReason(spec); r != "" {
-		t.Fatalf("registry spec classified %q, want cacheable", r)
+	pr := prepareDataset(mustDataset("rmat"), o, false)
+	base, _ := core.ScaledPair(pr.g.NumVertices(), spec.VtxPropBytes, o.Coverage)
+	mutations := map[string]func(*core.Config){
+		"Faults.Seed":       func(c *core.Config) { c.Faults.Seed = 99 },
+		"DRAM.ClosePage":    func(c *core.Config) { c.DRAM.ClosePage = !c.DRAM.ClosePage },
+		"DisableLineBuffer": func(c *core.Config) { c.DisableLineBuffer = true },
+		"Name":              func(c *core.Config) { c.Name = "other" },
 	}
-	if r := o.uncacheableReason(customSpec(spec)); r != UncacheableWorkload {
-		t.Fatalf("custom workload classified %q, want %q", r, UncacheableWorkload)
+	cellFor(o, spec.Name, pr, base, "base")
+	for name, mut := range mutations {
+		cfg := base
+		mut(&cfg)
+		before := cells.Stats().Misses
+		cellFor(o, spec.Name, pr, cfg, name)
+		if cells.Stats().Misses != before+1 {
+			t.Errorf("config differing in %s shared a cell", name)
+		}
 	}
-}
-
-// customSpec returns spec with a fresh Run closure wrapping the
-// original — same behaviour, different code identity, which is exactly
-// what makes it uncacheable.
-func customSpec(spec algorithms.Spec) algorithms.Spec {
-	orig := spec.Run
-	spec.Run = func(fw *ligra.Framework) core.MachineStats { return orig(fw) }
-	return spec
+	cellFor(o, spec.Name, pr, base, "same")
+	st := cells.Stats()
+	if st.Misses != 1+uint64(len(mutations)) || st.Hits != 1 {
+		t.Errorf("built %d, replayed %d; want %d built and the equal config replayed",
+			st.Misses, st.Hits, 1+len(mutations))
+	}
 }
 
 // TestGoldenBitIdentityWithCellCache re-runs the full registry with one
@@ -186,8 +198,8 @@ func TestGoldenBitIdentityWithCellCache(t *testing.T) {
 	if st.Misses == 0 {
 		t.Errorf("cell cache saw no builds; stats %+v", st)
 	}
-	t.Logf("cell cache across registry: %d hits / %d misses (%d dedup), %d resident, duplicate rate %.1f%%, uncacheable %v",
-		st.Hits, st.Misses, st.Dedups, st.Resident, 100*st.DuplicateRate(), st.Uncacheable)
+	t.Logf("cell cache across registry: %d hits / %d misses (%d dedup), %d resident, duplicate rate %.1f%%, campaign bypasses %d",
+		st.Hits, st.Misses, st.Dedups, st.Resident, 100*st.DuplicateRate(), st.Campaign)
 }
 
 // accessSinkStub upgrades a buffer to the per-access extension.
@@ -239,8 +251,8 @@ func TestGoldenMetricsWithCellCache(t *testing.T) {
 	if st.Hits == 0 {
 		t.Errorf("metrics subset produced no cell hits (Figure 3 / Figure 14 should share); stats %+v", st)
 	}
-	if len(st.Uncacheable) != 0 {
-		t.Errorf("metrics subset bypassed the cache: %v", st.Uncacheable)
+	if st.Campaign != 0 {
+		t.Errorf("metrics subset bypassed the cache: %d campaign runs", st.Campaign)
 	}
 }
 
@@ -327,7 +339,7 @@ func TestSkewFiguresReplayBaselineCells(t *testing.T) {
 	pr := prepareDataset(mustDataset("rmat"), o, false)
 	bCfg, _ := core.ScaledPair(pr.g.NumVertices(), spec.VtxPropBytes, o.Coverage)
 	cells.mu.Lock()
-	e := cells.entries[CellKey{Config: bCfg.CanonicalKey(), Dataset: pr.key, Workload: spec.WorkloadID()}]
+	e := cells.entries[CellKey{Config: bCfg, Dataset: pr.key, Workload: spec.Name}]
 	cells.mu.Unlock()
 	if e == nil || !e.ok {
 		t.Fatal("PageRank/rmat baseline cell not resident")

@@ -67,13 +67,9 @@ type Options struct {
 	// execute one after another on the runner goroutine. Tables are
 	// identical either way; tests set it to compare the two schedules.
 	serialVariants bool
-	// cacheStats, when set by Suite, receives this run's dataset-cache
-	// hit/miss counts so telemetry can attribute them per experiment.
-	cacheStats *datasets.Counters
-	// cellStats, when set by Suite, receives this run's cell counts
-	// (cell-routed simulations and cache hits) for per-experiment
-	// telemetry.
-	cellStats *cellCounters
+	// tally, when set by Suite, receives this run's dataset-cache and
+	// cell traffic so telemetry can attribute it per experiment.
+	tally *runTally
 	// ctx, when set by RunSafe, is the harness's cancellation context:
 	// runners attach it to the machines they build so watchdog timeouts
 	// and SIGINT cancel in-flight simulations cooperatively instead of
@@ -355,7 +351,7 @@ func datasetKey(ds Dataset, o Options, weighted, reordered bool) datasets.Key {
 }
 
 // buildDataset generates one dataset variant, drawing from o.Datasets
-// when a cache is configured. Cached graphs are shared between runners
+// (a nil cache builds fresh). Cached graphs are shared between runners
 // (possibly concurrently), which is safe because a built graph is never
 // mutated: the name is stamped inside the build so no writer touches a
 // graph after it enters the cache.
@@ -368,11 +364,8 @@ func buildDataset(ds Dataset, o Options, weighted, reordered bool) *graph.Graph 
 		g.Name = ds.Name
 		return g
 	}
-	if o.Datasets == nil {
-		return build()
-	}
 	g, hit := o.Datasets.GetOrBuild(datasetKey(ds, o, weighted, reordered), build)
-	o.cacheStats.Record(hit)
+	o.tally.dataset(hit)
 	return g
 }
 

@@ -90,6 +90,20 @@ func TestBuildFamily(t *testing.T) {
 	}
 }
 
+// TestCheckScale pins the generator scale range [2, 30], edges included.
+func TestCheckScale(t *testing.T) {
+	for _, s := range []int{2, 13, 30} {
+		if err := CheckScale(s); err != nil {
+			t.Errorf("scale %d rejected: %v", s, err)
+		}
+	}
+	for _, s := range []int{-1, 0, 1, 31} {
+		if err := CheckScale(s); err == nil {
+			t.Errorf("scale %d accepted", s)
+		}
+	}
+}
+
 func TestTableChart(t *testing.T) {
 	tbl := &Table{ID: "F", Title: "t", Header: []string{"ds", "speedup"}}
 	tbl.AddRow("a", 2.0)

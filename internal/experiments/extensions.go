@@ -116,7 +116,7 @@ func ExtensionPagePolicy(o Options) *Table {
 	}
 	// The speedup column is relative to the open-page variant (declared
 	// first), so rows are assembled after the variant merge.
-	res := runMachines(o, spec, pr, cfgs...)
+	res := runMachines(o, spec.Name, pr, cfgs...)
 	openCycles := float64(res[0].Cycles)
 	for i, st := range res {
 		t.AddRow(variants[i].name, uint64(st.Cycles), 100*st.DRAMRowHit,
@@ -158,10 +158,10 @@ func ExtensionGraphMat(o Options) *Table {
 			// Figure 14 grid); the GraphMat arms drive a different
 			// framework, so they stay direct machine runs.
 			func() core.MachineStats {
-				return runCell(o, spec, pr, baseCfg, "ligra/"+name)
+				return runCell(o, spec.Name, pr, baseCfg, "ligra/"+name)
 			},
 			func() core.MachineStats {
-				return runCell(o, spec, pr, omCfg, "ligra/"+name)
+				return runCell(o, spec.Name, pr, omCfg, "ligra/"+name)
 			},
 			func() core.MachineStats {
 				mb := o.newMachine(gmBaseCfg, "graphmat/"+name)
@@ -208,7 +208,7 @@ func ExtensionScaleRobustness(o Options) *Table {
 			so.Scale = scale
 			pr := prepareDataset(mustDataset("rmat"), so, false)
 			bCfg, oCfg := core.ScaledPair(pr.g.NumVertices(), spec.VtxPropBytes, so.Coverage)
-			res := runMachines(so, spec, pr, bCfg, oCfg)
+			res := runMachines(so, spec.Name, pr, bCfg, oCfg)
 			return point{res[0], res[1]}
 		}
 	}
@@ -244,7 +244,7 @@ func ExtensionSeedSensitivity(o Options) *Table {
 				so.Seed = o.Seed + uint64(rep)*1000
 				pr := prepareDataset(ds, so, false)
 				bCfg, oCfg := core.ScaledPair(pr.g.NumVertices(), spec.VtxPropBytes, so.Coverage)
-				res := runMachines(so, spec, pr, bCfg, oCfg)
+				res := runMachines(so, spec.Name, pr, bCfg, oCfg)
 				return res[1].Speedup(res[0])
 			}
 		}

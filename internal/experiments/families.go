@@ -7,12 +7,21 @@ import (
 	"omega/internal/graph/gen"
 )
 
+// CheckScale validates a generator scale (log2 of the vertex count):
+// every family accepts [2, 30].
+func CheckScale(scale int) error {
+	if scale < 2 || scale > 30 {
+		return fmt.Errorf("%d is not in [2, 30]", scale)
+	}
+	return nil
+}
+
 // BuildFamily generates a graph from one of the named synthetic families —
 // the shared dataset constructor behind cmd/omega-sim, cmd/graphgen, and
 // ad-hoc studies. Families: "rmat", "ba", "er", "road", "ws".
 func BuildFamily(family string, scale int, seed uint64, undirected, weighted bool) (*graph.Graph, error) {
-	if scale < 2 || scale > 30 {
-		return nil, fmt.Errorf("experiments: scale %d out of range", scale)
+	if err := CheckScale(scale); err != nil {
+		return nil, fmt.Errorf("experiments: scale %w", err)
 	}
 	n := 1 << scale
 	switch family {

@@ -28,7 +28,7 @@ func runPair(spec algorithms.Spec, ds Dataset, o Options) (base, om core.Machine
 	weighted := spec.Name == "SSSP"
 	pr = prepareDataset(ds, o, weighted)
 	bCfg, oCfg := core.ScaledPair(pr.g.NumVertices(), spec.VtxPropBytes, o.Coverage)
-	res := runMachines(o, spec, pr, bCfg, oCfg)
+	res := runMachines(o, spec.Name, pr, bCfg, oCfg)
 	return res[0], res[1], pr
 }
 
@@ -56,7 +56,7 @@ func Figure3(o Options) *Table {
 			// 4b and 5) so the metric-stream goldens are unchanged; the
 			// cell itself is shared with Figure 14 and friends regardless
 			// of label.
-			return runCell(o, spec, pr, bCfg, pr.g.Name)
+			return runCell(o, spec.Name, pr, bCfg, pr.g.Name)
 		}
 	}
 	var memSum float64
@@ -104,7 +104,7 @@ func Figure4a(o Options) *Table {
 			}
 			pr := prepareDataset(ds, o, spec.Name == "SSSP")
 			bCfg, _ := core.ScaledPair(pr.g.NumVertices(), spec.VtxPropBytes, o.Coverage)
-			return cell{ds.Name, runCell(o, spec, pr, bCfg, pr.g.Name)}
+			return cell{ds.Name, runCell(o, spec.Name, pr, bCfg, pr.g.Name)}
 		}
 	}
 	for i, c := range runVariants(o, fns...) {
@@ -120,7 +120,7 @@ func Figure4a(o Options) *Table {
 func baselineTopShare(o Options, spec algorithms.Spec, ds Dataset) float64 {
 	pr := prepareDataset(ds, o, spec.Name == "SSSP")
 	bCfg, _ := core.ScaledPair(pr.g.NumVertices(), spec.VtxPropBytes, o.Coverage)
-	return cellFor(o, spec, pr, bCfg, pr.g.Name).TopShare
+	return cellFor(o, spec.Name, pr, bCfg, pr.g.Name).TopShare
 }
 
 // Figure4b reproduces the access-skew measurement: the share of vtxProp
@@ -338,7 +338,7 @@ func Figure19(o Options) *Table {
 			// arrays stay 20%-sized; the paper shrinks the SRAM and keeps
 			// the L2 fixed, with the same effect on coverage.
 			omCfg.SPResidentCap = maxInt(int(coverage*float64(pr.g.NumVertices())), 1)
-			res := runMachines(o, spec, pr, baseCfg, omCfg)
+			res := runMachines(o, spec.Name, pr, baseCfg, omCfg)
 			baseSt, omSt := res[0], res[1]
 			pct := int(coverage*100) - 1
 			if pct < 0 {
@@ -409,7 +409,7 @@ func Figure21(o Options) *Table {
 	for _, ds := range StandardDatasets() {
 		pr := prepareDataset(ds, o, false)
 		bCfg, oCfg := core.ScaledPair(pr.g.NumVertices(), spec.VtxPropBytes, o.Coverage)
-		res := runMachines(o, spec, pr, bCfg, oCfg)
+		res := runMachines(o, spec.Name, pr, bCfg, oCfg)
 		be := power.Energy(bCfg, res[0])
 		oe := power.Energy(oCfg, res[1])
 		saving := oe.Saving(be)

@@ -50,7 +50,7 @@ func RunResilience(o Options) *Table {
 			baseCfg.Faults = ResilienceFaults(o.Seed, rate)
 			omCfg.Faults = ResilienceFaults(o.Seed, rate)
 		}
-		res := runMachines(o, spec, pr, baseCfg, omCfg)
+		res := runMachines(o, spec.Name, pr, baseCfg, omCfg)
 		return res[0], res[1]
 	}
 

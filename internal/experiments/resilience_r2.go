@@ -73,10 +73,7 @@ func RunResilienceCampaign(o Options) *Table {
 	// suite's cache report stays honest about what was skipped (the golden
 	// run plus one first-attempt per site × rate × seed; recovery
 	// re-executions are demand-driven and not counted here).
-	if o.Cells != nil {
-		o.Cells.noteUncacheable(UncacheableCampaign,
-			uint64(1+len(camp.Sites)*len(camp.Rates)*len(camp.Seeds)))
-	}
+	o.Cells.noteCampaign(uint64(1 + len(camp.Sites)*len(camp.Rates)*len(camp.Seeds)))
 	golden, err := resilience.RunGolden(camp.Workload, camp.Ctx)
 	if err != nil {
 		return FailedTable("Resilience R2", err.Error())

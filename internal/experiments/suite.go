@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"omega/internal/graph/datasets"
@@ -46,6 +47,37 @@ type ExperimentTelemetry struct {
 	Cells, CellHits uint64
 	// Failed mirrors Table.Failed.
 	Failed bool
+}
+
+// runTally attributes one experiment run's dataset-cache lookups and
+// cell requests to that experiment (Options.tally). A nil *runTally
+// discards records.
+type runTally struct {
+	datasetHits, datasetMisses atomic.Uint64
+	cells, cellHits            atomic.Uint64
+}
+
+// dataset notes one dataset-cache lookup.
+func (t *runTally) dataset(hit bool) {
+	if t == nil {
+		return
+	}
+	if hit {
+		t.datasetHits.Add(1)
+	} else {
+		t.datasetMisses.Add(1)
+	}
+}
+
+// cell notes one cell request; hit marks a replay or singleflight share.
+func (t *runTally) cell(hit bool) {
+	if t == nil {
+		return
+	}
+	t.cells.Add(1)
+	if hit {
+		t.cellHits.Add(1)
+	}
 }
 
 // SuiteResult is a completed suite run: tables and telemetry in
@@ -147,10 +179,8 @@ func Suite(ctx context.Context, specs []Spec, o Options, progress func(SuiteEven
 			for i := range jobs {
 				spec := specs[i]
 				ro := o
-				rec := &datasets.Counters{}
-				ro.cacheStats = rec
-				cc := &cellCounters{}
-				ro.cellStats = cc
+				tally := &runTally{}
+				ro.tally = tally
 				if specBufs != nil {
 					ro.Metrics = specBufs[i]
 				}
@@ -170,10 +200,10 @@ func Suite(ctx context.Context, specs []Spec, o Options, progress func(SuiteEven
 				res.Telemetry[i] = ExperimentTelemetry{
 					ID:          spec.ID,
 					Wall:        wall,
-					CacheHits:   rec.Hits.Load(),
-					CacheMisses: rec.Misses.Load(),
-					Cells:       cc.cells.Load(),
-					CellHits:    cc.hits.Load(),
+					CacheHits:   tally.datasetHits.Load(),
+					CacheMisses: tally.datasetMisses.Load(),
+					Cells:       tally.cells.Load(),
+					CellHits:    tally.cellHits.Load(),
 					Failed:      tbl.Failed,
 				}
 				if progress != nil {

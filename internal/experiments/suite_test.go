@@ -147,7 +147,7 @@ func TestSuiteCancellation(t *testing.T) {
 
 // TestSuiteSummaryCellNote checks the summary's cell-cache note carries
 // the whole cell-cache breakdown: built, replayed, singleflight-shared,
-// resident, the duplicate-cell rate and the uncacheable counts by reason.
+// resident, the duplicate-cell rate and the campaign bypass count.
 func TestSuiteSummaryCellNote(t *testing.T) {
 	cells := NewCellCache()
 	build := func() Cell { return Cell{} }
@@ -155,14 +155,13 @@ func TestSuiteSummaryCellNote(t *testing.T) {
 		cells.getOrRun(CellKey{Workload: w}, build)
 	}
 	cells.dedups.Add(1)
-	cells.noteUncacheable(UncacheableCampaign, 9)
-	cells.noteUncacheable(UncacheableWorkload, 1)
+	cells.noteCampaign(9)
 	o := Options{Datasets: datasets.New(), Cells: cells}.Defaults()
 	sum := suiteSummary(&SuiteResult{Parallelism: 1}, o)
 	note := sum.Notes[len(sum.Notes)-1]
 	for _, want := range []string{
 		"3 built", "2 replayed", "1 singleflight-shared", "3 cells resident",
-		"duplicate-cell rate 50.0%", "uncacheable: campaign=9, workload=1",
+		"duplicate-cell rate 50.0%", "uncacheable: campaign=9",
 	} {
 		if !strings.Contains(note, want) {
 			t.Fatalf("cell-cache note %q missing %q", note, want)

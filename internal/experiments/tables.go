@@ -75,7 +75,7 @@ func Table2(o Options) *Table {
 		}
 		fns[i] = func() core.MachineStats {
 			_, omCfg := core.ScaledPair(p.g.NumVertices(), spec.VtxPropBytes, o.Coverage)
-			return runCell(o, spec, p, omCfg, p.g.Name)
+			return runCell(o, spec.Name, p, omCfg, p.g.Name)
 		}
 	}
 	for i, st := range runVariants(o, fns...) {

@@ -8,7 +8,6 @@ import (
 	"strconv"
 	"sync"
 
-	"omega/internal/algorithms"
 	"omega/internal/core"
 )
 
@@ -21,7 +20,7 @@ import (
 // of its mutable state (cores, caches, directory, DRAM, the
 // ParallelForGrain schedState scratch, fault-injector PRNGs) lives
 // inside the Machine — while the only shared inputs are the prepared
-// *graph.Graph and the algorithm Spec, both immutable after
+// *graph.Graph and the registered algorithm, both immutable after
 // construction (graphs are shared read-only across suite runners via
 // the datasets cache already). Results are merged back in declaration
 // order, so tables are byte-identical to the sequential harness.
@@ -83,17 +82,18 @@ func runVariants[T any](o Options, fns ...func() T) []T {
 	return out
 }
 
-// runMachines runs one algorithm over several machine configurations —
-// one cell per variant, all sharing the immutable prepared graph — and
-// returns the per-variant stats in configuration order. Each variant
-// routes through runCell, so cells already simulated by this or any
-// other experiment are reused instead of re-simulated.
-func runMachines(o Options, spec algorithms.Spec, pr prepared, cfgs ...core.Config) []core.MachineStats {
-	run := spec.Name + "/" + pr.g.Name
+// runMachines runs the registered algorithm named workload over several
+// machine configurations — one cell per variant, all sharing the
+// immutable prepared graph — and returns the per-variant stats in
+// configuration order. Each variant routes through runCell, so cells
+// already simulated by this or any other experiment are reused instead
+// of re-simulated.
+func runMachines(o Options, workload string, pr prepared, cfgs ...core.Config) []core.MachineStats {
+	run := workload + "/" + pr.g.Name
 	fns := make([]func() core.MachineStats, len(cfgs))
 	for i, cfg := range cfgs {
 		fns[i] = func() core.MachineStats {
-			return runCell(o, spec, pr, cfg, run)
+			return runCell(o, workload, pr, cfg, run)
 		}
 	}
 	return runVariants(o, fns...)

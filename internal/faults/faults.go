@@ -123,7 +123,7 @@ func (c Config) Enabled() bool {
 		c.DirFlipRate > 0 || c.LineBufFlipRate > 0 || c.ALUFlipRate > 0
 }
 
-// Validate checks that every rate is a probability.
+// Validate checks that every rate is a probability (NaN is not).
 func (c Config) Validate() error {
 	for _, p := range []struct {
 		name string
@@ -136,7 +136,7 @@ func (c Config) Validate() error {
 		{"LineBufFlipRate", c.LineBufFlipRate},
 		{"ALUFlipRate", c.ALUFlipRate},
 	} {
-		if p.v < 0 || p.v > 1 {
+		if !(p.v >= 0 && p.v <= 1) {
 			return fmt.Errorf("faults: %s %g outside [0,1]", p.name, p.v)
 		}
 	}

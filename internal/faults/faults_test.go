@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"math"
 	"testing"
 
 	"omega/internal/memsys"
@@ -156,6 +157,8 @@ func TestConfigValidate(t *testing.T) {
 		{DRAMFlipRate: 1.5},
 		{NoCDropRate: 2},
 		{SPParityRate: -1},
+		{DirFlipRate: math.NaN()},
+		{ALUFlipRate: math.NaN()},
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {

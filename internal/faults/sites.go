@@ -118,7 +118,7 @@ func ParseSiteConfig(spec string) (Config, error) {
 		if err != nil {
 			return Config{}, fmt.Errorf("faults: bad rate %q for site %q", rateStr, site)
 		}
-		if rate < 0 || rate > 1 {
+		if !(rate >= 0 && rate <= 1) {
 			return Config{}, fmt.Errorf("faults: rate %g for site %q outside [0,1]", rate, site)
 		}
 		site.Apply(&c, rate)

@@ -74,6 +74,7 @@ func TestParseSiteConfig(t *testing.T) {
 		"dram:1e-3,dram:1e-4", // duplicate
 		"dram:2",              // rate > 1
 		"dram:-0.1",           // negative
+		"directory:NaN",       // not a probability
 		"dram:1e-3,,noc:1e-3", // empty entry
 		"dram:zero",           // non-numeric
 	} {

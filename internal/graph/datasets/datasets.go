@@ -60,26 +60,6 @@ type Cache struct {
 // New returns an empty cache.
 func New() *Cache { return &Cache{entries: make(map[Key]*entry)} }
 
-// Counters is a per-consumer hit/miss sink, used by the suite to
-// attribute cache traffic to individual experiments while the Cache
-// itself keeps the global totals. A nil *Counters discards records.
-type Counters struct {
-	Hits   atomic.Uint64
-	Misses atomic.Uint64
-}
-
-// Record notes one lookup outcome.
-func (c *Counters) Record(hit bool) {
-	if c == nil {
-		return
-	}
-	if hit {
-		c.Hits.Add(1)
-	} else {
-		c.Misses.Add(1)
-	}
-}
-
 // GetOrBuild returns the graph for k, invoking build at most once per key
 // across all callers. The boolean reports whether the slot already
 // existed: a caller that blocks on another goroutine's in-flight build of

@@ -222,15 +222,3 @@ func TestFailedBuildPropagatesToConcurrentWaiters(t *testing.T) {
 		t.Fatal("key not rebuildable after shared failure")
 	}
 }
-
-func TestCountersNilSafe(t *testing.T) {
-	var c *Counters
-	c.Record(true) // must not panic
-	rec := &Counters{}
-	rec.Record(true)
-	rec.Record(false)
-	rec.Record(false)
-	if rec.Hits.Load() != 1 || rec.Misses.Load() != 2 {
-		t.Fatalf("counters = %d/%d, want 1/2", rec.Hits.Load(), rec.Misses.Load())
-	}
-}
