@@ -16,7 +16,7 @@ import (
 
 	"omega/internal/algorithms"
 	"omega/internal/core"
-	"omega/internal/graph/gen"
+	"omega/internal/experiments"
 	"omega/internal/graph/reorder"
 	"omega/internal/ligra"
 	"omega/internal/trace"
@@ -39,14 +39,19 @@ func run() error {
 	)
 	flag.Parse()
 
+	switch *machine {
+	case "baseline", "omega", "both":
+	default:
+		return fmt.Errorf("unknown -machine %q (want baseline, omega, or both)", *machine)
+	}
 	spec, ok := algorithms.ByName(*algoName)
 	if !ok {
 		return fmt.Errorf("unknown algorithm %q", *algoName)
 	}
-	cfg := gen.DefaultRMAT(*scale, *seed)
-	cfg.Undirected = spec.NeedsUndirected
-	cfg.Weighted = spec.Name == "SSSP"
-	g := gen.RMAT(cfg)
+	g, err := experiments.BuildFamily("rmat", *scale, *seed, spec.NeedsUndirected, spec.Name == "SSSP")
+	if err != nil {
+		return err
+	}
 	g = reorder.Apply(g, reorder.Compute(g, reorder.InDegree))
 
 	baseCfg, omCfg := core.ScaledPair(g.NumVertices(), spec.VtxPropBytes, 0.20)

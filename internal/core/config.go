@@ -8,35 +8,52 @@ package core
 import (
 	"fmt"
 
-	"omega/internal/cpu"
 	"omega/internal/faults"
 	"omega/internal/memsys"
-	"omega/internal/memsys/dram"
 )
 
-// Config describes one simulated machine.
+// The Table III parameters every simulated machine shares. Experiments
+// vary only the storage sizes and mechanisms in Config, so these are
+// constants: each core has one L1, one L2 bank, and on OMEGA one
+// scratchpad slice and one PISC engine. The core, crossbar and DRAM
+// timing are the cpu, noc and dram packages' DefaultConfig.
+const (
+	// NumCores is the core count.
+	NumCores = 16
+	// L1Ways/L2Ways are the associativities of the L1D and of each L2 bank.
+	L1Ways = 8
+	L2Ways = 8
+	// L2Lat is the L2 bank access latency.
+	L2Lat memsys.Cycles = 6
+	// SPLat is the scratchpad access latency.
+	SPLat memsys.Cycles = 3
+	// SrcBufEntries sizes OMEGA's per-core source vertex buffer (§V.C).
+	SrcBufEntries = 64
+	// AtomicOpCycles is the core-side cost of executing an atomic
+	// read-modify-write beyond the memory access itself.
+	AtomicOpCycles memsys.Cycles = 16
+	// InvalidationCycles is the latency exposed to an atomic that must
+	// invalidate remote sharers before completing.
+	InvalidationCycles memsys.Cycles = 12
+	// OpenMPChunk is the scheduling chunk size of the framework's
+	// parallel loops.
+	OpenMPChunk = 64
+)
+
+// Config describes one simulated machine: the Table III constants above
+// plus the storage sizes and mechanisms the experiments vary.
 type Config struct {
 	// Name labels the machine in results ("baseline", "omega").
 	Name string
-	// NumCores is the core count (16 in Table III).
-	NumCores int
-	// Core is the per-core timing model configuration.
-	Core cpu.Config
 
-	// L1Bytes/L1Ways size each private L1 data cache.
+	// L1Bytes sizes each private L1 data cache.
 	L1Bytes int
-	L1Ways  int
-	// L2BytesPerCore/L2Ways size each shared L2 bank.
+	// L2BytesPerCore sizes each shared L2 bank.
 	L2BytesPerCore int
-	L2Ways         int
-	// L2Lat is the L2 bank access latency.
-	L2Lat memsys.Cycles
 
 	// SPBytesPerCore sizes each scratchpad slice; 0 disables scratchpads
 	// (baseline machine).
 	SPBytesPerCore int
-	// SPLat is the scratchpad access latency (3 in Table III).
-	SPLat memsys.Cycles
 	// PISC enables the processing-in-scratchpad engines. Disabling it
 	// while keeping scratchpads reproduces the §X.A "storage-only"
 	// ablation.
@@ -45,21 +62,12 @@ type Config struct {
 	// partition unit; OMEGA matches it to OpenMPChunk (§V.D). 0 means
 	// "match OpenMPChunk".
 	SPChunkSize int
-	// SrcBufEntries sizes the per-core source vertex buffer (§V.C);
-	// 0 disables the buffer.
-	SrcBufEntries int
 	// SPResidentCap bounds how many vertices are scratchpad-resident
 	// regardless of capacity; 0 means capacity-bound. ScaledPair leaves it
 	// 0; Figure 19 sets it to emulate scratchpads smaller than 20% of
 	// vtxProp while the arrays stay 20%-sized.
 	SPResidentCap int
 
-	// AtomicOpCycles is the core-side cost of executing an atomic
-	// read-modify-write beyond the memory access itself.
-	AtomicOpCycles memsys.Cycles
-	// InvalidationCycles is the latency exposed to an atomic that must
-	// invalidate remote sharers before completing.
-	InvalidationCycles memsys.Cycles
 	// AtomicsAsPlain turns every atomic into a plain read+write —
 	// the §III experiment estimating atomic-instruction overhead.
 	AtomicsAsPlain bool
@@ -82,14 +90,10 @@ type Config struct {
 	// alternative. Data still moves at cache-line granularity, which is
 	// the paper's argument against it. Ignored on OMEGA machines.
 	LockedLines bool
-
-	// DRAM configures off-chip memory.
-	DRAM dram.Config
-	// NoCBaseLatency/NoCBusBytes configure the crossbar (Table III:
-	// 128-bit bus). The paper measures ~17 cycles average for a remote
-	// round trip.
-	NoCBaseLatency memsys.Cycles
-	NoCBusBytes    int
+	// ClosePage closes the DRAM row after every access (the uniform
+	// close-page policy Extension E3 compares against open-page and
+	// HybridPagePolicy).
+	ClosePage bool
 
 	// Faults configures the seed-driven fault injector for the resilience
 	// experiments at its six sites: DRAM read bit-flips behind SECDED
@@ -110,9 +114,6 @@ type Config struct {
 	// can compare the memoized path against the full probe.
 	DisableLineBuffer bool
 
-	// OpenMPChunk is the scheduling chunk size of the framework's
-	// parallel loops.
-	OpenMPChunk int
 	// DynamicSchedule hands chunks to idle cores on demand (Ligra's
 	// work-stealing behaviour, and the "load balancing by fine-tuning
 	// the scheduling" of §III). When false, chunks are assigned
@@ -122,13 +123,10 @@ type Config struct {
 
 // Validate checks the configuration for internal consistency.
 func (c Config) Validate() error {
-	if c.NumCores <= 0 || c.NumCores > 64 {
-		return fmt.Errorf("core: NumCores %d out of range", c.NumCores)
-	}
-	if c.L1Bytes <= 0 || c.L1Ways <= 0 {
+	if c.L1Bytes <= 0 {
 		return fmt.Errorf("core: bad L1 geometry")
 	}
-	if c.L2BytesPerCore <= 0 || c.L2Ways <= 0 {
+	if c.L2BytesPerCore <= 0 {
 		return fmt.Errorf("core: bad L2 geometry")
 	}
 	if c.SPBytesPerCore < 0 {
@@ -136,22 +134,6 @@ func (c Config) Validate() error {
 	}
 	if c.PISC && c.SPBytesPerCore == 0 {
 		return fmt.Errorf("core: PISC requires scratchpads")
-	}
-	if c.SPBytesPerCore > 0 && c.SPLat <= 0 {
-		return fmt.Errorf("core: scratchpads need a positive SPLat")
-	}
-	if c.OpenMPChunk <= 0 {
-		return fmt.Errorf("core: OpenMPChunk must be positive")
-	}
-	if c.DRAM.Channels <= 0 || c.DRAM.BanksPerChan <= 0 || c.DRAM.RowBytes <= 0 {
-		return fmt.Errorf("core: bad DRAM geometry (channels=%d banks=%d row=%d)",
-			c.DRAM.Channels, c.DRAM.BanksPerChan, c.DRAM.RowBytes)
-	}
-	if c.DRAM.ServiceCyclesPerLine <= 0 {
-		return fmt.Errorf("core: DRAM ServiceCyclesPerLine must be positive")
-	}
-	if c.NoCBusBytes <= 0 {
-		return fmt.Errorf("core: NoCBusBytes must be positive")
 	}
 	if !(c.LLCPollution >= 0) {
 		return fmt.Errorf("core: LLCPollution %g is not a non-negative rate", c.LLCPollution)
@@ -165,7 +147,7 @@ func (c Config) Validate() error {
 // TotalOnChipStorage returns L2 plus scratchpad bytes across the chip
 // (both machines of the paper are "same-sized" by this measure).
 func (c Config) TotalOnChipStorage() int {
-	return c.NumCores * (c.L2BytesPerCore + c.SPBytesPerCore)
+	return NumCores * (c.L2BytesPerCore + c.SPBytesPerCore)
 }
 
 // chunkSize resolves the scratchpad chunk (0 = match OpenMP).
@@ -173,28 +155,17 @@ func (c Config) chunkSize() int {
 	if c.SPChunkSize > 0 {
 		return c.SPChunkSize
 	}
-	return c.OpenMPChunk
+	return OpenMPChunk
 }
 
 // Baseline returns the Table III baseline CMP: 16 cores, 32 KB L1D,
 // 2 MB shared L2 bank per core.
 func Baseline() Config {
 	return Config{
-		Name:               "baseline",
-		NumCores:           16,
-		Core:               cpu.DefaultConfig(),
-		L1Bytes:            32 << 10,
-		L1Ways:             8,
-		L2BytesPerCore:     2 << 20,
-		L2Ways:             8,
-		L2Lat:              6,
-		AtomicOpCycles:     16,
-		InvalidationCycles: 12,
-		DRAM:               dram.DefaultConfig(),
-		NoCBaseLatency:     8,
-		NoCBusBytes:        16,
-		OpenMPChunk:        64,
-		DynamicSchedule:    true,
+		Name:            "baseline",
+		L1Bytes:         32 << 10,
+		L2BytesPerCore:  2 << 20,
+		DynamicSchedule: true,
 	}
 }
 
@@ -205,9 +176,7 @@ func OMEGA() Config {
 	c.Name = "omega"
 	c.L2BytesPerCore = 1 << 20
 	c.SPBytesPerCore = 1 << 20
-	c.SPLat = 3
 	c.PISC = true
-	c.SrcBufEntries = 64
 	return c
 }
 
@@ -235,9 +204,9 @@ func ScaledPair(numVertices, bytesPerVertex int, coverage float64) (Config, Conf
 	base := Baseline()
 	om := OMEGA()
 	spTotal := int(coverage * float64(numVertices) * float64(bytesPerVertex))
-	perCore := spTotal / om.NumCores
-	perCore = roundUpTo(perCore, memsys.LineSize*om.L2Ways)
-	minBank := memsys.LineSize * om.L2Ways
+	perCore := spTotal / NumCores
+	perCore = roundUpTo(perCore, memsys.LineSize*L2Ways)
+	minBank := memsys.LineSize * L2Ways
 	if perCore < minBank {
 		perCore = minBank
 	}
@@ -261,8 +230,8 @@ func ScaledPair(numVertices, bytesPerVertex int, coverage float64) (Config, Conf
 	// testbed the 32 KB L1 holds ~0.4 % of the hot vertex set; leaving
 	// it full-size here would let each L1 swallow the whole hot set and
 	// erase the phenomenon under study.
-	l1 := roundUpTo(perCore/8, memsys.LineSize*base.L1Ways)
-	if min := memsys.LineSize * base.L1Ways; l1 < min {
+	l1 := roundUpTo(perCore/8, memsys.LineSize*L1Ways)
+	if min := memsys.LineSize * L1Ways; l1 < min {
 		l1 = min
 	}
 	if l1 > 32<<10 {
@@ -283,8 +252,5 @@ func ScaledPair(numVertices, bytesPerVertex int, coverage float64) (Config, Conf
 }
 
 func roundUpTo(v, multiple int) int {
-	if multiple <= 0 {
-		return v
-	}
 	return (v + multiple - 1) / multiple * multiple
 }

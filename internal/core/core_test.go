@@ -29,19 +29,9 @@ func TestConfigValidate(t *testing.T) {
 		t.Fatalf("omega invalid: %v", err)
 	}
 	bad := Baseline()
-	bad.NumCores = 0
-	if bad.Validate() == nil {
-		t.Fatal("zero cores should fail")
-	}
-	bad = Baseline()
 	bad.PISC = true // without scratchpads
 	if bad.Validate() == nil {
 		t.Fatal("PISC without scratchpads should fail")
-	}
-	bad = Baseline()
-	bad.OpenMPChunk = 0
-	if bad.Validate() == nil {
-		t.Fatal("zero chunk should fail")
 	}
 	bad = Baseline()
 	bad.LLCPollution = math.NaN()
@@ -192,7 +182,7 @@ func TestBarrierAlignsClocks(t *testing.T) {
 		ctx.Exec(1 + i%50*10)
 	})
 	var clocks []memsys.Cycles
-	for c := 0; c < m.NumCores(); c++ {
+	for c := 0; c < NumCores; c++ {
 		clocks = append(clocks, m.cores[c].Clock())
 	}
 	for _, c := range clocks[1:] {

@@ -32,11 +32,6 @@ type cachePath struct {
 
 	l1HitLat memsys.Cycles
 
-	// coreShift/coreMask strength-reduce the bank-interleaving div/mod to
-	// shift/mask when NumCores is a power of two (coreShift -1 otherwise).
-	coreShift int
-	coreMask  uint64
-
 	// LLC pollution state (Config.LLCPollution): synthetic fills that
 	// model the instruction/OS traffic of a real machine's LLC.
 	pollAccum float64
@@ -48,28 +43,23 @@ type cachePath struct {
 
 func newCachePath(cfg Config, xbar *noc.Crossbar, mem *dram.DRAM) *cachePath {
 	p := &cachePath{
-		cfg:       cfg,
-		dir:       coherence.New(cfg.NumCores),
-		dram:      mem,
-		noc:       xbar,
-		l1HitLat:  1,
-		coreShift: -1,
+		cfg:      cfg,
+		dir:      coherence.New(NumCores),
+		dram:     mem,
+		noc:      xbar,
+		l1HitLat: 1,
 	}
-	if n := cfg.NumCores; n&(n-1) == 0 {
-		p.coreShift = bits.TrailingZeros(uint(n))
-		p.coreMask = uint64(n) - 1
-	}
-	for c := 0; c < cfg.NumCores; c++ {
+	for c := 0; c < NumCores; c++ {
 		p.l1 = append(p.l1, cache.New(cache.Config{
 			SizeBytes:     cfg.L1Bytes,
-			Ways:          cfg.L1Ways,
+			Ways:          L1Ways,
 			LatencyCycles: p.l1HitLat,
 			Name:          "L1D",
 		}))
 		p.l2 = append(p.l2, cache.New(cache.Config{
 			SizeBytes:     cfg.L2BytesPerCore,
-			Ways:          cfg.L2Ways,
-			LatencyCycles: cfg.L2Lat,
+			Ways:          L2Ways,
+			LatencyCycles: L2Lat,
 			Name:          "L2",
 		}))
 	}
@@ -78,28 +68,20 @@ func newCachePath(cfg Config, xbar *noc.Crossbar, mem *dram.DRAM) *cachePath {
 
 // homeBank address-interleaves lines across L2 banks.
 func (p *cachePath) homeBank(line memsys.Addr) int {
-	g := uint64(line) / memsys.LineSize
-	if p.coreShift >= 0 {
-		return int(g & p.coreMask)
-	}
-	return int(g % uint64(p.cfg.NumCores))
+	return int(uint64(line) / memsys.LineSize % NumCores)
 }
 
 // l2Local strips the bank-interleaving bits from a global line address so
 // a bank's set index uses the full set space (without this, every line in
 // a bank would map to the same few sets).
 func (p *cachePath) l2Local(line memsys.Addr) memsys.Addr {
-	g := uint64(line) / memsys.LineSize
-	if p.coreShift >= 0 {
-		return memsys.Addr(g >> uint(p.coreShift) * memsys.LineSize)
-	}
-	return memsys.Addr(g / uint64(p.cfg.NumCores) * memsys.LineSize)
+	return memsys.Addr(uint64(line) / memsys.LineSize / NumCores * memsys.LineSize)
 }
 
 // l2Global reconstructs the global line address from a bank-local one.
 func (p *cachePath) l2Global(local memsys.Addr, bank int) memsys.Addr {
 	l := uint64(local) / memsys.LineSize
-	return memsys.Addr((l*uint64(p.cfg.NumCores) + uint64(bank)) * memsys.LineSize)
+	return memsys.Addr((l*NumCores + uint64(bank)) * memsys.LineSize)
 }
 
 // dropMemos drops every L1's same-line memo (Cache.DropHot) for
@@ -157,7 +139,7 @@ func (p *cachePath) Access(now memsys.Cycles, a memsys.Access) memsys.Result {
 						p.noc.Send(now, a.Core, bank, 0, noc.ClassCtrl)
 					}
 					if atomic {
-						lat += p.cfg.InvalidationCycles
+						lat += InvalidationCycles
 					}
 				}
 			}
@@ -178,7 +160,7 @@ func (p *cachePath) Access(now memsys.Cycles, a memsys.Access) memsys.Result {
 		}
 	}
 	if atomic {
-		lat += p.cfg.AtomicOpCycles
+		lat += AtomicOpCycles
 	}
 	return memsys.Result{Latency: lat + scrubLat, Blocking: atomic, Level: level}
 }
@@ -228,18 +210,18 @@ func (p *cachePath) miss(now memsys.Cycles, core int, line memsys.Addr, write, l
 	p.pollute(bank)
 	if l2.AccessAt(rl2, false) {
 		// L2 hit: data line back to the requester.
-		resp := p.noc.Send(now+lat+p.cfg.L2Lat, bank, core, memsys.LineSize, noc.ClassLine)
-		return lat + p.cfg.L2Lat + resp
+		resp := p.noc.Send(now+lat+L2Lat, bank, core, memsys.LineSize, noc.ClassLine)
+		return lat + L2Lat + resp
 	}
 	// L2 miss: DRAM access, fill L2 (inclusive), then respond. The fill
 	// may take the known-absent path: the probe just missed and only the
 	// DRAM access (no cache mutation) ran in between.
-	dramLat := p.dram.AccessHint(now+lat+p.cfg.L2Lat, line, lowLocality)
+	dramLat := p.dram.AccessHint(now+lat+L2Lat, line, lowLocality)
 	if victim, evicted := l2.FillMissAt(rl2, false); evicted {
 		p.evictFromL2(now, bank, victim)
 	}
-	resp := p.noc.Send(now+lat+p.cfg.L2Lat+dramLat, bank, core, memsys.LineSize, noc.ClassLine)
-	return lat + p.cfg.L2Lat + dramLat + resp
+	resp := p.noc.Send(now+lat+L2Lat+dramLat, bank, core, memsys.LineSize, noc.ClassLine)
+	return lat + L2Lat + dramLat + resp
 }
 
 // prefetchNext fetches the line after a sequential-class miss into the

@@ -154,11 +154,9 @@ func NewMachineChecked(cfg Config) (*Machine, error) {
 		cfg:      cfg,
 		nextAddr: pageSize,
 	}
-	nocCfg := noc.DefaultConfig(cfg.NumCores)
-	nocCfg.BaseLatency = cfg.NoCBaseLatency
-	nocCfg.BusBytes = cfg.NoCBusBytes
-	m.xbar = noc.New(nocCfg)
-	dramCfg := cfg.DRAM
+	m.xbar = noc.New(noc.DefaultConfig(NumCores))
+	dramCfg := dram.DefaultConfig()
+	dramCfg.ClosePage = cfg.ClosePage
 	dramCfg.Hybrid = cfg.HybridPagePolicy
 	m.mem = dram.New(dramCfg)
 	if cfg.Faults.Enabled() {
@@ -168,11 +166,11 @@ func NewMachineChecked(cfg Config) (*Machine, error) {
 	}
 	m.path = newCachePath(cfg, m.xbar, m.mem)
 	m.path.faults = m.faults
-	for c := 0; c < cfg.NumCores; c++ {
-		m.cores = append(m.cores, cpu.New(c, cfg.Core))
+	for c := 0; c < NumCores; c++ {
+		m.cores = append(m.cores, cpu.New(c, cpu.DefaultConfig()))
 	}
 	if m.faults != nil {
-		m.memoFaults = make([]memoFault, cfg.NumCores)
+		m.memoFaults = make([]memoFault, NumCores)
 	}
 	if cfg.SPBytesPerCore > 0 {
 		m.omega = newOmegaHier(cfg, m.path, m.xbar, m.faults)
@@ -227,9 +225,6 @@ func (m *Machine) Metrics() *obs.Registry {
 
 // Config returns the machine configuration.
 func (m *Machine) Config() Config { return m.cfg }
-
-// NumCores returns the core count.
-func (m *Machine) NumCores() int { return m.cfg.NumCores }
 
 // HasScratchpads reports whether this is an OMEGA-style machine.
 func (m *Machine) HasScratchpads() bool { return m.omega != nil }
@@ -534,7 +529,7 @@ func (c *Ctx) Atomic(r *Region, i int) {
 // and ends with a barrier. Cores are interleaved by local clock so shared
 // resources see a realistic arrival order.
 func (m *Machine) ParallelFor(n int, body func(ctx *Ctx, i int)) {
-	m.ParallelForGrain(n, m.cfg.OpenMPChunk, body)
+	m.ParallelForGrain(n, OpenMPChunk, body)
 }
 
 // ParallelForGrain is ParallelFor with an explicit chunk size.
@@ -555,7 +550,7 @@ func (m *Machine) ParallelForGrain(n, chunk int, body func(ctx *Ctx, i int)) {
 	if chunk <= 0 {
 		chunk = 1
 	}
-	p := m.cfg.NumCores
+	p := NumCores
 	numChunks := (n + chunk - 1) / chunk
 	s := m.acquireSched(p)
 	defer m.releaseSched(s)
@@ -704,6 +699,6 @@ func (m *Machine) Barrier() {
 // String describes the machine briefly.
 func (m *Machine) String() string {
 	return fmt.Sprintf("%s: %d cores, L2 %d KB/core, SP %d KB/core, PISC=%v",
-		m.cfg.Name, m.cfg.NumCores, m.cfg.L2BytesPerCore>>10,
+		m.cfg.Name, NumCores, m.cfg.L2BytesPerCore>>10,
 		m.cfg.SPBytesPerCore>>10, m.cfg.PISC)
 }

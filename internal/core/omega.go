@@ -38,11 +38,11 @@ type omegaHier struct {
 
 func newOmegaHier(cfg Config, path *cachePath, xbar *noc.Crossbar, inj *faults.Injector) *omegaHier {
 	spCfg := scratchpad.Config{
-		NumCores:         cfg.NumCores,
+		NumCores:         NumCores,
 		BytesPerCore:     cfg.SPBytesPerCore,
-		LatencyCycles:    cfg.SPLat,
+		LatencyCycles:    SPLat,
 		ChunkSize:        cfg.chunkSize(),
-		SrcBufferEntries: cfg.SrcBufEntries,
+		SrcBufferEntries: SrcBufEntries,
 	}
 	h := &omegaHier{
 		cachePath: path,
@@ -51,8 +51,8 @@ func newOmegaHier(cfg Config, path *cachePath, xbar *noc.Crossbar, inj *faults.I
 		cfg:       cfg,
 		faults:    inj,
 	}
-	for c := 0; c < cfg.NumCores; c++ {
-		h.engines = append(h.engines, pisc.NewEngine(pisc.DefaultConfig(cfg.SPLat)))
+	for c := 0; c < NumCores; c++ {
+		h.engines = append(h.engines, pisc.NewEngine(pisc.DefaultConfig(SPLat)))
 	}
 	return h
 }
@@ -139,10 +139,8 @@ func (h *omegaHier) spAccess(now memsys.Cycles, a memsys.Access, v uint32) memsy
 		return memsys.Result{Latency: lat, Blocking: true, Level: memsys.LevelSPAtomic}
 
 	case memsys.OpRead:
-		if a.SrcRead && h.cfg.SrcBufEntries > 0 {
-			if h.ctrl.SrcBufLookup(a.Core, v) {
-				return memsys.Result{Latency: 1, Level: memsys.LevelSrcBuf}
-			}
+		if a.SrcRead && h.ctrl.SrcBufLookup(a.Core, v) {
+			return memsys.Result{Latency: 1, Level: memsys.LevelSrcBuf}
 		}
 		if local {
 			return memsys.Result{Latency: spLat, Level: memsys.LevelSPLocal}

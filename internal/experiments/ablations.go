@@ -114,14 +114,14 @@ func AblationChunkMapping(o Options) *Table {
 	_, omCfg := core.ScaledPair(pr.g.NumVertices(), spec.VtxPropBytes, o.Coverage)
 	omCfg.DynamicSchedule = false // static scheduling is the §V.D setting
 	omCfg.PISC = false            // isolate access locality from PISC load balance
-	chunks := []int{omCfg.OpenMPChunk, 1}
+	chunks := []int{core.OpenMPChunk, 1}
 	cfgs := make([]core.Config, len(chunks))
 	for i, spChunk := range chunks {
 		cfgs[i] = omCfg
 		cfgs[i].SPChunkSize = spChunk
 	}
 	for i, st := range runMachines(o, spec.Name, pr, cfgs...) {
-		t.AddRow(chunks[i], omCfg.OpenMPChunk, 100*st.SPLocalFraction, uint64(st.Cycles))
+		t.AddRow(chunks[i], core.OpenMPChunk, 100*st.SPLocalFraction, uint64(st.Cycles))
 	}
 	t.Notes = append(t.Notes,
 		"matched chunks turn the sequential copy's scratchpad accesses local (§V.D)")

@@ -125,8 +125,8 @@ func TestCellBuildPanicLeavesKeyRebuildable(t *testing.T) {
 }
 
 // TestCellKeySeparatesConfigs pins the cell identity: requests whose
-// configs differ in one field — top-level, nested DRAM, the fault seed,
-// the machine name — build separate cells, and an equal config shares
+// configs differ in one field — top-level, the nested fault seed, the
+// machine name — build separate cells, and an equal config shares
 // the first one's cell.
 func TestCellKeySeparatesConfigs(t *testing.T) {
 	cells := NewCellCache()
@@ -136,7 +136,7 @@ func TestCellKeySeparatesConfigs(t *testing.T) {
 	base, _ := core.ScaledPair(pr.g.NumVertices(), spec.VtxPropBytes, o.Coverage)
 	mutations := map[string]func(*core.Config){
 		"Faults.Seed":       func(c *core.Config) { c.Faults.Seed = 99 },
-		"DRAM.ClosePage":    func(c *core.Config) { c.DRAM.ClosePage = !c.DRAM.ClosePage },
+		"ClosePage":         func(c *core.Config) { c.ClosePage = !c.ClosePage },
 		"DisableLineBuffer": func(c *core.Config) { c.DisableLineBuffer = true },
 		"Name":              func(c *core.Config) { c.Name = "other" },
 	}

@@ -106,7 +106,7 @@ func ExtensionPagePolicy(o Options) *Table {
 	}
 	variants := []variant{
 		{"open-page", func(c *core.Config) {}},
-		{"close-page", func(c *core.Config) { c.DRAM.ClosePage = true }},
+		{"close-page", func(c *core.Config) { c.ClosePage = true }},
 		{"hybrid (§IX)", func(c *core.Config) { c.HybridPagePolicy = true }},
 	}
 	cfgs := make([]core.Config, len(variants))

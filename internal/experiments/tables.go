@@ -125,7 +125,7 @@ func Table3(o Options) *Table {
 		if cfg.SPBytesPerCore > 0 {
 			gran = "1-8 B"
 		}
-		t.AddRow(tag+cfg.Name, cfg.NumCores,
+		t.AddRow(tag+cfg.Name, core.NumCores,
 			kb(cfg.L1Bytes), kb(cfg.L2BytesPerCore), kb(cfg.SPBytesPerCore),
 			cfg.PISC, gran)
 	}

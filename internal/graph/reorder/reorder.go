@@ -1,7 +1,6 @@
-// Package reorder implements the offline vertex-reordering algorithms of
-// paper §VI: full in-degree sort, out-degree sort, top-20 % partial sort,
-// the linear-time "n-th element" partition the paper selects, and a
-// SlashBurn-like community ordering used as a negative control in §III.
+// Package reorder implements the offline vertex reorderings of paper §III
+// and §VI: full in-degree sort, out-degree sort, and a SlashBurn-like
+// community ordering used as a negative control in §III.
 //
 // A reordering is a permutation newID[oldID]; Apply relabels a graph so
 // that vertex 0 is the most popular, matching Figure 6 ("lower ID
@@ -25,13 +24,6 @@ const (
 	InDegree
 	// OutDegree sorts all vertices by descending out-degree.
 	OutDegree
-	// Top20Partial sorts only the top 20 % by in-degree; the tail keeps
-	// its relative original order (paper §VI option 2).
-	Top20Partial
-	// NthElement partitions vertices so that the top 20 % by in-degree
-	// precede the rest, with no ordering guarantee inside each side —
-	// linear average time (paper §VI option 3, the one OMEGA uses).
-	NthElement
 	// SlashBurn approximates SlashBurn: iteratively remove the highest-
 	// degree hub, then order remaining "spokes" by community. Included as
 	// the paper's negative control (no speedup in §III).
@@ -47,10 +39,6 @@ func (m Method) String() string {
 		return "in-degree"
 	case OutDegree:
 		return "out-degree"
-	case Top20Partial:
-		return "top20-partial"
-	case NthElement:
-		return "nth-element"
 	case SlashBurn:
 		return "slashburn"
 	}
@@ -95,10 +83,6 @@ func Compute(g *graph.Graph, m Method) Permutation {
 		return byDegree(n, func(v graph.VertexID) int { return g.InDegree(v) })
 	case OutDegree:
 		return byDegree(n, func(v graph.VertexID) int { return g.OutDegree(v) })
-	case Top20Partial:
-		return top20Partial(g)
-	case NthElement:
-		return nthElement(g)
 	case SlashBurn:
 		return slashBurn(g)
 	}
@@ -118,88 +102,6 @@ func byDegree(n int, deg func(graph.VertexID) int) Permutation {
 	p := make(Permutation, n)
 	for rank, old := range order {
 		p[old] = graph.VertexID(rank)
-	}
-	return p
-}
-
-// top20Partial sorts the top 20 % by in-degree; all remaining vertices keep
-// their original relative order after them.
-func top20Partial(g *graph.Graph) Permutation {
-	n := g.NumVertices()
-	k := n / 5
-	if k < 1 {
-		k = 1
-	}
-	top := graph.TopKByInDegree(g, k)
-	inTop := make([]bool, n)
-	p := make(Permutation, n)
-	for rank, v := range top {
-		inTop[v] = true
-		p[v] = graph.VertexID(rank)
-	}
-	next := k
-	for v := 0; v < n; v++ {
-		if !inTop[v] {
-			p[v] = graph.VertexID(next)
-			next++
-		}
-	}
-	return p
-}
-
-// nthElement partitions so the k=20 % highest-in-degree vertices occupy IDs
-// [0,k) (ordered by original ID within the partition — any order satisfies
-// the paper's requirement) and the rest occupy [k,n).
-func nthElement(g *graph.Graph) Permutation {
-	n := g.NumVertices()
-	k := n / 5
-	if k < 1 {
-		k = 1
-	}
-	// Select the k-th largest in-degree with a counting pass rather than a
-	// full sort: linear in n + maxDegree.
-	maxDeg := 0
-	deg := make([]int, n)
-	for v := 0; v < n; v++ {
-		deg[v] = g.InDegree(graph.VertexID(v))
-		if deg[v] > maxDeg {
-			maxDeg = deg[v]
-		}
-	}
-	count := make([]int, maxDeg+2)
-	for _, d := range deg {
-		count[d]++
-	}
-	// Find the smallest degree threshold t such that #vertices with
-	// degree > t is < k; vertices with degree > t are definitely in the
-	// top set, and we fill the remainder with degree == t vertices.
-	remaining := k
-	threshold := maxDeg
-	for d := maxDeg; d >= 0; d-- {
-		if count[d] >= remaining {
-			threshold = d
-			break
-		}
-		remaining -= count[d]
-	}
-	p := make(Permutation, n)
-	nextTop, nextTail := 0, k
-	quota := remaining // how many degree==threshold vertices go in the top
-	for v := 0; v < n; v++ {
-		takeTop := false
-		if deg[v] > threshold {
-			takeTop = true
-		} else if deg[v] == threshold && quota > 0 {
-			takeTop = true
-			quota--
-		}
-		if takeTop {
-			p[v] = graph.VertexID(nextTop)
-			nextTop++
-		} else {
-			p[v] = graph.VertexID(nextTail)
-			nextTail++
-		}
 	}
 	return p
 }

@@ -29,7 +29,7 @@ func TestIdentity(t *testing.T) {
 }
 
 func allMethods() []Method {
-	return []Method{Identity, InDegree, OutDegree, Top20Partial, NthElement, SlashBurn}
+	return []Method{Identity, InDegree, OutDegree, SlashBurn}
 }
 
 func TestAllMethodsProduceValidPermutations(t *testing.T) {
@@ -64,50 +64,6 @@ func TestOutDegreeOrderingMonotone(t *testing.T) {
 		if g.OutDegree(inv[rank-1]) < g.OutDegree(inv[rank]) {
 			t.Fatalf("out-degree not descending at rank %d", rank)
 		}
-	}
-}
-
-// topSetMinDegree returns the minimum in-degree inside the top-k new IDs
-// and the maximum in-degree outside it.
-func topSplitDegrees(g *graph.Graph, p Permutation, k int) (minTop, maxTail int) {
-	inv := p.Inverse()
-	minTop = 1 << 30
-	for rank, old := range inv {
-		d := g.InDegree(old)
-		if rank < k {
-			if d < minTop {
-				minTop = d
-			}
-		} else if d > maxTail {
-			maxTail = d
-		}
-	}
-	return
-}
-
-func TestNthElementPartitionProperty(t *testing.T) {
-	g := testGraph(t)
-	p := Compute(g, NthElement)
-	k := g.NumVertices() / 5
-	minTop, maxTail := topSplitDegrees(g, p, k)
-	if minTop < maxTail {
-		t.Fatalf("partition violated: min(top)=%d < max(tail)=%d", minTop, maxTail)
-	}
-}
-
-func TestTop20PartialTopSortedAndPartitioned(t *testing.T) {
-	g := testGraph(t)
-	p := Compute(g, Top20Partial)
-	k := g.NumVertices() / 5
-	inv := p.Inverse()
-	for rank := 1; rank < k; rank++ {
-		if g.InDegree(inv[rank-1]) < g.InDegree(inv[rank]) {
-			t.Fatalf("top-20%% region not sorted at %d", rank)
-		}
-	}
-	minTop, maxTail := topSplitDegrees(g, p, k)
-	if minTop < maxTail {
-		t.Fatalf("partition violated: %d < %d", minTop, maxTail)
 	}
 }
 

@@ -64,12 +64,10 @@ type DRAM struct {
 	// closed.
 	openRow []uint64
 
-	// rowShift/chMask/bankMask/bankShift strength-reduce the per-access
-	// channel/bank/row divisions to shift/mask when the geometry is all
-	// powers of two (pow2 false otherwise — sensitivity sweeps use odd
-	// channel counts, so the division path stays live). maxWait folds the
-	// MaxQueue bound into one precomputed compare (^0 = unbounded).
-	pow2      bool
+	// chMask/rowShift/bankMask/bankShift decompose an address into
+	// channel, bank and row by shift/mask (New requires power-of-two
+	// geometry). maxWait folds the MaxQueue bound into one precomputed
+	// compare (^0 = unbounded).
 	chMask    uint64
 	rowShift  uint
 	bankMask  uint64
@@ -92,30 +90,28 @@ type DRAM struct {
 	lastBusy memsys.Cycles
 }
 
-// New builds the DRAM model.
+// New builds the DRAM model. Channels, BanksPerChan and RowBytes must be
+// powers of two.
 func New(cfg Config) *DRAM {
-	if cfg.Channels <= 0 || cfg.BanksPerChan <= 0 || cfg.RowBytes <= 0 {
+	pow2 := func(n int) bool { return n > 0 && n&(n-1) == 0 }
+	if !pow2(cfg.Channels) || !pow2(cfg.BanksPerChan) || !pow2(cfg.RowBytes) {
 		panic(fmt.Sprintf("dram: bad config %+v", cfg))
 	}
 	d := &DRAM{
-		cfg:     cfg,
-		queues:  make([]memsys.Queue, cfg.Channels),
-		openRow: make([]uint64, cfg.Channels*cfg.BanksPerChan),
-		maxWait: ^memsys.Cycles(0),
+		cfg:       cfg,
+		queues:    make([]memsys.Queue, cfg.Channels),
+		openRow:   make([]uint64, cfg.Channels*cfg.BanksPerChan),
+		chMask:    uint64(cfg.Channels) - 1,
+		rowShift:  uint(bits.TrailingZeros(uint(cfg.RowBytes))),
+		bankMask:  uint64(cfg.BanksPerChan) - 1,
+		bankShift: uint(bits.TrailingZeros(uint(cfg.BanksPerChan))),
+		maxWait:   ^memsys.Cycles(0),
 	}
 	for i := range d.openRow {
 		d.openRow[i] = ^uint64(0)
 	}
 	if cfg.MaxQueue > 0 {
 		d.maxWait = memsys.Cycles(cfg.MaxQueue) * cfg.ServiceCyclesPerLine
-	}
-	pow2 := func(n int) bool { return n > 0 && n&(n-1) == 0 }
-	if pow2(cfg.Channels) && pow2(cfg.BanksPerChan) && pow2(cfg.RowBytes) {
-		d.pow2 = true
-		d.chMask = uint64(cfg.Channels) - 1
-		d.rowShift = uint(bits.TrailingZeros(uint(cfg.RowBytes)))
-		d.bankMask = uint64(cfg.BanksPerChan) - 1
-		d.bankShift = uint(bits.TrailingZeros(uint(cfg.BanksPerChan)))
 	}
 	return d
 }
@@ -148,24 +144,13 @@ func (d *DRAM) AccessHint(now memsys.Cycles, addr memsys.Addr, lowLocality bool)
 
 // access is the shared device model behind reads and writebacks. The
 // channel/bank/row decomposition, queue bound, and open-row update run as
-// straight-line shift/mask arithmetic on the flattened row array for
-// power-of-two geometries (the strength-reduced form of exactly the
-// divisions below, so every index — and therefore every latency — is
-// unchanged).
+// straight-line shift/mask arithmetic on the flattened row array.
 func (d *DRAM) access(now memsys.Cycles, addr memsys.Addr, lowLocality, read bool) memsys.Cycles {
 	la := uint64(memsys.LineAddr(addr))
-	var chIdx, slot, row uint64
-	if d.pow2 {
-		chIdx = (la / memsys.LineSize) & d.chMask
-		rb := la >> d.rowShift
-		slot = chIdx<<d.bankShift | (rb & d.bankMask)
-		row = rb >> d.bankShift
-	} else {
-		chIdx = (la / memsys.LineSize) % uint64(d.cfg.Channels)
-		bankIdx := (la / uint64(d.cfg.RowBytes)) % uint64(d.cfg.BanksPerChan)
-		slot = chIdx*uint64(d.cfg.BanksPerChan) + bankIdx
-		row = la / uint64(d.cfg.RowBytes) / uint64(d.cfg.BanksPerChan)
-	}
+	chIdx := (la / memsys.LineSize) & d.chMask
+	rb := la >> d.rowShift
+	slot := chIdx<<d.bankShift | (rb & d.bankMask)
+	row := rb >> d.bankShift
 
 	wait := d.queues[chIdx].Enqueue(now, d.cfg.ServiceCyclesPerLine)
 	if wait > d.maxWait {

@@ -110,12 +110,24 @@ func TestChannelsIndependent(t *testing.T) {
 }
 
 func TestBadConfigPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	New(Config{Channels: 0})
+	zero := DefaultConfig()
+	zero.Channels = 0
+	oddChannels := DefaultConfig()
+	oddChannels.Channels = 3
+	oddBanks := DefaultConfig()
+	oddBanks.BanksPerChan = 6
+	oddRow := DefaultConfig()
+	oddRow.RowBytes = 1000
+	for _, cfg := range []Config{zero, oddChannels, oddBanks, oddRow} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("New(%+v) did not panic", cfg)
+				}
+			}()
+			New(cfg)
+		}()
+	}
 }
 
 func TestLatencyComposition(t *testing.T) {

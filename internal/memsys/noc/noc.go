@@ -78,9 +78,8 @@ type Crossbar struct {
 	cfg     Config
 	ports   []memsys.Queue
 	traffic [numClasses]classTraffic
-	// busShift strength-reduces the serialization division to a shift
-	// when BusBytes is a power of two (-1 otherwise).
-	busShift int
+	// busShift is log2(BusBytes): the serialization division as a shift.
+	busShift uint
 	// faults, when attached, drops/delays non-local messages with
 	// bounded retransmission (nil = no injection, the default).
 	faults    *faults.Injector
@@ -89,16 +88,16 @@ type Crossbar struct {
 	RetryWait stats.Counter
 }
 
-// New builds the crossbar.
+// New builds the crossbar. BusBytes must be a power of two.
 func New(cfg Config) *Crossbar {
-	if cfg.Ports <= 0 || cfg.BusBytes <= 0 {
+	if cfg.Ports <= 0 || cfg.BusBytes <= 0 || cfg.BusBytes&(cfg.BusBytes-1) != 0 {
 		panic(fmt.Sprintf("noc: bad config %+v", cfg))
 	}
-	x := &Crossbar{cfg: cfg, ports: make([]memsys.Queue, cfg.Ports), busShift: -1}
-	if cfg.BusBytes&(cfg.BusBytes-1) == 0 {
-		x.busShift = bits.TrailingZeros(uint(cfg.BusBytes))
+	return &Crossbar{
+		cfg:      cfg,
+		ports:    make([]memsys.Queue, cfg.Ports),
+		busShift: uint(bits.TrailingZeros(uint(cfg.BusBytes))),
 	}
-	return x
 }
 
 // Config returns the configuration.
@@ -114,7 +113,7 @@ func (x *Crossbar) AttachFaults(in *faults.Injector) { x.faults = in }
 // free of traversal latency but still counts traffic when count is set.
 // The body is straight-line: one unsigned range check, one branch for the
 // word-packet sizing, fused per-class traffic accounting, and a shift for
-// the flit count on power-of-two bus widths.
+// the flit count.
 func (x *Crossbar) Send(now memsys.Cycles, src, dst int, payloadBytes int, class MsgClass) memsys.Cycles {
 	if uint(src) >= uint(x.cfg.Ports) || uint(dst) >= uint(x.cfg.Ports) {
 		panic(fmt.Sprintf("noc: port out of range src=%d dst=%d", src, dst))
@@ -135,12 +134,7 @@ func (x *Crossbar) Send(now memsys.Cycles, src, dst int, payloadBytes int, class
 		return 1
 	}
 	// Serialization: flits of BusBytes per cycle, at least 1.
-	var flits memsys.Cycles
-	if x.busShift >= 0 {
-		flits = memsys.Cycles((total + x.cfg.BusBytes - 1) >> uint(x.busShift))
-	} else {
-		flits = memsys.Cycles((total + x.cfg.BusBytes - 1) / x.cfg.BusBytes)
-	}
+	flits := memsys.Cycles((total + x.cfg.BusBytes - 1) >> x.busShift)
 	wait := x.ports[dst].Enqueue(now, flits)
 	if x.cfg.MaxQueueCycles > 0 && wait > x.cfg.MaxQueueCycles {
 		wait = x.cfg.MaxQueueCycles

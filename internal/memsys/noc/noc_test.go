@@ -123,12 +123,16 @@ func TestPortRangePanics(t *testing.T) {
 }
 
 func TestBadConfigPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	New(Config{Ports: 0, BusBytes: 16})
+	for _, cfg := range []Config{{Ports: 0, BusBytes: 16}, {Ports: 4, BusBytes: 12}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("New(%+v) did not panic", cfg)
+				}
+			}()
+			New(cfg)
+		}()
+	}
 }
 
 func TestClassStrings(t *testing.T) {
