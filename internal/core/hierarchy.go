@@ -153,7 +153,7 @@ func (p *cachePath) Access(now memsys.Cycles, a memsys.Access) memsys.Result {
 		// contract: nothing between the missing probe above and here can
 		// have installed the line (the miss path only fills L2 and may
 		// *invalidate* L1 lines via back-invalidation).
-		p.fillL1(now, a.Core, r1, line, write, stream)
+		p.fillL1(now, a.Core, r1, line, write, stream, false)
 		if p.cfg.L1Prefetch &&
 			(a.Kind == memsys.KindEdgeList || a.Kind == memsys.KindNGraphData) {
 			p.prefetchNext(now, a.Core, line)
@@ -198,6 +198,11 @@ func (p *cachePath) miss(now memsys.Cycles, core int, line memsys.Addr, write, l
 		// the same accounting gem5's Ruby MESI uses — even though the
 		// transfer stays on-chip.
 		l2.Reads.AddMisses(1)
+		// Known fault: this fill can evict a real L2 line, and the victim
+		// is dropped — no L1 back-invalidation (breaking inclusion) and no
+		// DRAM writeback of a dirty victim, though Writebacks counts it.
+		// Routing it through evictFromL2 changes every golden (DESIGN.md
+		// §13).
 		l2.FillAt(rl2, true)
 		fwd := p.noc.Send(now+lat, bank, dirtyOwner, 0, noc.ClassCtrl)
 		xfer := p.noc.Send(now+lat+fwd, dirtyOwner, core, memsys.LineSize, noc.ClassLine)
@@ -250,7 +255,7 @@ func (p *cachePath) prefetchNext(now memsys.Cycles, core int, line memsys.Addr) 
 	// L1 fill reuses the lookup's Ref; the lookup missed and the only L1
 	// mutations since are possible back-invalidations (removals), so the
 	// known-absent contract holds.
-	p.fillL1(now, core, rn, next, false, false)
+	p.fillL1(now, core, rn, next, false, false, true)
 }
 
 // pollute injects Config.LLCPollution synthetic fills per demand access
@@ -269,6 +274,9 @@ func (p *cachePath) pollute(bank int) {
 		p.pollNext = p.pollNext*6364136223846793005 + 1442695040888963407
 		// Spread across sets within the bank; reserved range above 2^40.
 		addr := memsys.Addr(pollutionBase + (p.pollNext%(1<<20))*memsys.LineSize)
+		// Known fault: a real victim of this fill is dropped like a
+		// synthetic one — no L1 back-invalidation and no DRAM writeback of
+		// a dirty line, though Writebacks counts it (DESIGN.md §13).
 		p.l2[bank].Fill(p.l2Local(addr), false)
 	}
 }
@@ -334,11 +342,12 @@ func (p *cachePath) evictFromL2(now memsys.Cycles, bank int, victim cache.Evicte
 
 // fillL1 installs line into the core's L1 and handles the victim
 // (directory drop + dirty writeback to the home bank). stream additionally
-// seeds the L1's same-line memo with the filled line. r is the line's Ref
-// in the core's L1, carried over from the probe that missed; both callers
+// seeds the L1's same-line memo with the filled line; prefetch marks a
+// fill no demand access acquired in the directory. r is the line's Ref in
+// the core's L1, carried over from the probe that missed; both callers
 // guarantee the known-absent contract (the probe missed and only removals
 // can have touched the L1 since), so the fill skips the presence re-probe.
-func (p *cachePath) fillL1(now memsys.Cycles, core int, r cache.Ref, line memsys.Addr, write, stream bool) {
+func (p *cachePath) fillL1(now memsys.Cycles, core int, r cache.Ref, line memsys.Addr, write, stream, prefetch bool) {
 	var victim cache.EvictedLine
 	var evicted bool
 	if stream {
@@ -346,12 +355,14 @@ func (p *cachePath) fillL1(now memsys.Cycles, core int, r cache.Ref, line memsys
 	} else {
 		victim, evicted = p.l1[core].FillMissAt(r, write)
 	}
-	if !write {
-		// Shared-state bookkeeping already done in miss() for demand reads;
-		// FillShared acquires Shared exactly when the line is untracked
-		// (prefetch fills) and marks residency either way. Writes did
-		// AcquireExclusive in miss() (which marks residency) or hit on the
-		// upgrade path.
+	if prefetch {
+		// Only a prefetch fill needs directory bookkeeping here: FillShared
+		// acquires Shared when the line is untracked and marks residency.
+		// A demand read ran AcquireShared in miss(), which left this core
+		// the owner or a sharer with its resident bit set; nothing between
+		// the two touches that entry (the L2 victim and pollution lines are
+		// other lines), so FillShared would change nothing. A write ran
+		// AcquireExclusive, which marks residency too.
 		p.dir.FillShared(line, core)
 	}
 	if !evicted {

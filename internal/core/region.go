@@ -25,12 +25,37 @@ type Region struct {
 	Kind memsys.Kind
 }
 
-// Addr returns the simulated address of element i.
+// Addr returns the simulated address of element i. One unsigned compare
+// bounds i (a negative i wraps past Count) and the panic is formatted out
+// of line, so Addr inlines into the access path.
 func (r *Region) Addr(i int) memsys.Addr {
-	if i < 0 || i >= r.Count {
-		panic(fmt.Sprintf("core: region %s index %d out of [0,%d)", r.Name, i, r.Count))
+	if uint(i) >= uint(r.Count) {
+		r.indexPanic(i)
 	}
 	return r.Base + memsys.Addr(i*r.ElemSize)
+}
+
+// indexPanic reports an out-of-range element index. It is kept out of
+// line so its formatting does not count against Addr's inlining budget.
+//
+//go:noinline
+func (r *Region) indexPanic(i int) {
+	panic(fmt.Sprintf("core: region %s index %d out of [0,%d)", r.Name, i, r.Count))
+}
+
+// lineRange returns the indices [lo, lo+span) of the elements of r whose
+// start address lies in line: exactly the i in [0, Count) for which
+// LineAddr(r.Addr(i)) == line, so an element straddling two lines belongs
+// to the line it starts in. line must hold the start of some element.
+func (r *Region) lineRange(line memsys.Addr) (lo int, span uint) {
+	es := memsys.Addr(r.ElemSize)
+	var first memsys.Addr // first index starting at or after line
+	if line > r.Base {
+		first = (line - r.Base + es - 1) / es
+	}
+	// end is the first index starting at or after the next line.
+	end := min((line+memsys.LineSize-r.Base+es-1)/es, memsys.Addr(r.Count))
+	return int(first), uint(end - first)
 }
 
 // Bytes returns the total region size.

@@ -10,50 +10,30 @@
 // MLP-limited window reproduces them (see DESIGN.md §1).
 package cpu
 
-import (
-	"fmt"
-	"math/bits"
+import "omega/internal/memsys"
 
-	"omega/internal/memsys"
-)
-
-// Config parameterizes a core.
-type Config struct {
-	// Width is the superscalar issue width (8 in Table III).
-	Width int
-	// ROBEntries bounds in-flight instructions (192 in Table III). The
-	// number of overlappable outstanding long-latency accesses is derived
-	// from it: ROBEntries / InstrsPerAccess.
-	ROBEntries int
-	// InstrsPerAccess is the average number of instructions between
+// The core timing is the Table III core, fixed: every simulated machine
+// runs the same cores, so the parameters are constants and Exec divides
+// only by constants.
+const (
+	// width is the superscalar issue width (8 in Table III). Graph kernels
+	// retire well below full width because of dependence chains, so the
+	// effective retire rate is ipc = width/2.
+	width = 8
+	ipc   = width / 2
+	// robEntries bounds in-flight instructions (192 in Table III).
+	robEntries = 192
+	// instrsPerAccess is the average number of instructions between
 	// long-latency memory accesses in the graph inner loops; it converts
-	// ROB capacity into a miss-level-parallelism bound.
-	InstrsPerAccess int
-	// FrontendBubbleNum/Den charge frontend-bound cycles per retired
+	// ROB capacity into the miss-level-parallelism bound maxMLP, the number
+	// of overlappable outstanding long-latency accesses.
+	instrsPerAccess = 12
+	maxMLP          = robEntries / instrsPerAccess
+	// bubbleNum/bubbleDen charge frontend-bound cycles per retired
 	// instruction (Fig. 3 shows a small frontend component).
-	FrontendBubbleNum int
-	FrontendBubbleDen int
-}
-
-// DefaultConfig returns the Table III core.
-func DefaultConfig() Config {
-	return Config{
-		Width:             8,
-		ROBEntries:        192,
-		InstrsPerAccess:   12,
-		FrontendBubbleNum: 1,
-		FrontendBubbleDen: 10,
-	}
-}
-
-// maxMLP derives the outstanding-access bound.
-func (c Config) maxMLP() int {
-	m := c.ROBEntries / c.InstrsPerAccess
-	if m < 1 {
-		m = 1
-	}
-	return m
-}
+	bubbleNum = 1
+	bubbleDen = 10
+)
 
 // Breakdown is the TMAM-style cycle accounting of one core.
 type Breakdown struct {
@@ -94,24 +74,17 @@ func (b Breakdown) MemoryFraction() float64 {
 // Core is the timing model for a single core. Not safe for concurrent use.
 type Core struct {
 	ID    int
-	cfg   Config
 	clock memsys.Cycles
 
 	// outstanding holds completion times of in-flight overlappable
 	// accesses, unordered; len <= maxMLP.
 	outstanding []memsys.Cycles
-	maxMLP      int
-	// ipc is the effective retire rate (Width/2, min 1), precomputed;
-	// ipcShift is log2(ipc) when ipc is a power of two (else -1), so the
-	// per-Exec division strength-reduces to a shift in the common config.
-	ipc      int
-	ipcShift int
 
 	breakdown    Breakdown
 	instructions uint64
-	// frontendAccum accumulates fractional frontend bubbles in 1/Den
-	// units to stay integer-exact.
-	frontendAccum int
+	// frontendAccum accumulates fractional frontend bubbles in
+	// 1/bubbleDen units to stay integer-exact.
+	frontendAccum uint
 
 	// Stall attribution (diagnostics): blocking-access stalls,
 	// window-full stalls, barrier drains, and offload backpressure.
@@ -122,20 +95,7 @@ type Core struct {
 }
 
 // New builds a core with the given ID.
-func New(id int, cfg Config) *Core {
-	if cfg.Width <= 0 {
-		panic(fmt.Sprintf("cpu: core %d invalid width", id))
-	}
-	ipc := cfg.Width / 2
-	if ipc < 1 {
-		ipc = 1
-	}
-	shift := -1
-	if ipc&(ipc-1) == 0 {
-		shift = bits.TrailingZeros(uint(ipc))
-	}
-	return &Core{ID: id, cfg: cfg, maxMLP: cfg.maxMLP(), ipc: ipc, ipcShift: shift}
-}
+func New(id int) *Core { return &Core{ID: id} }
 
 // Clock returns the core's local time.
 func (c *Core) Clock() memsys.Cycles { return c.clock }
@@ -154,29 +114,24 @@ func (c *Core) Instructions() uint64 { return c.instructions }
 // Breakdown returns the TMAM cycle accounting so far.
 func (c *Core) Breakdown() Breakdown { return c.breakdown }
 
-// Exec retires ops ALU/branch instructions. Graph kernels retire well
-// below full width because of dependence chains; we model an effective
-// IPC of Width/2.
+// Exec retires ops ALU/branch instructions at the effective rate ipc.
+// Every divisor is a constant, so Exec is small enough to inline into the
+// framework's loops.
 func (c *Core) Exec(ops int) {
 	if ops <= 0 {
 		return
 	}
-	c.instructions += uint64(ops)
-	n := ops + c.ipc - 1
-	var cycles memsys.Cycles
-	if c.ipcShift >= 0 {
-		cycles = memsys.Cycles(n >> uint(c.ipcShift))
-	} else {
-		cycles = memsys.Cycles(n / c.ipc)
-	}
+	n := uint(ops)
+	c.instructions += uint64(n)
+	cycles := memsys.Cycles((n + ipc - 1) / ipc)
 	c.clock += cycles
 	c.breakdown.Retiring += cycles
 	// Frontend bubbles accrue per instruction; the quotient is only
 	// computed once a whole bubble has accrued (fb > 0 iff accum >= den).
-	c.frontendAccum += ops * c.cfg.FrontendBubbleNum
-	if c.frontendAccum >= c.cfg.FrontendBubbleDen {
-		fb := c.frontendAccum / c.cfg.FrontendBubbleDen
-		c.frontendAccum -= fb * c.cfg.FrontendBubbleDen
+	c.frontendAccum += n * bubbleNum
+	if c.frontendAccum >= bubbleDen {
+		fb := c.frontendAccum / bubbleDen
+		c.frontendAccum -= fb * bubbleDen
 		c.clock += memsys.Cycles(fb)
 		c.breakdown.Frontend += memsys.Cycles(fb)
 	}
@@ -239,7 +194,7 @@ func (c *Core) Mem(res memsys.Result) {
 	// Overlappable miss: occupy a window slot, stalling only when the
 	// window is full.
 	c.reap()
-	if len(c.outstanding) >= c.maxMLP {
+	if len(c.outstanding) >= maxMLP {
 		e := c.earliest()
 		if e > c.clock {
 			c.breakdown.MemoryBound += e - c.clock

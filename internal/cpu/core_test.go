@@ -6,7 +6,7 @@ import (
 	"omega/internal/memsys"
 )
 
-func newCore() *Core { return New(0, DefaultConfig()) }
+func newCore() *Core { return New(0) }
 
 func TestExecAdvancesClock(t *testing.T) {
 	c := newCore()
@@ -65,7 +65,7 @@ func TestOverlappableMissesOverlap(t *testing.T) {
 	c := newCore()
 	// Issue maxMLP misses of 200 cycles: they should overlap, costing far
 	// less than serial execution.
-	mlp := DefaultConfig().maxMLP()
+	mlp := maxMLP
 	for i := 0; i < mlp; i++ {
 		c.Mem(memsys.Result{Latency: 200})
 	}
@@ -80,7 +80,7 @@ func TestOverlappableMissesOverlap(t *testing.T) {
 
 func TestWindowFullStalls(t *testing.T) {
 	c := newCore()
-	mlp := DefaultConfig().maxMLP()
+	mlp := maxMLP
 	for i := 0; i < mlp*4; i++ {
 		c.Mem(memsys.Result{Latency: 200})
 	}
@@ -157,22 +157,27 @@ func TestMemCountsInstruction(t *testing.T) {
 	}
 }
 
-func TestConfigMLPDerivation(t *testing.T) {
-	cfg := Config{Width: 8, ROBEntries: 192, InstrsPerAccess: 12}
-	if cfg.maxMLP() != 16 {
-		t.Fatalf("mlp %d, want 16", cfg.maxMLP())
+// TestTableIIIConstants pins the Table III core the timing model is built
+// from: 8-wide issue retiring at IPC 4, a 192-entry ROB with 12
+// instructions per long-latency access (16 overlappable misses), and one
+// frontend bubble per 10 instructions.
+func TestTableIIIConstants(t *testing.T) {
+	if maxMLP != 16 {
+		t.Fatalf("mlp %d, want 16", maxMLP)
 	}
-	cfg.InstrsPerAccess = 1000
-	if cfg.maxMLP() != 1 {
-		t.Fatal("mlp floor should be 1")
+	if ipc != 4 {
+		t.Fatalf("ipc %d, want 4", ipc)
 	}
-}
-
-func TestBadWidthPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	New(0, Config{Width: 0})
+	if bubbleNum != 1 || bubbleDen != 10 {
+		t.Fatalf("frontend bubble %d/%d, want 1/10", bubbleNum, bubbleDen)
+	}
+	c := newCore()
+	c.Exec(9) // ceil(9/4) = 3 retiring cycles, no whole bubble yet
+	if c.Clock() != 3 || c.Breakdown().Frontend != 0 {
+		t.Fatalf("Exec(9): clock %d frontend %d, want 3 and 0", c.Clock(), c.Breakdown().Frontend)
+	}
+	c.Exec(1) // 1 retiring cycle, and the tenth instruction completes a bubble
+	if c.Clock() != 5 || c.Breakdown().Frontend != 1 {
+		t.Fatalf("Exec(1): clock %d frontend %d, want 5 and 1", c.Clock(), c.Breakdown().Frontend)
+	}
 }

@@ -52,7 +52,7 @@ type setMeta struct {
 // followed by a victim scan touches memory once. Per-way flag bits
 // (dirty/pinned/free) are packed into one setMeta word-triple per set.
 //
-// A way index (as returned by HotWay and accepted by PresentAt/SetLastUse)
+// A way index (as returned by HotWay and accepted by TagKey/SetLastUse)
 // is the slab index of the way's tag cell; the way's lastUse cell is at
 // index+Ways.
 type Cache struct {
@@ -215,7 +215,8 @@ func (c *Cache) SameLineReadHit(a memsys.Addr) bool {
 // HotWay returns the way index of the same-line memo when it is armed for
 // the line containing a, and -1 otherwise. Callers batching same-line
 // reads use it to learn which way a SameLineReadHit would stamp, so the
-// stamps can be applied in bulk later (FoldReadHits/SetLastUse).
+// stamps can be applied in bulk later (FoldReadHits/SetLastUse), and read
+// the way's tag key (TagKey) to re-validate the way on later use.
 func (c *Cache) HotWay(a memsys.Addr) int {
 	if c.hotIdx >= 0 && memsys.LineAddr(a) == c.hotLine {
 		return c.hotIdx
@@ -223,19 +224,16 @@ func (c *Cache) HotWay(a memsys.Addr) int {
 	return -1
 }
 
-// PresentAt reports whether way index idx currently holds the line
-// containing a. It is the validation step of the run-fold batching path:
-// a cached (line, way) pair from an earlier probe is only trusted when the
-// tag still matches, so any eviction or invalidation since simply fails
-// the check and the caller falls back to a full probe. idx may be stale
-// or from another cache of identical geometry; an out-of-set idx can
-// never match (the set's key is unique to it), but is range-checked
-// against the line's own tag row anyway so a wild index cannot read a
-// coincidentally equal tag from a different set.
-func (c *Cache) PresentAt(idx int, a memsys.Addr) bool {
-	r := c.Resolve(a)
-	return idx >= r.base && idx < r.base+c.ways && c.slab[idx] == r.key
-}
+// TagKey returns the tag key held by way index idx: 0 for an invalid way,
+// else a value unique to the line within its set. It is the validation
+// step of the run-fold batching path: a caller that recorded a way's key
+// while the way held a line (from HotWay) knows the way — or the same way
+// index in another cache of identical geometry — still holds that line
+// exactly when TagKey returns the recorded key, because the way lies in
+// the line's set and a set's keys are unique to it. Any eviction or
+// invalidation since fails the compare, and the caller falls back to a
+// full probe.
+func (c *Cache) TagKey(idx int) uint64 { return c.slab[idx] }
 
 // FoldReadHits applies the accounting of n same-line read hits in one
 // step — n use-clock ticks and n read hits, exactly what n calls of
@@ -254,7 +252,7 @@ func (c *Cache) FoldReadHits(n uint64) uint64 {
 func (c *Cache) SetLastUse(idx int, use uint64) { c.slab[idx+c.ways] = use }
 
 // ArmHot re-seeds the same-line memo with a (line, way) pair the caller
-// has validated via PresentAt — the state a hitting AccessStreamReadAt of
+// has validated via TagKey — the state a hitting AccessStreamReadAt of
 // that line would have left. It touches no counters.
 func (c *Cache) ArmHot(a memsys.Addr, idx int) {
 	c.hotLine = memsys.LineAddr(a)
