@@ -159,14 +159,13 @@ func run() error {
 	if *checkMet && *metrics == "" {
 		return fmt.Errorf("-check-metrics requires -metrics")
 	}
-	var metricsFlush func() error
+	var series *obs.SeriesFile
 	if *metrics != "" {
-		sink, flush, err := openMetricsSink(*metrics)
-		if err != nil {
-			return err
+		var err error
+		if series, err = obs.CreateSeriesFile(*metrics); err != nil {
+			return fmt.Errorf("metrics: %w", err)
 		}
-		opts.Metrics = sink
-		metricsFlush = flush
+		opts.Metrics = series
 	}
 	start := time.Now()
 
@@ -209,8 +208,8 @@ func run() error {
 	if err := writeTableArtifacts(res.Summary, res.Summary.ID, *tsvDir, *jsonDir); err != nil {
 		return err
 	}
-	if metricsFlush != nil {
-		if err := metricsFlush(); err != nil {
+	if series != nil {
+		if err := series.Close(); err != nil {
 			return fmt.Errorf("metrics: %w", err)
 		}
 		fmt.Printf("wrote %s\n", *metrics)
@@ -234,35 +233,6 @@ func run() error {
 		return fmt.Errorf("%d of %d experiments failed", n, len(res.Tables))
 	}
 	return nil
-}
-
-// openMetricsSink creates the -metrics output file and picks the encoding
-// by extension: .tsv gets the tabular series, anything else JSONL. The
-// returned flush closes out buffered writes and surfaces any sticky
-// writer error.
-func openMetricsSink(path string) (obs.Sink, func() error, error) {
-	f, err := os.Create(path)
-	if err != nil {
-		return nil, nil, fmt.Errorf("metrics: %w", err)
-	}
-	if strings.HasSuffix(path, ".tsv") {
-		w := obs.NewTSVWriter(f)
-		return w, func() error {
-			if err := w.Flush(); err != nil {
-				f.Close()
-				return err
-			}
-			return f.Close()
-		}, nil
-	}
-	w := obs.NewJSONLWriter(f)
-	return w, func() error {
-		if err := w.Flush(); err != nil {
-			f.Close()
-			return err
-		}
-		return f.Close()
-	}, nil
 }
 
 // validateMetrics re-reads a JSONL metrics file and schema-checks every

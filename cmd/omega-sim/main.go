@@ -16,7 +16,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 	"sync"
 
 	"omega/internal/algorithms"
@@ -59,11 +58,53 @@ func run() error {
 	if err := core.CheckCoverage(*coverage); err != nil {
 		return fmt.Errorf("-coverage: %w", err)
 	}
-
+	switch *machine {
+	case "baseline", "omega", "both":
+	default:
+		return fmt.Errorf("unknown -machine %q (want baseline, omega, or both)", *machine)
+	}
+	var fc faults.Config
+	switch {
+	case *faultRate != 0 && *faultSite != "":
+		return fmt.Errorf("-faults and -fault-site are mutually exclusive")
+	case *faultRate != 0:
+		fc = experiments.ResilienceFaults(*faultSeed, *faultRate)
+	case *faultSite != "":
+		var err error
+		if fc, err = faults.ParseSiteConfig(*faultSite); err != nil {
+			return err
+		}
+		fc.Seed = *faultSeed
+	}
+	// Negative and NaN rates fail here rather than running fault-free.
+	if err := fc.Validate(); err != nil {
+		return err
+	}
 	spec, ok := algorithms.ByName(*algoName)
 	if !ok {
 		return fmt.Errorf("unknown algorithm %q", *algoName)
 	}
+	// Both output files are created before anything is simulated, so an
+	// unwritable path fails before the run rather than after it.
+	var series *obs.SeriesFile
+	if *metrics != "" {
+		f, err := obs.CreateSeriesFile(*metrics)
+		if err != nil {
+			return fmt.Errorf("metrics: %w", err)
+		}
+		defer f.Close()
+		series = f
+	}
+	var timelineFile *os.File
+	if *timeline != "" {
+		f, err := os.Create(*timeline)
+		if err != nil {
+			return fmt.Errorf("timeline: %w", err)
+		}
+		defer f.Close()
+		timelineFile = f
+	}
+
 	g, err := buildGraph(*graphKdn, *scale, *seed, *edgelist, *edgeErrs, spec)
 	if err != nil {
 		return err
@@ -76,24 +117,8 @@ func run() error {
 		omCfg.PISC = false
 		omCfg.Name = "omega-nopisc"
 	}
-	switch {
-	case *faultRate != 0 && *faultSite != "":
-		return fmt.Errorf("-faults and -fault-site are mutually exclusive")
-	case *faultRate != 0:
-		// Negative rates flow through so Config.Validate rejects them
-		// with a clear error instead of silently running fault-free.
-		fc := experiments.ResilienceFaults(*faultSeed, *faultRate)
-		baseCfg.Faults = fc
-		omCfg.Faults = fc
-	case *faultSite != "":
-		fc, err := faults.ParseSiteConfig(*faultSite)
-		if err != nil {
-			return err
-		}
-		fc.Seed = *faultSeed
-		baseCfg.Faults = fc
-		omCfg.Faults = fc
-	}
+	baseCfg.Faults = fc
+	omCfg.Faults = fc
 	fmt.Printf("dataset %s: %d vertices, %d edges\n", g.Name, g.NumVertices(), g.NumEdges())
 
 	emit := func(st core.MachineStats) error {
@@ -108,16 +133,16 @@ func run() error {
 		fmt.Print(st.Summary())
 		return nil
 	}
-	// Both observability outputs are mutex-protected sinks, so the
+	// Both observability collectors are mutex-protected, so the
 	// concurrent -machine both path can share them; samples and spans
 	// carry the machine name, and the writers sort canonically at the
 	// end, so the files do not depend on goroutine interleaving.
 	var buf *obs.Buffer
-	if *metrics != "" {
+	if series != nil {
 		buf = obs.NewBuffer()
 	}
 	var spans *obs.Timeline
-	if *timeline != "" {
+	if timelineFile != nil {
 		spans = obs.NewTimeline()
 	}
 	simulate := func(cfg core.Config) (core.MachineStats, error) {
@@ -125,13 +150,11 @@ func run() error {
 		if err != nil {
 			return core.MachineStats{}, err
 		}
-		switch {
-		case buf != nil && spans != nil:
-			m.AttachSink(obs.Tee(buf, spans))
-		case buf != nil:
+		if buf != nil {
 			m.AttachSink(buf)
-		case spans != nil:
-			m.AttachSink(spans)
+		}
+		if spans != nil {
+			m.TraceSpans(spans.Span)
 		}
 		return spec.Run(ligra.New(m, g)), nil
 	}
@@ -174,8 +197,6 @@ func run() error {
 		if err := emit(omStats); err != nil {
 			return err
 		}
-	default:
-		return fmt.Errorf("unknown -machine %q (want baseline, omega, or both)", *machine)
 	}
 	if *machine == "both" {
 		fmt.Printf("speedup (omega vs baseline): %.2fx\n", omStats.Speedup(baseStats))
@@ -196,54 +217,28 @@ func run() error {
 			}
 		}
 	}
-	if buf != nil {
-		if err := writeMetricsFile(*metrics, buf); err != nil {
-			return err
+	if series != nil {
+		samples := buf.Drain()
+		obs.SortSamples(samples)
+		for _, smp := range samples {
+			series.Sample(smp)
+		}
+		if err := series.Close(); err != nil {
+			return fmt.Errorf("metrics: %w", err)
 		}
 		fmt.Printf("wrote %s\n", *metrics)
 	}
-	if spans != nil {
-		if err := writeTimelineFile(*timeline, spans); err != nil {
-			return err
+	if timelineFile != nil {
+		// Load via chrome://tracing or https://ui.perfetto.dev.
+		if err := spans.WriteChromeTrace(timelineFile); err != nil {
+			return fmt.Errorf("timeline: %w", err)
+		}
+		if err := timelineFile.Close(); err != nil {
+			return fmt.Errorf("timeline: %w", err)
 		}
 		fmt.Printf("wrote %s (%d spans)\n", *timeline, spans.Len())
 	}
 	return nil
-}
-
-// writeMetricsFile drains the buffered samples in canonical order into
-// path, as TSV (.tsv) or JSONL (anything else).
-func writeMetricsFile(path string, buf *obs.Buffer) error {
-	samples := buf.Drain()
-	obs.SortSamples(samples)
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("metrics: %w", err)
-	}
-	defer f.Close()
-	if strings.HasSuffix(path, ".tsv") {
-		w := obs.NewTSVWriter(f)
-		for _, s := range samples {
-			w.Sample(s)
-		}
-		return w.Flush()
-	}
-	w := obs.NewJSONLWriter(f)
-	for _, s := range samples {
-		w.Sample(s)
-	}
-	return w.Flush()
-}
-
-// writeTimelineFile renders the collected spans as a chrome://tracing
-// JSON document (load via chrome://tracing or https://ui.perfetto.dev).
-func writeTimelineFile(path string, tl *obs.Timeline) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("timeline: %w", err)
-	}
-	defer f.Close()
-	return tl.WriteChromeTrace(f)
 }
 
 func buildGraph(family string, scale int, seed uint64, edgelist string, edgeErrs int, spec algorithms.Spec) (*graph.Graph, error) {

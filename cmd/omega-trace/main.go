@@ -61,7 +61,7 @@ func run() error {
 			return err
 		}
 		col := trace.NewCollector(100000)
-		m.AttachSink(col)
+		m.TraceAccesses(col.Record)
 		st := spec.Run(ligra.New(m, g))
 		fmt.Printf("== %s: %s on %s (%d cycles) ==\n", cfg.Name, spec.Name, g.Name, st.Cycles)
 		if err := col.WriteSummary(os.Stdout); err != nil {

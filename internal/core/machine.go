@@ -101,12 +101,12 @@ type Machine struct {
 	// reg is the machine's metric registry: read-only closures over the
 	// counters above and every component's, built once at construction.
 	reg *obs.Registry
-	// sink is the attached telemetry sink; accSink/spanSink cache the
-	// optional extension interfaces, resolved once at AttachSink so the
-	// per-access hot path pays one nil check, never a type assertion.
-	sink     obs.Sink
-	accSink  obs.AccessSink
-	spanSink obs.SpanSink
+	// sink receives registry samples; traceAccess and traceSpan are the
+	// per-access and per-span tracers. Each is attached on its own, and
+	// a detached one costs one nil check per hook site.
+	sink        obs.Sink
+	traceAccess func(now memsys.Cycles, a memsys.Access, r memsys.Result)
+	traceSpan   func(obs.Span)
 	// finalEmitted guards the end-of-run registry flush in Stats() so
 	// repeated snapshots emit the final samples once.
 	finalEmitted bool
@@ -183,33 +183,28 @@ func NewMachineChecked(cfg Config) (*Machine, error) {
 	return m, nil
 }
 
-// AttachSink installs the machine's telemetry sink (nil detaches). The
-// base Sink receives per-iteration registry samples at BeginIteration
-// boundaries plus one final flush in Stats; a sink additionally
-// implementing obs.AccessSink receives every simulated access, and one
-// implementing obs.SpanSink receives per-core activity spans from
-// parallel/sequential regions. The extension interfaces are resolved
-// here, once, so a samples-only sink adds no per-access work and a nil
-// sink costs one nil check per hook site.
+// AttachSink installs the machine's sample sink (nil detaches): it
+// receives per-iteration registry samples at BeginIteration boundaries
+// plus one final flush in Stats. A sink sees samples only; the access
+// and span streams are attached with TraceAccesses and TraceSpans.
 func (m *Machine) AttachSink(s obs.Sink) {
-	m.flushFold()
 	m.sink = s
-	m.accSink = nil
-	m.spanSink = nil
 	m.finalEmitted = false
-	if s != nil {
-		if a, ok := s.(obs.AccessSink); ok {
-			m.accSink = a
-		}
-		if sp, ok := s.(obs.SpanSink); ok {
-			m.spanSink = sp
-		}
-	}
-	// An AccessSink must see the expanded per-access stream with true
-	// per-access results, so run-fold batching turns itself off while one
-	// is attached (and back on when it detaches).
+}
+
+// TraceAccesses installs the per-access tracer (nil detaches): fn
+// receives every simulated access with the issuing core's clock and the
+// access's timing outcome. The tracer must see the expanded per-access
+// stream, so run folding is off while one is attached (recomputeFold).
+func (m *Machine) TraceAccesses(fn func(now memsys.Cycles, a memsys.Access, r memsys.Result)) {
+	m.flushFold()
+	m.traceAccess = fn
 	m.recomputeFold()
 }
+
+// TraceSpans installs the span tracer (nil detaches): fn receives one
+// obs.Span per core that did work in each parallel or sequential region.
+func (m *Machine) TraceSpans(fn func(obs.Span)) { m.traceSpan = fn }
 
 // SinkAttached reports whether a telemetry sink is attached.
 func (m *Machine) SinkAttached() bool { return m.sink != nil }
@@ -402,8 +397,8 @@ func (c *Ctx) access(r *Region, i int, op memsys.Op, srcRead bool) {
 			c.m.pendingALU = mask
 		}
 	}
-	if c.m.accSink != nil {
-		c.m.accSink.Access(core.Clock(), a, res)
+	if c.m.traceAccess != nil {
+		c.m.traceAccess(core.Clock(), a, res)
 	}
 	li := levelIndex(res.Level, op == memsys.OpAtomic)
 	c.m.levelCount[li]++
@@ -566,8 +561,8 @@ func (m *Machine) ParallelForGrain(n, chunk int, body func(ctx *Ctx, i int)) {
 	defer m.releaseSched(s)
 	m.parRegions.Inc()
 	m.schedItems.Add(uint64(n))
-	spans := m.spanSink != nil
-	if spans {
+	traceSpan := m.traceSpan
+	if traceSpan != nil {
 		for c := 0; c < p; c++ {
 			s.startClock[c] = m.cores[c].Clock()
 		}
@@ -622,7 +617,7 @@ func (m *Machine) ParallelForGrain(n, chunk int, body func(ctx *Ctx, i int)) {
 		// Only the selected core's clock advanced; re-seat it.
 		s.heap.fixMin()
 	}
-	if spans {
+	if traceSpan != nil {
 		// Emit one span per core that did work, with clocks read before the
 		// barrier aligns them (the idle tail is the interesting signal).
 		for c := 0; c < p; c++ {
@@ -630,7 +625,7 @@ func (m *Machine) ParallelForGrain(n, chunk int, body func(ctx *Ctx, i int)) {
 			if end == s.startClock[c] {
 				continue
 			}
-			m.spanSink.Span(obs.Span{
+			traceSpan(obs.Span{
 				Machine: m.cfg.Name, Core: c, Name: "parallel",
 				Start: s.startClock[c], End: end,
 			})
@@ -679,9 +674,9 @@ func (m *Machine) Sequential(body func(ctx *Ctx)) {
 	m.seqCtx = Ctx{m: m, core: 0}
 	body(&m.seqCtx)
 	m.flushFold()
-	if m.spanSink != nil {
+	if m.traceSpan != nil {
 		if end := m.cores[0].Clock(); end != start {
-			m.spanSink.Span(obs.Span{
+			m.traceSpan(obs.Span{
 				Machine: m.cfg.Name, Core: 0, Name: "sequential",
 				Start: start, End: end,
 			})

@@ -191,9 +191,9 @@ func TestAccessPathZeroAlloc(t *testing.T) {
 // TestAccessPathZeroAllocWithSink pins the observability overhead
 // contract: the access path stays allocation-free both with a nil sink
 // explicitly attached (the detached fast path is one nil check) and
-// with a samples-only sink attached — a plain Sink is not an
-// AccessSink, so the per-access hook stays disabled and emission cost
-// is confined to iteration boundaries.
+// with a samples-only sink attached — a sink never receives accesses,
+// so the per-access hook stays disabled and emission cost is confined
+// to iteration boundaries.
 func TestAccessPathZeroAllocWithSink(t *testing.T) {
 	sinks := []struct {
 		name string

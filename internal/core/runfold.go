@@ -134,14 +134,14 @@ func (f *runFold) setCur(si int) {
 
 // recomputeFold derives the fold enables from configuration and attached
 // machinery. Folding requires the same-line fast path (the memo it
-// virtualizes) and no per-access sink (an AccessSink must observe the
-// expanded stream with true per-access results, so batching disables
-// itself and the trace TSV bytes are trivially unchanged). Attaching an
-// AccessSink is therefore also how tests reach the per-access reference
+// virtualizes) and no access tracer (a tracer must observe the expanded
+// stream with true per-access results, so batching disables itself and
+// the trace TSV bytes are trivially unchanged). Attaching an access
+// tracer is therefore also how tests reach the per-access reference
 // path. Probe folds additionally require a fault-free machine: the
 // cache-path probe they replay draws injector PRNG per access.
 func (m *Machine) recomputeFold() {
-	m.foldEnabled = !m.cfg.DisableLineBuffer && m.accSink == nil
+	m.foldEnabled = !m.cfg.DisableLineBuffer && m.traceAccess == nil
 	m.probeFold = m.foldEnabled && m.faults == nil
 }
 

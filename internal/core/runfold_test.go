@@ -13,8 +13,8 @@ import (
 )
 
 // This file pins the run-fold batching contract of DESIGN.md §11: with
-// batching enabled (the default) and disabled (an AccessSink attached,
-// which turns folding off), a machine must produce bit-identical stats,
+// batching enabled (the default) and disabled (an access tracer
+// attached, which turns folding off), a machine must produce bit-identical stats,
 // level profiles, and metric samples for the same access script — across
 // both machine models, with and without the line buffer, and under fault
 // injection.
@@ -280,13 +280,10 @@ func foldConfig(omega, lineBuf bool, fc faults.Config) Config {
 	return cfg
 }
 
-// accessObserver forwards metric samples to its buffer and discards
-// per-access events. Being an AccessSink, it turns run-fold batching off
-// when attached (recomputeFold), which makes it the per-access reference
-// side of the equivalence grid.
-type accessObserver struct{ *obs.Buffer }
-
-func (accessObserver) Access(memsys.Cycles, memsys.Access, memsys.Result) {}
+// noTrace is an access tracer that discards every event. Attaching it
+// turns run-fold batching off (recomputeFold), which makes it the
+// per-access reference side of the equivalence grid.
+func noTrace(memsys.Cycles, memsys.Access, memsys.Result) {}
 
 // scriptResult is every observable the equivalence checks compare.
 type scriptResult struct {
@@ -298,22 +295,30 @@ type scriptResult struct {
 }
 
 // runScript executes ops over fresh regions on a fresh machine with a
-// metrics buffer attached. perAccess attaches the buffer through an
-// accessObserver, forcing the per-access path; otherwise it attaches as a
-// samples-only sink and batching stays enabled (with the line buffer on).
+// metrics buffer attached. perAccess also attaches noTrace, forcing the
+// per-access path; otherwise batching stays enabled (with the line buffer
+// on).
 func runScript(t testing.TB, cfg Config, perAccess bool, specs []regionSpec, ops []scriptOp) scriptResult {
 	t.Helper()
 	m := NewMachine(cfg)
 	buf := obs.NewBuffer()
+	m.AttachSink(buf)
 	if perAccess {
-		m.AttachSink(accessObserver{buf})
-	} else {
-		m.AttachSink(buf)
+		m.TraceAccesses(noTrace)
 	}
 	if want := !perAccess && !cfg.DisableLineBuffer; m.foldEnabled != want {
 		t.Fatalf("perAccess=%v linebuf=%v: foldEnabled=%v, want %v",
 			perAccess, !cfg.DisableLineBuffer, m.foldEnabled, want)
 	}
+	s := newScriptRunner(m, specs)
+	s.run(ops)
+	counts, lats := levelProfile(m)
+	return scriptResult{m.Stats(), counts, lats, buf.Samples(), s.reads}
+}
+
+// newScriptRunner allocates specs' regions on m, configuring the
+// scratchpads over the vtxProp regions when m has them.
+func newScriptRunner(m *Machine, specs []regionSpec) *scriptRunner {
 	s := &scriptRunner{m: m}
 	var monitors []scratchpad.MonitorRegister
 	for _, sp := range specs {
@@ -327,9 +332,7 @@ func runScript(t testing.TB, cfg Config, perAccess bool, specs []regionSpec, ops
 		m.ConfigureGraph(monitors, int(monitors[0].Count),
 			pisc.StandardMicrocode("add", pisc.OpFPAdd, false, false))
 	}
-	s.run(ops)
-	counts, lats := levelProfile(m)
-	return scriptResult{m.Stats(), counts, lats, buf.Samples(), s.reads}
+	return s
 }
 
 // runFoldScript runs foldScript over foldRegions (see runScript) and

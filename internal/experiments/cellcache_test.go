@@ -15,7 +15,6 @@ import (
 	"omega/internal/core"
 	"omega/internal/graph"
 	"omega/internal/ligra"
-	"omega/internal/memsys"
 	"omega/internal/obs"
 )
 
@@ -202,21 +201,12 @@ func TestGoldenBitIdentityWithCellCache(t *testing.T) {
 		st.Hits, st.Misses, st.Dedups, st.Resident, 100*st.DuplicateRate(), st.Campaign)
 }
 
-// accessSinkStub upgrades a buffer to the per-access extension.
-type accessSinkStub struct{ obs.Buffer }
-
-func (s *accessSinkStub) Access(memsys.Cycles, memsys.Access, memsys.Result) {}
-
-var _ obs.AccessSink = (*accessSinkStub)(nil)
-
 // TestGoldenMetricsWithCellCache pins the replay contract for metric
 // streams: with a shared cell cache, tables and metric streams must
 // match the goldens and pinned digests even when a spec's cells replay
 // from another experiment's build (the subset includes Figure 3 and
 // Figure 14, which share rmat baseline cells under different
-// run-labeling conventions). The sink is an AccessSink on purpose:
-// Options.Metrics only ever receives samples (RunSafe hands machines a
-// private buffer), so such a sink must not bypass the cache.
+// run-labeling conventions).
 func TestGoldenMetricsWithCellCache(t *testing.T) {
 	if testing.Short() {
 		t.Skip("golden comparison skipped in -short mode")
@@ -234,7 +224,7 @@ func TestGoldenMetricsWithCellCache(t *testing.T) {
 			if err != nil {
 				t.Fatalf("missing golden %s: %v", path, err)
 			}
-			buf := &accessSinkStub{}
+			buf := obs.NewBuffer()
 			opts := Options{Scale: 9, Seed: 42, Coverage: 0.20, Metrics: buf, Cells: cells}
 			tbl := RunSafe(context.Background(), spec, opts, 0)
 			if tbl.Failed {

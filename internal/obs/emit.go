@@ -5,10 +5,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"os"
 	"sort"
+	"strings"
 	"sync"
-
-	"omega/internal/memsys"
 )
 
 // Buffer is a thread-safe in-memory sink: machines driven by concurrent
@@ -86,17 +86,14 @@ func SortSamples(s []MetricSample) {
 	})
 }
 
-// runSink stamps a Run label on every sample. It deliberately forwards
-// only MetricSamples: run labels address the sample series, and dropping
-// the access/span extensions keeps a wrapped samples-only sink free of
-// per-access dispatch.
+// runSink stamps a Run label on every sample.
 type runSink struct {
 	inner Sink
 	run   string
 }
 
 // WithRun returns a sink that stamps run into every sample's Run field
-// before forwarding to s. See runSink for why extensions are dropped.
+// before forwarding to s.
 func WithRun(s Sink, run string) Sink { return &runSink{inner: s, run: run} }
 
 // Sample implements Sink.
@@ -105,83 +102,48 @@ func (w *runSink) Sample(s MetricSample) {
 	w.inner.Sample(s)
 }
 
-// tee fans telemetry out to several sinks. Access and span events are
-// forwarded only to the children that implement the extension.
-type tee struct {
-	sinks []Sink
-	acc   []AccessSink
-	span  []SpanSink
+// SeriesFile is a metric series written to a file: TSV when the path
+// ends in ".tsv", JSONL otherwise.
+type SeriesFile struct {
+	w interface {
+		Sink
+		Flush() error
+	}
+	f *os.File
 }
 
-func (t *tee) Sample(s MetricSample) {
-	for _, c := range t.sinks {
-		c.Sample(s)
+// CreateSeriesFile creates path and returns a series writer over it.
+func CreateSeriesFile(path string) (*SeriesFile, error) {
+	f, err := os.Create(path)
+	if err != nil {
+		return nil, err
 	}
+	s := &SeriesFile{f: f}
+	if strings.HasSuffix(path, ".tsv") {
+		s.w = NewTSVWriter(f)
+	} else {
+		s.w = NewJSONLWriter(f)
+	}
+	return s, nil
 }
 
-type teeAccess struct{ tee }
+// Sample implements Sink.
+func (s *SeriesFile) Sample(m MetricSample) { s.w.Sample(m) }
 
-func (t *teeAccess) Access(now memsys.Cycles, a memsys.Access, r memsys.Result) {
-	for _, c := range t.acc {
-		c.Access(now, a, r)
+// Close flushes the series and closes the file, returning the first
+// write or close error.
+func (s *SeriesFile) Close() error {
+	err := s.w.Flush()
+	if cerr := s.f.Close(); err == nil {
+		err = cerr
 	}
-}
-
-type teeSpan struct{ tee }
-
-func (t *teeSpan) Span(s Span) {
-	for _, c := range t.span {
-		c.Span(s)
-	}
-}
-
-type teeAccessSpan struct{ tee }
-
-func (t *teeAccessSpan) Access(now memsys.Cycles, a memsys.Access, r memsys.Result) {
-	for _, c := range t.acc {
-		c.Access(now, a, r)
-	}
-}
-
-func (t *teeAccessSpan) Span(s Span) {
-	for _, c := range t.span {
-		c.Span(s)
-	}
-}
-
-// Tee combines sinks into one. The returned sink implements AccessSink /
-// SpanSink only when at least one child does, so teeing plain sinks does
-// not opt a machine into the per-access firehose.
-func Tee(sinks ...Sink) Sink {
-	var t tee
-	for _, s := range sinks {
-		if s == nil {
-			continue
-		}
-		t.sinks = append(t.sinks, s)
-		if a, ok := s.(AccessSink); ok {
-			t.acc = append(t.acc, a)
-		}
-		if sp, ok := s.(SpanSink); ok {
-			t.span = append(t.span, sp)
-		}
-	}
-	switch {
-	case len(t.acc) > 0 && len(t.span) > 0:
-		return &teeAccessSpan{t}
-	case len(t.acc) > 0:
-		return &teeAccess{t}
-	case len(t.span) > 0:
-		return &teeSpan{t}
-	default:
-		return &t
-	}
+	return err
 }
 
 // JSONLWriter streams samples as one JSON object per line. It is not
 // safe for concurrent use; the harness serializes emission (Buffer +
 // canonical sort) before samples reach a writer. The first write error
-// sticks and suppresses further output; check Err after the run.
+// sticks, suppresses further output, and is returned by Flush.
 type JSONLWriter struct {
 	w   *bufio.Writer
 	err error
@@ -215,9 +177,6 @@ func (j *JSONLWriter) Flush() error {
 	j.err = j.w.Flush()
 	return j.err
 }
-
-// Err returns the first write error, if any.
-func (j *JSONLWriter) Err() error { return j.err }
 
 // tsvHeader is the column order of the TSV series format.
 const tsvHeader = "experiment\trun\tmachine\titeration\tcomponent\tname\tlevel\tvalue"
@@ -267,9 +226,6 @@ func (t *TSVWriter) Flush() error {
 	t.err = t.w.Flush()
 	return t.err
 }
-
-// Err returns the first write error, if any.
-func (t *TSVWriter) Err() error { return t.err }
 
 // ValidationReport summarizes a JSONL series validation.
 type ValidationReport struct {

@@ -1,8 +1,8 @@
 // Package obs is the simulator's unified observability layer: a typed
 // metrics registry (counters / gauges keyed by component × name ×
-// hierarchy level) and the Sink contract through which every
-// consumer — per-iteration series emitters, the access tracer, span
-// timelines, the experiment harness — receives telemetry.
+// hierarchy level), the Sink contract through which series emitters and
+// the experiment harness receive its samples, and the Span record that
+// activity timelines are built from.
 //
 // The design follows three rules (DESIGN.md §10):
 //
@@ -12,10 +12,10 @@
 //   - The disabled path is free. A machine with no sink attached pays one
 //     nil check per hook site and allocates nothing (the zero-alloc
 //     guards in core enforce this).
-//   - Consumers opt into cost. The base Sink receives only iteration-
-//     boundary samples; the per-access and per-span firehoses are
-//     optional extension interfaces (AccessSink, SpanSink) detected once
-//     at attach time, so a samples-only sink adds zero per-access work.
+//   - Consumers opt into cost. A Sink receives only iteration-boundary
+//     samples; the per-access and per-span streams are separate tracers
+//     attached to a machine on their own, so a sink adds zero per-access
+//     work.
 package obs
 
 import (
@@ -60,23 +60,6 @@ type MetricSample struct {
 // fan-out) must be safe for concurrent use; Buffer is.
 type Sink interface {
 	Sample(MetricSample)
-}
-
-// AccessSink is the optional per-access extension of Sink: a sink that
-// also implements it receives every simulated access with its timing
-// outcome (the trace.Collector firehose). Machines resolve the interface
-// once at AttachSink time, so plain sinks pay nothing per access.
-type AccessSink interface {
-	Sink
-	Access(now memsys.Cycles, a memsys.Access, r memsys.Result)
-}
-
-// SpanSink is the optional activity-span extension of Sink: a sink that
-// also implements it receives one Span per core per parallel/sequential
-// region (the chrome://tracing timeline source).
-type SpanSink interface {
-	Sink
-	Span(Span)
 }
 
 // Span is one core's activity inside one scheduled region, in simulated

@@ -4,10 +4,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
-
-	"omega/internal/memsys"
 )
 
 func TestRegistryOrderAndReplace(t *testing.T) {
@@ -102,56 +102,6 @@ func TestWithRunStampsSamples(t *testing.T) {
 	if got[0].Run != "pagerank/rmat" {
 		t.Fatalf("Run = %q, want pagerank/rmat", got[0].Run)
 	}
-	// WithRun deliberately narrows to the base Sink interface.
-	if _, ok := s.(AccessSink); ok {
-		t.Fatal("WithRun must not forward the per-access extension")
-	}
-	if _, ok := s.(SpanSink); ok {
-		t.Fatal("WithRun must not forward the span extension")
-	}
-}
-
-// sinkOnly is a bare Sink for capability tests.
-type sinkOnly struct{ n int }
-
-func (s *sinkOnly) Sample(MetricSample) { s.n++ }
-
-// accessRec counts access events.
-type accessRec struct {
-	sinkOnly
-	acc int
-}
-
-func (a *accessRec) Access(memsys.Cycles, memsys.Access, memsys.Result) { a.acc++ }
-
-func TestTeeCapabilityPreservation(t *testing.T) {
-	plain := &sinkOnly{}
-	tl := NewTimeline()
-	ar := &accessRec{}
-
-	// Plain-only tee must not claim extensions.
-	tp := Tee(plain, nil)
-	if _, ok := tp.(AccessSink); ok {
-		t.Fatal("tee of plain sinks must not implement AccessSink")
-	}
-	if _, ok := tp.(SpanSink); ok {
-		t.Fatal("tee of plain sinks must not implement SpanSink")
-	}
-
-	// Mixed tee forwards each event class to the capable children only.
-	tm := Tee(plain, tl, ar)
-	tm.Sample(MetricSample{Machine: "m", Component: "c", Name: "n", Value: 1})
-	tm.(AccessSink).Access(0, memsys.Access{}, memsys.Result{})
-	tm.(SpanSink).Span(Span{Machine: "m", Core: 0, Name: "parallel", Start: 0, End: 5})
-	if plain.n != 1 || ar.n != 1 {
-		t.Fatalf("samples fanned out wrong: plain=%d ar=%d", plain.n, ar.n)
-	}
-	if ar.acc != 1 {
-		t.Fatalf("access events = %d, want 1", ar.acc)
-	}
-	if tl.Len() != 1 {
-		t.Fatalf("spans = %d, want 1", tl.Len())
-	}
 }
 
 func TestJSONLWriterAndValidate(t *testing.T) {
@@ -215,6 +165,37 @@ func TestTSVWriter(t *testing.T) {
 	}
 	if empty.String() != tsvHeader+"\n" {
 		t.Fatalf("empty tsv = %q", empty.String())
+	}
+}
+
+// TestSeriesFile checks that a series file's encoding follows its
+// suffix and that Close leaves the flushed series on disk.
+func TestSeriesFile(t *testing.T) {
+	sample := MetricSample{Run: "rmat", Machine: "omega", Iteration: 1,
+		Component: "dram", Name: "accesses", Value: 99}
+	for name, want := range map[string]string{
+		"run.tsv":   tsvHeader + "\n\trmat\tomega\t1\tdram\taccesses\t\t99\n",
+		"run.jsonl": `{"run":"rmat","machine":"omega","iteration":1,"component":"dram","name":"accesses","value":99}` + "\n",
+	} {
+		path := filepath.Join(t.TempDir(), name)
+		f, err := CreateSeriesFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.Sample(sample)
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != want {
+			t.Errorf("%s = %q, want %q", name, got, want)
+		}
+	}
+	if _, err := CreateSeriesFile(filepath.Join(t.TempDir(), "missing", "run.tsv")); err == nil {
+		t.Fatal("CreateSeriesFile into a missing directory succeeded")
 	}
 }
 

@@ -13,10 +13,7 @@ import (
 // microseconds. It is safe for concurrent use, so one timeline can serve
 // several machines running on separate goroutines; rendering sorts the
 // spans canonically, keeping the output deterministic regardless of
-// interleaving.
-//
-// Timeline is a samples-agnostic SpanSink: metric samples are dropped,
-// so it composes with a series writer via Tee without duplicating data.
+// interleaving. Attach its Span method as a machine's span tracer.
 type Timeline struct {
 	mu    sync.Mutex
 	spans []Span
@@ -25,10 +22,7 @@ type Timeline struct {
 // NewTimeline returns an empty timeline.
 func NewTimeline() *Timeline { return &Timeline{} }
 
-// Sample implements Sink (dropped; the timeline renders spans only).
-func (t *Timeline) Sample(MetricSample) {}
-
-// Span implements SpanSink.
+// Span records one span.
 func (t *Timeline) Span(s Span) {
 	t.mu.Lock()
 	t.spans = append(t.spans, s)

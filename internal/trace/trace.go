@@ -11,7 +11,6 @@ import (
 	"sort"
 
 	"omega/internal/memsys"
-	"omega/internal/obs"
 	"omega/internal/stats"
 )
 
@@ -34,8 +33,8 @@ type Event struct {
 }
 
 // Collector accumulates events in memory (bounded) and aggregates
-// per-(kind, level) statistics unboundedly. It is an obs.AccessSink:
-// attach it with Machine.AttachSink to receive the per-access firehose.
+// per-(kind, level) statistics unboundedly. Attach its Record method
+// with Machine.TraceAccesses to receive the per-access stream.
 // Aggregates live in dense (Kind, Level) enum arrays plus a per-kind
 // latency histogram, so recording an access allocates nothing once the
 // event buffer is full and each kind's histogram exists.
@@ -60,18 +59,7 @@ func NewCollector(maxEvents int) *Collector {
 	return &Collector{MaxEvents: maxEvents}
 }
 
-// Sample implements obs.Sink. Iteration-boundary samples are dropped:
-// the collector consumes the access stream only, and composes with a
-// series emitter via obs.Tee when both are wanted.
-func (c *Collector) Sample(obs.MetricSample) {}
-
-// Access implements obs.AccessSink by recording the access.
-func (c *Collector) Access(now memsys.Cycles, a memsys.Access, r memsys.Result) {
-	c.Record(now, a, r)
-}
-
-// Record folds one access into the trace (the Access hook's
-// implementation, callable directly by tests and replay tooling).
+// Record folds one access into the trace.
 func (c *Collector) Record(now memsys.Cycles, a memsys.Access, r memsys.Result) {
 	if len(c.events) < c.MaxEvents {
 		c.events = append(c.events, Event{

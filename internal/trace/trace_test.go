@@ -90,7 +90,7 @@ func TestTracedSimulation(t *testing.T) {
 	_, omCfg := core.ScaledPair(g.NumVertices(), spec.VtxPropBytes, 0.2)
 	m := core.NewMachine(omCfg)
 	col := NewCollector(1000)
-	m.AttachSink(col)
+	m.TraceAccesses(col.Record)
 	st := spec.Run(ligra.New(m, g))
 
 	// The trace must account for exactly the accesses the machine counted.
@@ -121,6 +121,6 @@ func TestTracerDisabledByDefault(t *testing.T) {
 	spec, _ := algorithms.ByName("PageRank")
 	_, omCfg := core.ScaledPair(g.NumVertices(), spec.VtxPropBytes, 0.2)
 	m := core.NewMachine(omCfg)
-	// No sink attached: must simply run.
+	// No tracer attached: must simply run.
 	spec.Run(ligra.New(m, g))
 }

@@ -76,10 +76,11 @@ type (
 	// Sink receives metric samples — the one instrumentation surface of
 	// the simulator. Attach one with Machine.AttachSink (or set
 	// ExperimentOptions.Metrics for harness runs) to stream per-iteration
-	// telemetry; see internal/obs for the registry model and the optional
-	// per-access / per-span extension interfaces. Sinks see every
+	// telemetry; see internal/obs for the registry model. Sinks see every
 	// iteration, carry stable component × name × level addresses, and
-	// cost nothing when detached.
+	// cost nothing when detached. The per-access and per-span streams are
+	// not sink traffic: they are tracers attached on their own with
+	// Machine.TraceAccesses and Machine.TraceSpans.
 	Sink = obs.Sink
 	// MetricSample is one observed metric value (component × name ×
 	// level, cumulative, emitted at iteration boundaries).
