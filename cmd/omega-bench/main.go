@@ -238,18 +238,13 @@ func run() error {
 // validateMetrics re-reads a JSONL metrics file and schema-checks every
 // sample (-check-metrics). TSV output is not validated.
 func validateMetrics(path string) error {
-	if strings.HasSuffix(path, ".tsv") {
-		fmt.Fprintln(os.Stderr, "omega-bench: -check-metrics skipped (TSV output)")
-		return nil
-	}
-	f, err := os.Open(path)
+	rep, checked, err := obs.ValidateSeriesFile(path)
 	if err != nil {
 		return fmt.Errorf("check-metrics: %w", err)
 	}
-	defer f.Close()
-	rep, err := obs.ValidateJSONL(f)
-	if err != nil {
-		return fmt.Errorf("check-metrics: %s: %w", path, err)
+	if !checked {
+		fmt.Fprintln(os.Stderr, "omega-bench: -check-metrics skipped (TSV output)")
+		return nil
 	}
 	fmt.Printf("metrics valid: %d samples, %d experiments, %d machines, %d components\n",
 		rep.Samples, rep.Experiments, rep.Machines, rep.Components)

@@ -261,6 +261,5 @@ func buildGraph(family string, scale int, seed uint64, edgelist string, edgeErrs
 		}
 		return g, nil
 	}
-	weighted := spec.NeedsWeights || spec.Name == "SSSP"
-	return experiments.BuildFamily(family, scale, seed, spec.NeedsUndirected, weighted)
+	return experiments.BuildFamily(family, scale, seed, spec.NeedsUndirected, spec.NeedsWeights)
 }

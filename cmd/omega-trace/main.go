@@ -48,7 +48,7 @@ func run() error {
 	if !ok {
 		return fmt.Errorf("unknown algorithm %q", *algoName)
 	}
-	g, err := experiments.BuildFamily("rmat", *scale, *seed, spec.NeedsUndirected, spec.Name == "SSSP")
+	g, err := experiments.BuildFamily("rmat", *scale, *seed, spec.NeedsUndirected, spec.NeedsWeights)
 	if err != nil {
 		return err
 	}

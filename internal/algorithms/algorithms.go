@@ -64,6 +64,7 @@ func All() []Spec {
 			Name: "SSSP", AtomicOp: "signed min & bool comp.",
 			AtomicIntensity: "high", RandomIntensity: "high",
 			VtxPropBytes: 8, NumProps: 2, ActiveList: true, ReadsSrc: true,
+			NeedsWeights: true,
 			Run: func(fw *ligra.Framework) core.MachineStats {
 				SSSP(fw, DefaultRoot(fw.Graph()))
 				return fw.Machine().Stats()

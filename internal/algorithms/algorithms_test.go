@@ -339,6 +339,13 @@ func TestSpecMetadataMatchesTableII(t *testing.T) {
 	if !byName["SSSP"].ReadsSrc || byName["BFS"].ReadsSrc {
 		t.Fatal("ReadsSrc flags wrong")
 	}
+	// SSSP is the one algorithm that reads edge weights; every dataset
+	// choice keys on this field.
+	for _, s := range All() {
+		if s.NeedsWeights != (s.Name == "SSSP") {
+			t.Fatalf("%s: NeedsWeights = %v", s.Name, s.NeedsWeights)
+		}
+	}
 }
 
 func TestByName(t *testing.T) {

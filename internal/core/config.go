@@ -79,8 +79,8 @@ type Config struct {
 	// LLCPollution injects synthetic fills into the L2 banks at this
 	// rate (pollution fills per demand L2 access), modeling the
 	// instruction/OS/TLB traffic that shares a real machine's LLC but is
-	// absent from the framework's access stream. 0 disables. The
-	// Extension E5 experiment sweeps it; see EXPERIMENTS.md.
+	// absent from the framework's access stream. 0 disables. ScaledPair
+	// sets it on both machines; see EXPERIMENTS.md.
 	LLCPollution float64
 	// HybridPagePolicy closes DRAM rows after low-locality (vtxProp)
 	// accesses while keeping them open for streams — §IX direction 3.

@@ -282,28 +282,16 @@ func (p *cachePath) pollute(bank int) {
 }
 
 // pollutionBase is the bottom of the reserved address range holding the
-// synthetic LLC-pollution lines. Real simulated addresses are region
-// allocations far below it, so any line at or above the (bank-stripped)
-// base is synthetic.
+// synthetic LLC-pollution lines, far above every region allocation. No
+// core accesses the range, so a synthetic victim reaching evictFromL2 has
+// no directory residency (no L1 is probed) and is never dirty (no DRAM
+// write).
 const pollutionBase = 1 << 40
 
 // evictFromL2 handles an L2 victim: back-invalidate L1 copies (inclusive
 // hierarchy) and write dirty data to DRAM.
 func (p *cachePath) evictFromL2(now memsys.Cycles, bank int, victim cache.EvictedLine) {
 	global := p.l2Global(victim.Addr, bank)
-	if uint64(global) >= pollutionBase/2 {
-		// Synthetic pollution victim: no core ever issues an access in the
-		// reserved range, so no L1 holds the line (every probe below would
-		// miss), the directory does not track it, and it is never dirtied.
-		// Skipping the all-core back-invalidation probe loop is therefore
-		// free of observable effect — and under LLCPollution it is a large
-		// share of all L2 evictions. The half-base threshold absorbs the
-		// ≤NumCores-line rounding of the bank-local round trip (pollution
-		// fills target the accessed bank, not the line's home bank, so the
-		// reconstruction can sit a few lines under pollutionBase); real
-		// allocations sit many orders of magnitude below 2^39.
-		return
-	}
 	dirty := victim.Dirty
 	// Back-invalidation probes are restricted to the directory's resident
 	// mask — a guaranteed superset of the L1s containing the line (the

@@ -25,8 +25,7 @@ func datasetFor(spec algorithms.Spec, ds Dataset) (Dataset, bool) {
 // dataset is built (or fetched from the shared cache) before the two
 // machine variants fan out concurrently; see runVariants.
 func runPair(spec algorithms.Spec, ds Dataset, o Options) (base, om core.MachineStats, pr prepared) {
-	weighted := spec.Name == "SSSP"
-	pr = prepareDataset(ds, o, weighted)
+	pr = prepareDataset(ds, o, spec.NeedsWeights)
 	bCfg, oCfg := core.ScaledPair(pr.g.NumVertices(), spec.VtxPropBytes, o.Coverage)
 	res := runMachines(o, spec.Name, pr, bCfg, oCfg)
 	return res[0], res[1], pr
@@ -50,7 +49,7 @@ func Figure3(o Options) *Table {
 			if spec.NeedsUndirected {
 				ds = mustDataset("apu")
 			}
-			pr := prepareDataset(ds, o, spec.Name == "SSSP")
+			pr := prepareDataset(ds, o, spec.NeedsWeights)
 			bCfg, _ := core.ScaledPair(pr.g.NumVertices(), spec.VtxPropBytes, o.Coverage)
 			// The run label stays the bare dataset name (as in Figure 4a,
 			// 4b and 5) so the metric-stream goldens are unchanged; the
@@ -102,7 +101,7 @@ func Figure4a(o Options) *Table {
 			if spec.NeedsUndirected {
 				ds = mustDataset("apu")
 			}
-			pr := prepareDataset(ds, o, spec.Name == "SSSP")
+			pr := prepareDataset(ds, o, spec.NeedsWeights)
 			bCfg, _ := core.ScaledPair(pr.g.NumVertices(), spec.VtxPropBytes, o.Coverage)
 			return cell{ds.Name, runCell(o, spec.Name, pr, bCfg, pr.g.Name)}
 		}
@@ -118,7 +117,7 @@ func Figure4a(o Options) *Table {
 // run label, as Figure 3/4a, and the cell is the baseline half of
 // runPair's, so on a shared cell cache the skew figures replay them.
 func baselineTopShare(o Options, spec algorithms.Spec, ds Dataset) float64 {
-	pr := prepareDataset(ds, o, spec.Name == "SSSP")
+	pr := prepareDataset(ds, o, spec.NeedsWeights)
 	bCfg, _ := core.ScaledPair(pr.g.NumVertices(), spec.VtxPropBytes, o.Coverage)
 	return cellFor(o, spec.Name, pr, bCfg, pr.g.Name).TopShare
 }

@@ -70,7 +70,7 @@ func Table2(o Options) *Table {
 		switch {
 		case spec.NeedsUndirected:
 			p = undir
-		case spec.Name == "SSSP":
+		case spec.NeedsWeights:
 			p = dirW
 		}
 		fns[i] = func() core.MachineStats {

@@ -1,6 +1,8 @@
 package ligra
 
 import (
+	"slices"
+
 	"omega/internal/core"
 	"omega/internal/graph"
 )
@@ -213,50 +215,15 @@ func (f *Framework) edgeMapDensePull(frontier *VertexSubset, fns EdgeMapFns) *Ve
 	return out
 }
 
+// dedupSorted returns the distinct IDs of ids in ascending order, in a
+// new slice (nil for an empty input).
 func dedupSorted(ids []uint32) []uint32 {
 	if len(ids) == 0 {
 		return nil
 	}
-	sorted := append([]uint32(nil), ids...)
-	// Insertion of already-mostly-ordered data; use sort for clarity.
-	sortUint32(sorted)
-	out := sorted[:1]
-	for _, v := range sorted[1:] {
-		if v != out[len(out)-1] {
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
-func sortUint32(s []uint32) {
-	// Simple LSD radix sort keeps frontier construction O(n) and
-	// allocation-light for large frontiers.
-	if len(s) < 64 {
-		for i := 1; i < len(s); i++ {
-			for j := i; j > 0 && s[j] < s[j-1]; j-- {
-				s[j], s[j-1] = s[j-1], s[j]
-			}
-		}
-		return
-	}
-	buf := make([]uint32, len(s))
-	for shift := uint(0); shift < 32; shift += 8 {
-		var counts [257]int
-		for _, v := range s {
-			counts[((v>>shift)&0xFF)+1]++
-		}
-		for i := 1; i < 257; i++ {
-			counts[i] += counts[i-1]
-		}
-		for _, v := range s {
-			b := (v >> shift) & 0xFF
-			buf[counts[b]] = v
-			counts[b]++
-		}
-		s, buf = buf, s
-	}
-	// 4 passes (even) leave the result in the original slice.
+	sorted := slices.Clone(ids)
+	slices.Sort(sorted)
+	return slices.Compact(sorted)
 }
 
 // VertexMap applies fn to every vertex in s, returning the subset where fn

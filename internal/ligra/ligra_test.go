@@ -274,27 +274,6 @@ func TestWeightedEdgeScan(t *testing.T) {
 	}
 }
 
-func TestSortUint32(t *testing.T) {
-	// Exercise both the insertion-sort and radix-sort paths.
-	small := []uint32{5, 1, 4, 1, 3}
-	sortUint32(small)
-	for i := 1; i < len(small); i++ {
-		if small[i-1] > small[i] {
-			t.Fatalf("small sort broken: %v", small)
-		}
-	}
-	big := make([]uint32, 1000)
-	for i := range big {
-		big[i] = uint32((i * 2654435761) % 100000)
-	}
-	sortUint32(big)
-	for i := 1; i < len(big); i++ {
-		if big[i-1] > big[i] {
-			t.Fatalf("radix sort broken at %d", i)
-		}
-	}
-}
-
 func TestDedupSorted(t *testing.T) {
 	out := dedupSorted([]uint32{3, 1, 3, 2, 1})
 	if len(out) != 3 || out[0] != 1 || out[1] != 2 || out[2] != 3 {

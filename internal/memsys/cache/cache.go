@@ -165,8 +165,8 @@ func (c *Cache) Resolve(a memsys.Addr) Ref {
 }
 
 // findIdx probes one set for key and returns the matching way's tag-cell
-// slab index, or -1. It is the single probe loop behind Lookup, Access,
-// Invalidate, and Pin.
+// slab index, or -1. It is the single probe loop behind LookupAt,
+// AccessAt, FillAt, InvalidateAt and Pin.
 func (c *Cache) findIdx(base int, key uint64) int {
 	for i, t := range c.slab[base : base+c.ways] {
 		if t == key {
@@ -176,14 +176,8 @@ func (c *Cache) findIdx(base int, key uint64) int {
 	return -1
 }
 
-// Lookup probes the cache without modifying replacement or contents, and
-// reports whether addr is present.
-func (c *Cache) Lookup(a memsys.Addr) bool {
-	r := c.Resolve(a)
-	return c.findIdx(r.base, r.key) >= 0
-}
-
-// LookupAt is Lookup over a pre-resolved Ref.
+// LookupAt probes the cache without modifying replacement or contents,
+// and reports whether r's line is present.
 func (c *Cache) LookupAt(r Ref) bool { return c.findIdx(r.base, r.key) >= 0 }
 
 // dropHot invalidates the same-line memo.
@@ -201,7 +195,7 @@ func (c *Cache) DropHot() { c.dropHot() }
 // is recorded as a hit — replaying exactly the accounting the full probe
 // would have done (use-clock tick, LRU touch, read-hit counter) — and true
 // is returned. Otherwise nothing is recorded and the caller must take the
-// full Access path.
+// full probe.
 func (c *Cache) SameLineReadHit(a memsys.Addr) bool {
 	if c.hotIdx < 0 || memsys.LineAddr(a) != c.hotLine {
 		return false
@@ -265,15 +259,10 @@ type EvictedLine struct {
 	Dirty bool
 }
 
-// Access performs a read or write of addr. On a hit, LRU is updated and the
-// line is dirtied for writes. On a miss, the line is *not* filled — callers
-// first consult the next level, then call Fill. The hit result lets the
-// hierarchy charge the correct latency chain.
-func (c *Cache) Access(a memsys.Addr, write bool) (hit bool) {
-	return c.AccessAt(c.Resolve(a), write)
-}
-
-// AccessAt is Access over a pre-resolved Ref.
+// AccessAt performs a read or write of r's line. On a hit, LRU is updated
+// and the line is dirtied for writes. On a miss, the line is *not* filled
+// — callers first consult the next level, then fill. The hit result lets
+// the hierarchy charge the correct latency chain.
 func (c *Cache) AccessAt(r Ref, write bool) (hit bool) {
 	c.useClock++
 	if i := c.findIdx(r.base, r.key); i >= 0 {
@@ -346,59 +335,15 @@ func (c *Cache) FillMissStreamAt(r Ref, dirty bool) (victim EvictedLine, evicted
 	return victim, evicted
 }
 
-// FillAt is Fill over a pre-resolved Ref. In the steady-state case —
-// full set, nothing pinned — one fused pass probes the tag row while
-// tracking the LRU victim: a key match wins (refresh), else the first
-// strict-minimum lastUse way, exactly the choices the probe-then-scan
-// sequence makes. Cold or pinned sets take the general probe-then-install
-// path.
+// FillAt is Fill over a pre-resolved Ref: a present line is refreshed
+// (LRU touch, dirtied if dirty), an absent one installed.
 func (c *Cache) FillAt(r Ref, dirty bool) (victim EvictedLine, evicted bool) {
 	c.useClock++
-	m := &c.meta[r.set]
-	if m.free == 0 && m.pin == 0 {
-		tags := c.slab[r.base : r.base+c.ways]
-		uses := c.slab[r.base+c.ways : r.base+2*c.ways]
-		w := 0
-		min := uses[0]
-		for i, t := range tags {
-			if t == r.key {
-				// Already present (e.g. refilled by a racing path): refresh.
-				uses[i] = c.useClock
-				if dirty {
-					m.dirty |= 1 << uint(i)
-				}
-				return EvictedLine{}, false
-			}
-			if u := uses[i]; u < min {
-				w, min = i, u
-			}
-		}
-		t := tags[w]
-		c.Evictions.Inc()
-		d := m.dirty>>uint(w)&1 != 0
-		if d {
-			c.Writebacks.Inc()
-		}
-		victim = EvictedLine{Addr: c.reconstruct(r.set, t-1), Dirty: d}
-		idx := r.base + w
-		if idx == c.hotIdx {
-			c.dropHot()
-		}
-		tags[w] = r.key
-		bit := uint64(1) << uint(w)
-		if dirty {
-			m.dirty |= bit
-		} else {
-			m.dirty &^= bit
-		}
-		uses[w] = c.useClock
-		return victim, true
-	}
 	if i := c.findIdx(r.base, r.key); i >= 0 {
 		// Already present (e.g. refilled by a racing path): refresh.
 		c.slab[i+c.ways] = c.useClock
 		if dirty {
-			m.dirty |= 1 << uint(i-r.base)
+			c.meta[r.set].dirty |= 1 << uint(i-r.base)
 		}
 		return EvictedLine{}, false
 	}
@@ -508,15 +453,10 @@ func (c *Cache) PinnedLines() int {
 	return n
 }
 
-// Invalidate drops the line containing addr if present, returning whether
-// it was present and dirty (the caller is responsible for the writeback).
-func (c *Cache) Invalidate(a memsys.Addr) (present, dirty bool) {
-	return c.InvalidateAt(c.Resolve(a))
-}
-
-// InvalidateAt is Invalidate over a pre-resolved Ref. Because a Ref
-// encodes only geometry, one Ref can drive the invalidation sweep across
-// every same-geometry cache in a hierarchy.
+// InvalidateAt drops r's line if present, returning whether it was
+// present and dirty (the caller is responsible for the writeback). Because
+// a Ref encodes only geometry, one Ref can drive the invalidation sweep
+// across every same-geometry cache in a hierarchy.
 func (c *Cache) InvalidateAt(r Ref) (present, dirty bool) {
 	if i := c.findIdx(r.base, r.key); i >= 0 {
 		if i == c.hotIdx {

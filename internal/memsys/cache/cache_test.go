@@ -15,17 +15,17 @@ func small() *Cache {
 
 func TestMissThenHit(t *testing.T) {
 	c := small()
-	if c.Access(0x1000, false) {
+	if c.AccessAt(c.Resolve(0x1000), false) {
 		t.Fatal("cold cache should miss")
 	}
 	c.Fill(0x1000, false)
-	if !c.Access(0x1000, false) {
+	if !c.AccessAt(c.Resolve(0x1000), false) {
 		t.Fatal("filled line should hit")
 	}
-	if !c.Access(0x1038, false) {
+	if !c.AccessAt(c.Resolve(0x1038), false) {
 		t.Fatal("same line, different offset should hit")
 	}
-	if c.Access(0x1040, false) {
+	if c.AccessAt(c.Resolve(0x1040), false) {
 		t.Fatal("next line should miss")
 	}
 }
@@ -37,7 +37,7 @@ func TestLRUReplacement(t *testing.T) {
 	c.Fill(0*stride, false)
 	c.Fill(1*stride, false)
 	// Touch the first line so the second becomes LRU.
-	c.Access(0*stride, false)
+	c.AccessAt(c.Resolve(0*stride), false)
 	// Fill a third line in set 0: must evict line 1 (LRU).
 	victim, evicted := c.Fill(2*stride, false)
 	if !evicted {
@@ -46,7 +46,7 @@ func TestLRUReplacement(t *testing.T) {
 	if victim.Addr != 1*stride {
 		t.Fatalf("evicted %#x, want %#x", victim.Addr, stride)
 	}
-	if !c.Lookup(0) || c.Lookup(1*stride) || !c.Lookup(2*stride) {
+	if !c.LookupAt(c.Resolve(0)) || c.LookupAt(c.Resolve(1*stride)) || !c.LookupAt(c.Resolve(2*stride)) {
 		t.Fatal("post-eviction contents wrong")
 	}
 }
@@ -68,8 +68,8 @@ func TestDirtyEvictionReportsWriteback(t *testing.T) {
 func TestWriteDirtiesLine(t *testing.T) {
 	c := small()
 	c.Fill(0, false)
-	c.Access(0, true)
-	present, dirty := c.Invalidate(0)
+	c.AccessAt(c.Resolve(0), true)
+	present, dirty := c.InvalidateAt(c.Resolve(0))
 	if !present || !dirty {
 		t.Fatalf("present=%v dirty=%v", present, dirty)
 	}
@@ -78,14 +78,14 @@ func TestWriteDirtiesLine(t *testing.T) {
 func TestInvalidate(t *testing.T) {
 	c := small()
 	c.Fill(0x2000, false)
-	present, dirty := c.Invalidate(0x2000)
+	present, dirty := c.InvalidateAt(c.Resolve(0x2000))
 	if !present || dirty {
 		t.Fatalf("present=%v dirty=%v", present, dirty)
 	}
-	if c.Lookup(0x2000) {
+	if c.LookupAt(c.Resolve(0x2000)) {
 		t.Fatal("line should be gone")
 	}
-	if present, _ := c.Invalidate(0x9999); present {
+	if present, _ := c.InvalidateAt(c.Resolve(0x9999)); present {
 		t.Fatal("absent line should report not present")
 	}
 }
@@ -97,7 +97,7 @@ func TestFillIdempotentWhenPresent(t *testing.T) {
 		t.Fatal("refilling present line must not evict")
 	}
 	// The refill with dirty should mark it dirty.
-	_, dirty := c.Invalidate(0)
+	_, dirty := c.InvalidateAt(c.Resolve(0))
 	if !dirty {
 		t.Fatal("refill-dirty lost")
 	}
@@ -105,11 +105,11 @@ func TestFillIdempotentWhenPresent(t *testing.T) {
 
 func TestHitRateAccounting(t *testing.T) {
 	c := small()
-	c.Access(0, false) // miss
+	c.AccessAt(c.Resolve(0), false) // miss
 	c.Fill(0, false)
-	c.Access(0, false) // hit
-	c.Access(0, true)  // hit (write)
-	c.Access(64, true) // miss (write)
+	c.AccessAt(c.Resolve(0), false) // hit
+	c.AccessAt(c.Resolve(0), true)  // hit (write)
+	c.AccessAt(c.Resolve(64), true) // miss (write)
 	if c.Reads.Total != 2 || c.Reads.Hits != 1 {
 		t.Fatalf("reads %d/%d", c.Reads.Hits, c.Reads.Total)
 	}
@@ -146,7 +146,7 @@ func TestInclusionNeverExceedsCapacity(t *testing.T) {
 	live := map[memsys.Addr]bool{}
 	for i := 0; i < 5000; i++ {
 		a := memsys.Addr(r.Intn(1<<16)) &^ 63
-		if !c.Access(a, r.Intn(2) == 0) {
+		if !c.AccessAt(c.Resolve(a), r.Intn(2) == 0) {
 			if victim, evicted := c.Fill(a, false); evicted {
 				if !live[victim.Addr] {
 					t.Fatalf("evicted line %#x never filled", victim.Addr)

@@ -45,7 +45,7 @@ func TestAccessStreamReadArmsOnHit(t *testing.T) {
 	}
 	// A plain (non-stream) access of another line must not move the memo.
 	c.Fill(0x2000, false)
-	c.Access(0x2000, false)
+	c.AccessAt(c.Resolve(0x2000), false)
 	if !c.SameLineReadHit(0x1010) {
 		t.Fatal("plain access of another line disturbed the memo")
 	}
@@ -54,7 +54,7 @@ func TestAccessStreamReadArmsOnHit(t *testing.T) {
 func TestInvalidateDropsMemo(t *testing.T) {
 	c := small()
 	c.FillMissStreamAt(c.Resolve(0x1000), false)
-	c.Invalidate(0x1000)
+	c.InvalidateAt(c.Resolve(0x1000))
 	if c.SameLineReadHit(0x1000) {
 		t.Fatal("memo survived invalidation of its line")
 	}

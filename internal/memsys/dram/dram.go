@@ -123,12 +123,6 @@ func (d *DRAM) Config() Config { return d.cfg }
 // through its SECDED ECC model. nil detaches.
 func (d *DRAM) AttachFaults(in *faults.Injector) { d.faults = in }
 
-// Access simulates one line-sized read beginning at time now and returns
-// its latency (queueing + device access, plus any injected ECC handling).
-func (d *DRAM) Access(now memsys.Cycles, addr memsys.Addr) memsys.Cycles {
-	return d.AccessHint(now, addr, false)
-}
-
 // Write simulates one line-sized writeback. Writes skip the ECC read
 // model — bit-flips matter when data is read back, and the read path is
 // where the injector charges them.
@@ -136,8 +130,10 @@ func (d *DRAM) Write(now memsys.Cycles, addr memsys.Addr) memsys.Cycles {
 	return d.access(now, addr, false, false)
 }
 
-// AccessHint is Access with a locality hint: under the Hybrid policy,
-// low-locality accesses close their row after use (§IX).
+// AccessHint simulates one line-sized read beginning at time now and
+// returns its latency (queueing + device access, plus any injected ECC
+// handling). Under the Hybrid policy, a lowLocality read closes its row
+// after use (§IX).
 func (d *DRAM) AccessHint(now memsys.Cycles, addr memsys.Addr, lowLocality bool) memsys.Cycles {
 	return d.access(now, addr, lowLocality, true)
 }

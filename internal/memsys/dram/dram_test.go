@@ -9,8 +9,8 @@ import (
 
 func TestRowBufferHit(t *testing.T) {
 	d := New(DefaultConfig())
-	l1 := d.Access(0, 0)
-	l2 := d.Access(10000, 0) // same line -> same row, open
+	l1 := d.AccessHint(0, 0, false)
+	l2 := d.AccessHint(10000, 0, false) // same line -> same row, open
 	if l2 >= l1 {
 		t.Fatalf("open-row access (%d) should be faster than cold (%d)", l2, l1)
 	}
@@ -22,12 +22,12 @@ func TestRowBufferHit(t *testing.T) {
 func TestRowConflict(t *testing.T) {
 	cfg := DefaultConfig()
 	d := New(cfg)
-	d.Access(0, 0)
+	d.AccessHint(0, 0, false)
 	// Same channel and bank, different row: channels interleave by line,
 	// banks by RowBytes. Stride of channels*banks*rowBytes keeps channel
 	// and bank while changing the row.
 	stride := memsys.Addr(cfg.Channels * cfg.BanksPerChan * cfg.RowBytes)
-	d.Access(100000, stride)
+	d.AccessHint(100000, stride, false)
 	if d.RowHits.Hits != 0 {
 		t.Fatal("row conflict should not count as hit")
 	}
@@ -37,8 +37,8 @@ func TestClosePagePolicy(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.ClosePage = true
 	d := New(cfg)
-	d.Access(0, 0)
-	d.Access(10000, 0) // same row, but page was closed
+	d.AccessHint(0, 0, false)
+	d.AccessHint(10000, 0, false) // same row, but page was closed
 	if d.RowHits.Hits != 0 {
 		t.Fatal("close-page policy should never produce row hits")
 	}
@@ -47,7 +47,7 @@ func TestClosePagePolicy(t *testing.T) {
 func TestBytesAccounting(t *testing.T) {
 	d := New(DefaultConfig())
 	for i := 0; i < 10; i++ {
-		d.Access(0, memsys.Addr(i*64))
+		d.AccessHint(0, memsys.Addr(i*64), false)
 	}
 	if d.BytesMoved.Value() != 10*memsys.LineSize {
 		t.Fatalf("bytes %d", d.BytesMoved.Value())
@@ -62,7 +62,7 @@ func TestBandwidthSaturationQueues(t *testing.T) {
 	r := stats.NewRand(3)
 	var now memsys.Cycles
 	for i := 0; i < 20000; i++ {
-		d.Access(now, memsys.Addr(r.Intn(1<<26))&^63)
+		d.AccessHint(now, memsys.Addr(r.Intn(1<<26))&^63, false)
 		now++ // one line per cycle demanded: far beyond 4 channels' capacity
 	}
 	if d.QueueDelay.Value() == 0 {
@@ -73,7 +73,7 @@ func TestBandwidthSaturationQueues(t *testing.T) {
 func TestUtilization(t *testing.T) {
 	d := New(DefaultConfig())
 	for i := 0; i < 100; i++ {
-		d.Access(memsys.Cycles(i*100), memsys.Addr(i*64))
+		d.AccessHint(memsys.Cycles(i*100), memsys.Addr(i*64), false)
 	}
 	u := d.Utilization(10000)
 	if u <= 0 || u > 1 {
@@ -97,12 +97,12 @@ func TestChannelsIndependent(t *testing.T) {
 	// Saturate channel 0 only (addresses with line index ≡ 0 mod 4).
 	var now memsys.Cycles
 	for i := 0; i < 5000; i++ {
-		d.Access(now, memsys.Addr(i*4*64))
+		d.AccessHint(now, memsys.Addr(i*4*64), false)
 		now++
 	}
 	delayed := d.QueueDelay.Value()
 	// A different channel must be cheap.
-	lat := d.Access(now, 64)
+	lat := d.AccessHint(now, 64, false)
 	if lat > 200 {
 		t.Fatalf("other channel latency %d; channel isolation broken", lat)
 	}
@@ -133,7 +133,7 @@ func TestBadConfigPanics(t *testing.T) {
 func TestLatencyComposition(t *testing.T) {
 	cfg := DefaultConfig()
 	d := New(cfg)
-	lat := d.Access(0, 0)
+	lat := d.AccessHint(0, 0, false)
 	if lat != cfg.RowMissCycles {
 		t.Fatalf("cold idle access should cost RowMissCycles (%d), got %d",
 			cfg.RowMissCycles, lat)

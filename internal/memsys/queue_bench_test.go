@@ -3,9 +3,10 @@ package memsys
 import "testing"
 
 // BenchmarkQueueEnqueue measures the M/D/1 delay arithmetic at the two
-// operating points that dominate the miss path: an idle resource (the
-// integer fast path) and a loaded one (the cached-denominator float
-// path, with window rolls amortized across the stream).
+// operating points that dominate the miss path: an idle resource (every
+// request rolls a fresh window) and a loaded one (the open window's fold
+// against the smoothed estimate, with window rolls amortized across the
+// stream).
 func BenchmarkQueueEnqueue(b *testing.B) {
 	b.Run("idle", func(b *testing.B) {
 		var q Queue

@@ -24,7 +24,7 @@ var updateQueueGolden = flag.Bool("update-queue-golden", false,
 	"rewrite testdata/queue_enqueue_golden.tsv from the current implementation")
 
 // queueGoldenSweep drives fresh queues through load patterns covering
-// every arithmetic path: the idle integer fast path, sub-window folding,
+// every arithmetic path: an idle resource, sub-window folding,
 // window-boundary smoothing, the utilization cap, and out-of-order
 // arrival times (bounded core clock skew).
 func queueGoldenSweep() []byte {

@@ -102,8 +102,12 @@ func (w *runSink) Sample(s MetricSample) {
 	w.inner.Sample(s)
 }
 
-// SeriesFile is a metric series written to a file: TSV when the path
-// ends in ".tsv", JSONL otherwise.
+// seriesIsTSV is the one rule mapping a series path to its format: TSV
+// when the path ends in ".tsv", JSONL otherwise.
+func seriesIsTSV(path string) bool { return strings.HasSuffix(path, ".tsv") }
+
+// SeriesFile is a metric series written to a file, in the format
+// seriesIsTSV picks from its path.
 type SeriesFile struct {
 	w interface {
 		Sink
@@ -119,7 +123,7 @@ func CreateSeriesFile(path string) (*SeriesFile, error) {
 		return nil, err
 	}
 	s := &SeriesFile{f: f}
-	if strings.HasSuffix(path, ".tsv") {
+	if seriesIsTSV(path) {
 		s.w = NewTSVWriter(f)
 	} else {
 		s.w = NewJSONLWriter(f)
@@ -233,6 +237,25 @@ type ValidationReport struct {
 	Samples int
 	// Experiments / Machines / Components are the distinct label counts.
 	Experiments, Machines, Components int
+}
+
+// ValidateSeriesFile schema-checks the series file at path with
+// ValidateJSONL. A TSV series (by the rule CreateSeriesFile writes it
+// with) has no schema check: checked is false and nothing is read.
+func ValidateSeriesFile(path string) (rep ValidationReport, checked bool, err error) {
+	if seriesIsTSV(path) {
+		return rep, false, nil
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		return rep, true, err
+	}
+	defer f.Close()
+	rep, err = ValidateJSONL(f)
+	if err != nil {
+		err = fmt.Errorf("%s: %w", path, err)
+	}
+	return rep, true, err
 }
 
 // ValidateJSONL schema-checks a JSONL metric series: every line must

@@ -199,6 +199,37 @@ func TestSeriesFile(t *testing.T) {
 	}
 }
 
+// TestValidateSeriesFile checks that validation follows the same suffix
+// rule as creation: a TSV series is not validated, a JSONL one is
+// schema-checked.
+func TestValidateSeriesFile(t *testing.T) {
+	dir := t.TempDir()
+	write := func(name, body string) string {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	// TSV: not validated, even when the content would not parse as JSONL.
+	rep, checked, err := ValidateSeriesFile(write("run.tsv", "not json\n"))
+	if err != nil || checked || rep.Samples != 0 {
+		t.Fatalf("tsv: rep %+v checked %v err %v, want unchecked", rep, checked, err)
+	}
+	good := `{"machine":"m","iteration":1,"component":"dram","name":"accesses","value":1}` + "\n"
+	rep, checked, err = ValidateSeriesFile(write("run.jsonl", good))
+	if err != nil || !checked || rep.Samples != 1 {
+		t.Fatalf("jsonl: rep %+v checked %v err %v, want 1 checked sample", rep, checked, err)
+	}
+	bad := write("bad.jsonl", `{"machine":"m","iteration":1,"component":"","name":"x","value":1}`+"\n")
+	if _, checked, err = ValidateSeriesFile(bad); !checked || err == nil || !strings.Contains(err.Error(), bad) {
+		t.Fatalf("bad jsonl: checked %v err %v, want a schema error naming the file", checked, err)
+	}
+	if _, _, err = ValidateSeriesFile(filepath.Join(dir, "missing.jsonl")); err == nil {
+		t.Fatal("missing JSONL series validated")
+	}
+}
+
 func TestTimelineChromeTrace(t *testing.T) {
 	tl := NewTimeline()
 	tl.Span(Span{Machine: "omega", Core: 1, Name: "parallel", Start: 10, End: 30})
