@@ -52,3 +52,25 @@ func BenchmarkBuild(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkRMAT times R-MAT generation at scale 14, seed 42, for each
+// variant perfbench's cell workloads build: the draws, the builder fill,
+// Dedup and Build.
+func BenchmarkRMAT(b *testing.B) {
+	for _, v := range []struct {
+		name                 string
+		undirected, weighted bool
+	}{
+		{"directed", false, false},
+		{"directed-weighted", false, true},
+		{"undirected", true, false},
+	} {
+		b.Run(v.name, func(b *testing.B) {
+			cfg := gen.DefaultRMAT(14, 42)
+			cfg.Undirected, cfg.Weighted = v.undirected, v.weighted
+			for i := 0; i < b.N; i++ {
+				benchGraph = gen.RMAT(cfg)
+			}
+		})
+	}
+}

@@ -18,6 +18,8 @@ package gen
 
 import (
 	"fmt"
+	"math"
+	"slices"
 
 	"omega/internal/graph"
 	"omega/internal/stats"
@@ -48,6 +50,9 @@ func DefaultRMAT(scaleLog2 int, seed uint64) RMATConfig {
 
 // RMAT generates an R-MAT graph. Duplicate edges and self-loops are
 // removed, so the final edge count is slightly below ScaleLog2*EdgeFactor.
+// It panics on a scale outside [1, 30], on a negative or NaN quadrant
+// probability, and when A+B+C exceeds 1; all-zero A, B, C mean the
+// defaults.
 func RMAT(cfg RMATConfig) *graph.Graph {
 	if cfg.ScaleLog2 <= 0 || cfg.ScaleLog2 > 30 {
 		panic(fmt.Sprintf("gen: bad RMAT scale %d", cfg.ScaleLog2))
@@ -58,6 +63,10 @@ func RMAT(cfg RMATConfig) *graph.Graph {
 	if cfg.A == 0 && cfg.B == 0 && cfg.C == 0 {
 		cfg.A, cfg.B, cfg.C = 0.57, 0.19, 0.19
 	}
+	// !(x >= 0) also catches NaN.
+	if !(cfg.A >= 0) || !(cfg.B >= 0) || !(cfg.C >= 0) || cfg.A+cfg.B+cfg.C > 1 {
+		panic(fmt.Sprintf("gen: bad RMAT probabilities A=%v B=%v C=%v", cfg.A, cfg.B, cfg.C))
+	}
 	n := 1 << cfg.ScaleLog2
 	m := n * cfg.EdgeFactor
 	r := stats.NewRand(cfg.Seed)
@@ -65,23 +74,18 @@ func RMAT(cfg RMATConfig) *graph.Graph {
 	if cfg.Weighted {
 		b.SetWeighted()
 	}
-	ab := cfg.A + cfg.B
-	abc := cfg.A + cfg.B + cfg.C
+	if cfg.Undirected {
+		b.Grow(2 * m)
+	} else {
+		b.Grow(m)
+	}
+	tA, tAB, tABC := quadrantThresholds(cfg.A, cfg.B, cfg.C)
 	for i := 0; i < m; i++ {
-		src, dst := 0, 0
+		var src, dst uint64
 		for depth := 0; depth < cfg.ScaleLog2; depth++ {
-			p := r.Float64()
-			switch {
-			case p < cfg.A:
-				// top-left: no bits set
-			case p < ab:
-				dst |= 1 << depth
-			case p < abc:
-				src |= 1 << depth
-			default:
-				src |= 1 << depth
-				dst |= 1 << depth
-			}
+			s, d := quadrant(tA, tAB, tABC, r.Uint64()>>11)
+			src |= s << depth
+			dst |= d << depth
 		}
 		var w int32 = 1
 		if cfg.Weighted {
@@ -96,6 +100,34 @@ func RMAT(cfg RMATConfig) *graph.Graph {
 	}
 	return b.Build(name)
 }
+
+// quadrantThresholds turns the R-MAT probabilities into integer thresholds
+// on k, where a uniform draw p = r.Float64() is exactly k/2^53 with
+// k = r.Uint64()>>11. Since t·2^53 is exact in float64 and k is an
+// integer, p < t holds exactly when k < ceil(t·2^53). Each threshold is
+// stored minus one (wrapping to 2^64-1 for a zero probability) for bit.
+// The three cumulative sums are rounded as float64, as a chain of p < A,
+// p < A+B, p < A+B+C comparisons rounds them, so the quadrant of every
+// draw is unchanged.
+func quadrantThresholds(a, b, c float64) (tA, tAB, tABC uint64) {
+	th := func(t float64) uint64 { return uint64(math.Ceil(t*(1<<53))) - 1 }
+	return th(a), th(a + b), th(a + b + c)
+}
+
+// quadrant returns the source and destination bits of one R-MAT level
+// for the draw p = k/2^53 (one r.Float64()), without a branch: p < A
+// sets neither bit, p < A+B the destination bit, p < A+B+C the source
+// bit and anything above both. bit(t, k) is 1 exactly when p is at or
+// above the threshold t encodes, and the thresholds are ordered.
+func quadrant(tA, tAB, tABC, k uint64) (src, dst uint64) {
+	src = bit(tAB, k)
+	return src, bit(tA, k) ^ src ^ bit(tABC, k)
+}
+
+// bit is 1 when k > t and 0 otherwise, read from the sign bit of t-k with
+// no branch: k < 2^53 and t <= 2^53, so t-k wraps exactly when k > t. A
+// zero-probability t = 2^64-1 gives 1 for every k, as p >= 0 always holds.
+func bit(t, k uint64) uint64 { return (t - k) >> 63 }
 
 // BAConfig parameterizes the Barabási–Albert preferential-attachment
 // generator.
@@ -135,21 +167,23 @@ func BarabasiAlbert(cfg BAConfig) *graph.Graph {
 	// implements degree-proportional selection.
 	targets := make([]graph.VertexID, 0, cfg.NumVertices*cfg.EdgesPerVertex*2)
 	targets = append(targets, 0)
+	// seen holds the targets the current vertex already links to.
+	seen := make([]graph.VertexID, 0, cfg.EdgesPerVertex)
 	for v := 1; v < cfg.NumVertices; v++ {
 		k := cfg.EdgesPerVertex
 		if k > v {
 			k = v
 		}
-		seen := map[graph.VertexID]bool{}
+		seen = seen[:0]
 		for e := 0; e < k; e++ {
 			var dst graph.VertexID
 			for {
 				dst = targets[r.Intn(len(targets))]
-				if dst != graph.VertexID(v) && !seen[dst] {
+				if dst != graph.VertexID(v) && !slices.Contains(seen, dst) {
 					break
 				}
 			}
-			seen[dst] = true
+			seen = append(seen, dst)
 			var w int32 = 1
 			if cfg.Weighted {
 				w = int32(1 + r.Intn(63))

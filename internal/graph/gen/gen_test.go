@@ -1,6 +1,7 @@
 package gen
 
 import (
+	"math"
 	"testing"
 
 	"omega/internal/graph"
@@ -72,6 +73,94 @@ func TestRMATBadScalePanics(t *testing.T) {
 		}
 	}()
 	RMAT(RMATConfig{ScaleLog2: 0})
+}
+
+func TestRMATBadProbabilitiesPanic(t *testing.T) {
+	for _, c := range []struct {
+		name    string
+		a, b, c float64
+	}{
+		{"negative A", -0.1, 0.5, 0.3},
+		{"negative B", 0.5, -0.1, 0.3},
+		{"negative C", 0.5, 0.3, -0.1},
+		{"NaN A", math.NaN(), 0.2, 0.2},
+		{"NaN C", 0.5, 0.2, math.NaN()},
+		{"sum above 1", 0.6, 0.3, 0.2},
+		{"A above 1", 1.5, 0, 0},
+		{"infinite B", 0.1, math.Inf(1), 0.1},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			defer func() {
+				if recover() == nil {
+					t.Fatal("expected panic")
+				}
+			}()
+			RMAT(RMATConfig{ScaleLog2: 4, A: c.a, B: c.b, C: c.c, Seed: 1})
+		})
+	}
+}
+
+func TestRMATEdgeProbabilitiesAccepted(t *testing.T) {
+	// All-zero means the defaults; A+B+C = 1 leaves D empty.
+	for _, p := range [][3]float64{{0, 0, 0}, {0.05, 0.15, 0.8}, {1, 0, 0}} {
+		g := RMAT(RMATConfig{ScaleLog2: 6, A: p[0], B: p[1], C: p[2], Seed: 3})
+		if err := g.Validate(); err != nil {
+			t.Fatalf("%v: %v", p, err)
+		}
+	}
+}
+
+// referenceQuadrant is the four-way switch on p = r.Float64() that the
+// R-MAT loop used before its integer thresholds. FuzzRMATQuadrant holds
+// quadrant to it.
+func referenceQuadrant(a, b, c float64, k uint64) (src, dst uint64) {
+	p := float64(k) / (1 << 53)
+	switch {
+	case p < a:
+	case p < a+b:
+		dst = 1
+	case p < a+b+c:
+		src = 1
+	default:
+		src, dst = 1, 1
+	}
+	return src, dst
+}
+
+// FuzzRMATQuadrant: for every 53-bit draw k and valid probabilities,
+// quadrant on the integer thresholds picks the reference's quadrant. The
+// seeds put k one below, at and one above each threshold for the default
+// and web skews, for A = B = C = 0.25 (every t·2^53 an integer, which
+// ceil must not round up) and for A+B+C = 1 with fractional t·2^53.
+func FuzzRMATQuadrant(f *testing.F) {
+	for _, p := range [][3]float64{
+		{0.57, 0.19, 0.19},
+		{0.65, 0.15, 0.15},
+		{0.25, 0.25, 0.25},
+		{0.05, 0.15, 0.8},
+	} {
+		for _, t := range []float64{p[0], p[0] + p[1], p[0] + p[1] + p[2]} {
+			edge := uint64(math.Ceil(t * (1 << 53)))
+			for _, k := range []uint64{edge - 1, edge, edge + 1} {
+				f.Add(k, p[0], p[1], p[2])
+			}
+		}
+	}
+	f.Add(uint64(0), 0.57, 0.19, 0.19)
+	f.Add(uint64(1<<53-1), 0.57, 0.19, 0.19)
+	f.Fuzz(func(t *testing.T, k uint64, a, b, c float64) {
+		if !(a >= 0) || !(b >= 0) || !(c >= 0) || a+b+c > 1 {
+			t.Skip("RMAT rejects these probabilities")
+		}
+		k &= 1<<53 - 1
+		tA, tAB, tABC := quadrantThresholds(a, b, c)
+		gotS, gotD := quadrant(tA, tAB, tABC, k)
+		wantS, wantD := referenceQuadrant(a, b, c, k)
+		if gotS != wantS || gotD != wantD {
+			t.Fatalf("k=%d A=%v B=%v C=%v: quadrant (%d,%d), reference (%d,%d)",
+				k, a, b, c, gotS, gotD, wantS, wantD)
+		}
+	})
 }
 
 func TestBarabasiAlbertPowerLaw(t *testing.T) {

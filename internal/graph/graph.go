@@ -223,6 +223,11 @@ func NewBuilder(n int, undirected bool) *Builder {
 // SetWeighted declares that edges carry weights.
 func (b *Builder) SetWeighted() { b.weighted = true }
 
+// Grow reserves room for n more stored edges, so a caller that knows its
+// edge count fills the builder without regrowing it. An undirected
+// AddEdge stores two edges.
+func (b *Builder) Grow(n int) { b.edges = slices.Grow(b.edges, n) }
+
 // AddEdge records an edge; self-loops are kept, duplicates are kept
 // (deduplicate with Dedup before Build if needed).
 func (b *Builder) AddEdge(src, dst VertexID, weight int32) {
@@ -384,6 +389,11 @@ func (b *Builder) Build(name string) *Graph {
 // FromEdges is a convenience wrapper: build a graph from an edge list.
 func FromEdges(n int, undirected bool, edges []Edge, name string) *Graph {
 	b := NewBuilder(n, undirected)
+	if undirected {
+		b.Grow(2 * len(edges))
+	} else {
+		b.Grow(len(edges))
+	}
 	for _, e := range edges {
 		b.AddEdge(e.Src, e.Dst, e.Weight)
 	}

@@ -80,9 +80,9 @@ func Compute(g *graph.Graph, m Method) Permutation {
 		}
 		return p
 	case InDegree:
-		return byDegree(n, func(v graph.VertexID) int { return g.InDegree(v) })
+		return byDegree(g.InOffsets)
 	case OutDegree:
-		return byDegree(n, func(v graph.VertexID) int { return g.OutDegree(v) })
+		return byDegree(g.OutOffsets)
 	case SlashBurn:
 		return slashBurn(g)
 	}
@@ -90,18 +90,30 @@ func Compute(g *graph.Graph, m Method) Permutation {
 }
 
 // byDegree ranks vertices by descending degree (ties: lower old ID first)
-// and assigns new IDs in rank order.
-func byDegree(n int, deg func(graph.VertexID) int) Permutation {
-	order := make([]graph.VertexID, n)
-	for v := range order {
-		order[v] = graph.VertexID(v)
+// and assigns new IDs in rank order; the degree of v is
+// offsets[v+1]-offsets[v]. It is a counting sort on maxDeg-deg, visiting
+// vertices in ascending ID, so it yields exactly the permutation of a
+// stable sort by descending degree in O(n + maxDeg).
+func byDegree(offsets []uint64) Permutation {
+	n := max(len(offsets)-1, 0)
+	var maxDeg uint64
+	for v := 0; v < n; v++ {
+		maxDeg = max(maxDeg, offsets[v+1]-offsets[v])
 	}
-	slices.SortStableFunc(order, func(x, y graph.VertexID) int {
-		return cmp.Compare(deg(y), deg(x))
-	})
+	// next[maxDeg-d] starts as the number of vertices with degree above d:
+	// the first rank of degree d.
+	next := make([]graph.VertexID, maxDeg+2)
+	for v := 0; v < n; v++ {
+		next[maxDeg-(offsets[v+1]-offsets[v])+1]++
+	}
+	for i := 1; i < len(next); i++ {
+		next[i] += next[i-1]
+	}
 	p := make(Permutation, n)
-	for rank, old := range order {
-		p[old] = graph.VertexID(rank)
+	for v := 0; v < n; v++ {
+		bucket := maxDeg - (offsets[v+1] - offsets[v])
+		p[v] = next[bucket]
+		next[bucket]++
 	}
 	return p
 }
@@ -256,6 +268,7 @@ func Apply(g *graph.Graph, p Permutation) *graph.Graph {
 	if g.Weighted() {
 		b.SetWeighted()
 	}
+	b.Grow(len(g.OutEdges))
 	for v := 0; v < n; v++ {
 		ws := g.OutWeights(graph.VertexID(v))
 		for i, u := range g.OutNeighbors(graph.VertexID(v)) {

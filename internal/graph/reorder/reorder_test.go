@@ -1,6 +1,8 @@
 package reorder
 
 import (
+	"cmp"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -198,10 +200,58 @@ func TestMethodStrings(t *testing.T) {
 	}
 }
 
+// referenceByDegree is the stable comparator sort byDegree replaced:
+// descending degree, ties in ascending old ID. FuzzByDegree holds the
+// counting sort to it.
+func referenceByDegree(deg []uint64) Permutation {
+	order := make([]graph.VertexID, len(deg))
+	for v := range order {
+		order[v] = graph.VertexID(v)
+	}
+	slices.SortStableFunc(order, func(x, y graph.VertexID) int {
+		return cmp.Compare(deg[y], deg[x])
+	})
+	p := make(Permutation, len(deg))
+	for rank, old := range order {
+		p[old] = graph.VertexID(rank)
+	}
+	return p
+}
+
+// FuzzByDegree: for any degree vector, byDegree over the matching CSR
+// offsets returns the reference's permutation. Each byte is one vertex:
+// mostly degrees 0-5, so ties and zeros dominate, with a byte of 250 or
+// more giving a hub of degree 4×byte.
+func FuzzByDegree(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0})
+	f.Add([]byte{3, 1, 3, 0, 1, 3, 0})
+	f.Add([]byte{0, 0, 0, 0, 0})
+	f.Add([]byte{255, 2, 250, 2, 0, 255, 1, 2})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		deg := make([]uint64, len(data))
+		offsets := make([]uint64, len(data)+1)
+		for v, c := range data {
+			deg[v] = uint64(c % 6)
+			if c >= 250 {
+				deg[v] = 4 * uint64(c)
+			}
+			offsets[v+1] = offsets[v] + deg[v]
+		}
+		got, want := byDegree(offsets), referenceByDegree(deg)
+		if !slices.Equal(got, want) {
+			t.Fatalf("degrees %v: byDegree %v, reference %v", deg, got, want)
+		}
+	})
+}
+
 var benchGraph *graph.Graph
 
 // BenchmarkApply times the in-degree relabeling of an R-MAT scale-14
-// graph, the step every reordered dataset build ends with.
+// graph, the step every reordered dataset build ends with. The
+// compute+apply cases also rank the vertices first, as a reordered
+// dataset build does, on each R-MAT variant perfbench's cell workloads
+// build.
 func BenchmarkApply(b *testing.B) {
 	for _, weighted := range []bool{false, true} {
 		name := "unweighted"
@@ -216,6 +266,24 @@ func BenchmarkApply(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				benchGraph = Apply(g, p)
+			}
+		})
+	}
+	for _, v := range []struct {
+		name                 string
+		undirected, weighted bool
+	}{
+		{"directed", false, false},
+		{"directed-weighted", false, true},
+		{"undirected", true, false},
+	} {
+		b.Run("compute+apply/"+v.name, func(b *testing.B) {
+			cfg := gen.DefaultRMAT(14, 42)
+			cfg.Undirected, cfg.Weighted = v.undirected, v.weighted
+			g := gen.RMAT(cfg)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				benchGraph = Apply(g, Compute(g, InDegree))
 			}
 		})
 	}
