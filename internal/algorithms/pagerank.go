@@ -72,7 +72,8 @@ func PageRank(fw *ligra.Framework, p Params) *PageRankResult {
 		m.ParallelFor(n, func(ctx *core.Ctx, v int) {
 			ctx.Exec(6)
 			sum := next.Get(ctx, uint32(v)).Float()
-			newRank := (1-p.Damping)/float64(n) + p.Damping*sum
+			// float64(...) rounds the product: no fused multiply-add.
+			newRank := (1-p.Damping)/float64(n) + float64(p.Damping*sum)
 			curr[v] = newRank
 			ctx.Write(currRegion, v)
 			next.Set(ctx, uint32(v), pisc.FloatValue(0))
@@ -105,7 +106,8 @@ func ReferencePageRank(g *graph.Graph, iterations int, damping float64) []float6
 			}
 		}
 		for v := range curr {
-			curr[v] = (1-damping)/float64(n) + damping*next[v]
+			// float64(...) rounds the product: no fused multiply-add.
+			curr[v] = (1-damping)/float64(n) + float64(damping*next[v])
 		}
 	}
 	return curr

@@ -13,7 +13,11 @@
 //   - LLC and scratchpad hit latencies are accounted.
 package analytical
 
-import "fmt"
+import (
+	"fmt"
+
+	"omega/internal/memsys"
+)
 
 // Params describes one large-graph scenario.
 type Params struct {
@@ -73,16 +77,16 @@ type Model struct {
 // large datasets" study at Table III geometry.
 func DefaultModel() Model {
 	return Model{
-		Cores:                  16,
+		Cores:                  memsys.NumCores,
 		DRAMCycles:             100,
 		RemoteSPCycles:         17,
 		LLCHitCycles:           6,
-		SPHitCycles:            3,
+		SPHitCycles:            float64(memsys.SPLat),
 		AtomicCycles:           9,
 		StreamCyclesPerEdge:    2.5,
 		FrameworkCyclesPerEdge: 26,
 		MLP:                    16,
-		LocalSPFraction:        1.0 / 16,
+		LocalSPFraction:        1.0 / memsys.NumCores,
 	}
 }
 
@@ -102,6 +106,11 @@ func (r Result) Speedup() float64 {
 }
 
 // Estimate runs the high-level model for one scenario.
+//
+// Every product that feeds a sum is wrapped in an explicit float64
+// conversion: that forces the rounding Go otherwise lets a compiler skip
+// by fusing the multiply-add (arm64 does), so the estimate is the same
+// bits on every architecture.
 func (m Model) Estimate(p Params) Result {
 	edges := float64(p.Edges) * p.ActiveEdgeFraction
 	perCoreEdges := edges / float64(m.Cores)
@@ -109,37 +118,38 @@ func (m Model) Estimate(p Params) Result {
 	// --- Baseline ---
 	// Every atomic blocks the core: on-chip hit or DRAM miss, plus the
 	// (PISC-equal) atomic execution cost.
-	atomicAvg := p.BaselineLLCHitRate*m.LLCHitCycles +
-		(1-p.BaselineLLCHitRate)*m.DRAMCycles + m.AtomicCycles
+	atomicAvg := float64(p.BaselineLLCHitRate*m.LLCHitCycles) +
+		float64((1-p.BaselineLLCHitRate)*m.DRAMCycles) + m.AtomicCycles
 	// Random reads overlap in the OoO window.
-	readAvg := (p.BaselineLLCHitRate*m.LLCHitCycles +
-		(1-p.BaselineLLCHitRate)*m.DRAMCycles) / m.MLP
+	readAvg := (float64(p.BaselineLLCHitRate*m.LLCHitCycles) +
+		float64((1-p.BaselineLLCHitRate)*m.DRAMCycles)) / m.MLP
 	baseline := perCoreEdges * (m.StreamCyclesPerEdge + m.FrameworkCyclesPerEdge +
-		p.AtomicsPerEdge*atomicAvg +
-		p.RandomReadsPerEdge*readAvg)
+		float64(p.AtomicsPerEdge*atomicAvg) +
+		float64(p.RandomReadsPerEdge*readAvg))
 
 	// --- OMEGA ---
 	// Hot-share accesses are offloaded word-size to the home PISC
 	// (fire-and-forget); the cold share behaves like the baseline but
 	// against the halved LLC — the paper approximates its hit rate with
 	// the same measured LLC rate.
-	coldAtomic := p.BaselineLLCHitRate*m.LLCHitCycles +
-		(1-p.BaselineLLCHitRate)*m.DRAMCycles + m.AtomicCycles
+	coldAtomic := float64(p.BaselineLLCHitRate*m.LLCHitCycles) +
+		float64((1-p.BaselineLLCHitRate)*m.DRAMCycles) + m.AtomicCycles
 	hotAtomicCoreCost := 1.0 // issue the word packet and move on
-	omegaAtomic := p.HotAccessShare*hotAtomicCoreCost + (1-p.HotAccessShare)*coldAtomic
+	omegaAtomic := float64(p.HotAccessShare*hotAtomicCoreCost) + float64((1-p.HotAccessShare)*coldAtomic)
 	// Random reads: hot ones hit local/remote scratchpads (overlapped),
 	// cold ones as baseline.
-	hotRead := (m.LocalSPFraction*m.SPHitCycles +
-		(1-m.LocalSPFraction)*(m.RemoteSPCycles+m.SPHitCycles)) / m.MLP
+	hotRead := (float64(m.LocalSPFraction*m.SPHitCycles) +
+		float64((1-m.LocalSPFraction)*(m.RemoteSPCycles+m.SPHitCycles))) / m.MLP
 	coldRead := readAvg
-	omegaRead := p.HotAccessShare*hotRead + (1-p.HotAccessShare)*coldRead
+	omegaRead := float64(p.HotAccessShare*hotRead) + float64((1-p.HotAccessShare)*coldRead)
 	// PISC throughput check: the engines must absorb the offloaded rate;
 	// if they cannot, the offload cost rises to the serialization bound.
 	offloadedOps := edges * p.AtomicsPerEdge * p.HotAccessShare
 	omega := perCoreEdges * (m.StreamCyclesPerEdge + m.FrameworkCyclesPerEdge +
-		p.AtomicsPerEdge*omegaAtomic +
-		p.RandomReadsPerEdge*omegaRead)
-	piscBound := offloadedOps * m.AtomicCycles / (3 * float64(m.Cores)) // pipelined engines
+		float64(p.AtomicsPerEdge*omegaAtomic) +
+		float64(p.RandomReadsPerEdge*omegaRead))
+	// Pipelined engines start an update every scratchpad access.
+	piscBound := offloadedOps * m.AtomicCycles / (m.SPHitCycles * float64(m.Cores))
 	if piscBound > omega {
 		omega = piscBound
 	}

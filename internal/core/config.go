@@ -15,20 +15,20 @@ import (
 // The Table III parameters every simulated machine shares. Experiments
 // vary only the storage sizes and mechanisms in Config, so these are
 // constants: each core has one L1, one L2 bank, and on OMEGA one
-// scratchpad slice and one PISC engine. The core, crossbar and DRAM
-// timing are the cpu, noc and dram packages' DefaultConfig.
+// scratchpad slice and one PISC engine. The core, crossbar, DRAM, PISC
+// and scratchpad timing are unexported constants of the cpu, noc, dram,
+// pisc and scratchpad packages (DESIGN.md §3).
 const (
 	// NumCores is the core count.
-	NumCores = 16
+	NumCores = memsys.NumCores
 	// L1Ways/L2Ways are the associativities of the L1D and of each L2 bank.
 	L1Ways = 8
 	L2Ways = 8
-	// L2Lat is the L2 bank access latency.
+	// L1Lat/L2Lat are the L1D hit and L2 bank access latencies.
+	L1Lat memsys.Cycles = 1
 	L2Lat memsys.Cycles = 6
 	// SPLat is the scratchpad access latency.
-	SPLat memsys.Cycles = 3
-	// SrcBufEntries sizes OMEGA's per-core source vertex buffer (§V.C).
-	SrcBufEntries = 64
+	SPLat = memsys.SPLat
 	// AtomicOpCycles is the core-side cost of executing an atomic
 	// read-modify-write beyond the memory access itself.
 	AtomicOpCycles memsys.Cycles = 16

@@ -30,8 +30,6 @@ type cachePath struct {
 	// (nil = no injection, the default).
 	faults *faults.Injector
 
-	l1HitLat memsys.Cycles
-
 	// LLC pollution state (Config.LLCPollution): synthetic fills that
 	// model the instruction/OS traffic of a real machine's LLC.
 	pollAccum float64
@@ -43,25 +41,14 @@ type cachePath struct {
 
 func newCachePath(cfg Config, xbar *noc.Crossbar, mem *dram.DRAM) *cachePath {
 	p := &cachePath{
-		cfg:      cfg,
-		dir:      coherence.New(NumCores),
-		dram:     mem,
-		noc:      xbar,
-		l1HitLat: 1,
+		cfg:  cfg,
+		dir:  coherence.New(NumCores),
+		dram: mem,
+		noc:  xbar,
 	}
 	for c := 0; c < NumCores; c++ {
-		p.l1 = append(p.l1, cache.New(cache.Config{
-			SizeBytes:     cfg.L1Bytes,
-			Ways:          L1Ways,
-			LatencyCycles: p.l1HitLat,
-			Name:          "L1D",
-		}))
-		p.l2 = append(p.l2, cache.New(cache.Config{
-			SizeBytes:     cfg.L2BytesPerCore,
-			Ways:          L2Ways,
-			LatencyCycles: L2Lat,
-			Name:          "L2",
-		}))
+		p.l1 = append(p.l1, cache.New(cache.Config{SizeBytes: cfg.L1Bytes, Ways: L1Ways, Name: "L1D"}))
+		p.l2 = append(p.l2, cache.New(cache.Config{SizeBytes: cfg.L2BytesPerCore, Ways: L2Ways, Name: "L2"}))
 	}
 	return p
 }
@@ -128,7 +115,7 @@ func (p *cachePath) Access(now memsys.Cycles, a memsys.Access) memsys.Result {
 	var lat memsys.Cycles
 	level := memsys.LevelL1
 	if l1Hit {
-		lat = p.l1HitLat
+		lat = L1Lat
 		if write {
 			// Upgrade: invalidate other sharers (single directory probe;
 			// a no-op when this core already holds the line Modified).
@@ -209,7 +196,7 @@ func (p *cachePath) miss(now memsys.Cycles, core int, line memsys.Addr, write, l
 		// The owner's dirty data also refreshes the L2 bank.
 		p.noc.Send(now+lat+fwd, dirtyOwner, bank, memsys.LineSize, noc.ClassLine)
 		l2.FillAt(rl2, true)
-		return lat + fwd + xfer + p.l1HitLat
+		return lat + fwd + xfer + L1Lat
 	}
 
 	p.pollute(bank)

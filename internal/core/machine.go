@@ -154,11 +154,8 @@ func NewMachineChecked(cfg Config) (*Machine, error) {
 		cfg:      cfg,
 		nextAddr: pageSize,
 	}
-	m.xbar = noc.New(noc.DefaultConfig(NumCores))
-	dramCfg := dram.DefaultConfig()
-	dramCfg.ClosePage = cfg.ClosePage
-	dramCfg.Hybrid = cfg.HybridPagePolicy
-	m.mem = dram.New(dramCfg)
+	m.xbar = noc.New()
+	m.mem = dram.New(dram.Config{ClosePage: cfg.ClosePage, Hybrid: cfg.HybridPagePolicy})
 	if cfg.Faults.Enabled() {
 		m.faults = faults.New(cfg.Faults)
 		m.mem.AttachFaults(m.faults)
@@ -428,7 +425,7 @@ type memoFault struct {
 // is per-vertex (two vertices in one 64 B line can differ) and resident
 // accesses consume fault-PRNG draws. A cache-path L1 read hit has exactly
 // three side effects — use-clock tick, LRU touch, read-hit counter — and a
-// constant result {l1HitLat, LevelL1}; it touches no directory,
+// constant result {L1Lat, LevelL1}; it touches no directory,
 // NoC, or DRAM state. Cache.SameLineReadHit replays those three effects
 // exactly, and only when the memoized line is provably the line a full
 // probe would hit (the memo dies on any eviction/invalidation of that
@@ -449,7 +446,7 @@ func (m *Machine) fastRead(core *cpu.Core, a memsys.Access, r *Region) memsys.Re
 			// replay this exact memo hit, so it can defer instead.
 			m.openFold(a.Core, r, line, l1.HotWay(line))
 		}
-		return memsys.Result{Latency: l1.Latency(), Level: memsys.LevelL1}
+		return memsys.Result{Latency: L1Lat, Level: memsys.LevelL1}
 	}
 	if m.memoFaults != nil {
 		if f := m.memoFaults[a.Core]; f.armed && f.line == line {

@@ -37,22 +37,18 @@ type omegaHier struct {
 }
 
 func newOmegaHier(cfg Config, path *cachePath, xbar *noc.Crossbar, inj *faults.Injector) *omegaHier {
-	spCfg := scratchpad.Config{
-		NumCores:         NumCores,
-		BytesPerCore:     cfg.SPBytesPerCore,
-		LatencyCycles:    SPLat,
-		ChunkSize:        cfg.chunkSize(),
-		SrcBufferEntries: SrcBufEntries,
-	}
 	h := &omegaHier{
 		cachePath: path,
-		ctrl:      scratchpad.NewController(spCfg),
-		xbar:      xbar,
-		cfg:       cfg,
-		faults:    inj,
+		ctrl: scratchpad.NewController(scratchpad.Config{
+			BytesPerCore: cfg.SPBytesPerCore,
+			ChunkSize:    cfg.chunkSize(),
+		}),
+		xbar:   xbar,
+		cfg:    cfg,
+		faults: inj,
 	}
 	for c := 0; c < NumCores; c++ {
-		h.engines = append(h.engines, pisc.NewEngine(pisc.DefaultConfig(SPLat)))
+		h.engines = append(h.engines, pisc.NewEngine())
 	}
 	return h
 }
@@ -100,7 +96,6 @@ func (h *omegaHier) spAccess(now memsys.Cycles, a memsys.Access, v uint32) memsy
 	home := h.ctrl.Home(v)
 	local := home == a.Core
 	h.ctrl.RecordAccess(local)
-	spLat := h.ctrl.Latency()
 	size := int(a.Size)
 	if size <= 0 || size > 8 {
 		size = 8
@@ -129,11 +124,11 @@ func (h *omegaHier) spAccess(now memsys.Cycles, a memsys.Access, v uint32) memsy
 		h.spAtomics.Inc()
 		var lat memsys.Cycles
 		if local {
-			lat = spLat + 2
+			lat = SPLat + 2
 			h.xbar.Send(now, a.Core, home, size, noc.ClassWord)
 		} else {
 			rt := h.xbar.RoundTrip(now, a.Core, home, 0, size, noc.ClassWord)
-			lat = rt + spLat + 2
+			lat = rt + SPLat + 2
 			h.xbar.Send(now+lat, a.Core, home, size, noc.ClassWord)
 		}
 		return memsys.Result{Latency: lat, Blocking: true, Level: memsys.LevelSPAtomic}
@@ -143,24 +138,24 @@ func (h *omegaHier) spAccess(now memsys.Cycles, a memsys.Access, v uint32) memsy
 			return memsys.Result{Latency: 1, Level: memsys.LevelSrcBuf}
 		}
 		if local {
-			return memsys.Result{Latency: spLat, Level: memsys.LevelSPLocal}
+			return memsys.Result{Latency: SPLat, Level: memsys.LevelSPLocal}
 		}
 		h.remoteReads.Inc()
-		lat := h.xbar.RoundTrip(now, a.Core, home, 0, size, noc.ClassWord) + spLat
+		lat := h.xbar.RoundTrip(now, a.Core, home, 0, size, noc.ClassWord) + SPLat
 		return memsys.Result{Latency: lat, Level: memsys.LevelSPRemote}
 
 	default: // OpWrite
-		return h.spWrite(now, a.Core, home, local, size, spLat)
+		return h.spWrite(now, a.Core, home, local, size)
 	}
 }
 
 // spWrite models a posted (non-blocking) word write to a slice.
-func (h *omegaHier) spWrite(now memsys.Cycles, core, home int, local bool, size int, spLat memsys.Cycles) memsys.Result {
+func (h *omegaHier) spWrite(now memsys.Cycles, core, home int, local bool, size int) memsys.Result {
 	if local {
 		h.xbar.Send(now, core, home, size, noc.ClassWord)
-		return memsys.Result{Latency: spLat, Level: memsys.LevelSPLocal}
+		return memsys.Result{Latency: SPLat, Level: memsys.LevelSPLocal}
 	}
-	lat := h.xbar.Send(now, core, home, size, noc.ClassWord) + spLat
+	lat := h.xbar.Send(now, core, home, size, noc.ClassWord) + SPLat
 	return memsys.Result{Latency: lat, Level: memsys.LevelSPRemote}
 }
 

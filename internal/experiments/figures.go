@@ -45,17 +45,7 @@ func Figure3(o Options) *Table {
 	fns := make([]func() core.MachineStats, len(specs))
 	for i, spec := range specs {
 		fns[i] = func() core.MachineStats {
-			ds := mustDataset("rmat")
-			if spec.NeedsUndirected {
-				ds = mustDataset("apu")
-			}
-			pr := prepareDataset(ds, o, spec.NeedsWeights)
-			bCfg, _ := core.ScaledPair(pr.g.NumVertices(), spec.VtxPropBytes, o.Coverage)
-			// The run label stays the bare dataset name (as in Figure 4a,
-			// 4b and 5) so the metric-stream goldens are unchanged; the
-			// cell itself is shared with Figure 14 and friends regardless
-			// of label.
-			return runCell(o, spec.Name, pr, bCfg, pr.g.Name)
+			return baselineCell(o, spec, profileDataset(spec)).Stats
 		}
 	}
 	var memSum float64
@@ -97,13 +87,8 @@ func Figure4a(o Options) *Table {
 	fns := make([]func() cell, len(specs))
 	for i, spec := range specs {
 		fns[i] = func() cell {
-			ds := mustDataset("rmat")
-			if spec.NeedsUndirected {
-				ds = mustDataset("apu")
-			}
-			pr := prepareDataset(ds, o, spec.NeedsWeights)
-			bCfg, _ := core.ScaledPair(pr.g.NumVertices(), spec.VtxPropBytes, o.Coverage)
-			return cell{ds.Name, runCell(o, spec.Name, pr, bCfg, pr.g.Name)}
+			ds := profileDataset(spec)
+			return cell{ds.Name, baselineCell(o, spec, ds).Stats}
 		}
 	}
 	for i, c := range runVariants(o, fns...) {
@@ -112,14 +97,24 @@ func Figure4a(o Options) *Table {
 	return t
 }
 
-// baselineTopShare is the top-20% vtxProp access share of spec on ds on
-// the scaled baseline machine. It requests the same cell, under the same
-// run label, as Figure 3/4a, and the cell is the baseline half of
-// runPair's, so on a shared cell cache the skew figures replay them.
-func baselineTopShare(o Options, spec algorithms.Spec, ds Dataset) float64 {
+// profileDataset is the dataset Figures 3, 4a and 4b profile spec on:
+// rmat, or apu when the algorithm needs an undirected graph.
+func profileDataset(spec algorithms.Spec) Dataset {
+	if spec.NeedsUndirected {
+		return mustDataset("apu")
+	}
+	return mustDataset("rmat")
+}
+
+// baselineCell is the cell of spec on ds on the scaled baseline machine,
+// which Figures 3, 4a, 4b and 5 profile. Its run label is the bare
+// dataset name, so the metric-stream goldens are unchanged, and the cell
+// is the baseline half of runPair's: on a shared cell cache Figure 14
+// and friends replay it regardless of label.
+func baselineCell(o Options, spec algorithms.Spec, ds Dataset) Cell {
 	pr := prepareDataset(ds, o, spec.NeedsWeights)
 	bCfg, _ := core.ScaledPair(pr.g.NumVertices(), spec.VtxPropBytes, o.Coverage)
-	return cellFor(o, spec.Name, pr, bCfg, pr.g.Name).TopShare
+	return cellFor(o, spec.Name, pr, bCfg, pr.g.Name)
 }
 
 // Figure4b reproduces the access-skew measurement: the share of vtxProp
@@ -139,11 +134,8 @@ func Figure4b(o Options) *Table {
 	fns := make([]func() cell, len(specs))
 	for i, spec := range specs {
 		fns[i] = func() cell {
-			ds := mustDataset("rmat")
-			if spec.NeedsUndirected {
-				ds = mustDataset("apu")
-			}
-			return cell{ds.Name, baselineTopShare(o, spec, ds)}
+			ds := profileDataset(spec)
+			return cell{ds.Name, baselineCell(o, spec, ds).TopShare}
 		}
 	}
 	for i, c := range runVariants(o, fns...) {
@@ -176,7 +168,7 @@ func Figure5(o Options) *Table {
 				continue
 			}
 			fns[i] = func() string {
-				return fmt.Sprintf("%.0f", 100*baselineTopShare(o, spec, ds))
+				return fmt.Sprintf("%.0f", 100*baselineCell(o, spec, ds).TopShare)
 			}
 		}
 		t.Rows = append(t.Rows, append([]string{ds.Name}, runVariants(o, fns...)...))
@@ -336,7 +328,7 @@ func Figure19(o Options) *Table {
 			// Cap residency to emulate a smaller scratchpad while the
 			// arrays stay 20%-sized; the paper shrinks the SRAM and keeps
 			// the L2 fixed, with the same effect on coverage.
-			omCfg.SPResidentCap = maxInt(int(coverage*float64(pr.g.NumVertices())), 1)
+			omCfg.SPResidentCap = max(int(coverage*float64(pr.g.NumVertices())), 1)
 			res := runMachines(o, spec.Name, pr, baseCfg, omCfg)
 			baseSt, omSt := res[0], res[1]
 			pct := int(coverage*100) - 1
@@ -419,11 +411,4 @@ func Figure21(o Options) *Table {
 	t.Notes = append(t.Notes, fmt.Sprintf(
 		"average saving %.2fx (paper: 2.5x)", sum/float64(n)))
 	return t
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

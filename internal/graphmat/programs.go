@@ -34,7 +34,8 @@ func RunPageRank(m *core.Machine, g *graph.Graph, iters int, damping float64) []
 			return src, true
 		},
 		Apply: func(v uint32, old, reduced pisc.Value) (pisc.Value, bool) {
-			newRank := (1-damping)/vcount + damping*reduced.Float()
+			// float64(...) rounds the product: no fused multiply-add.
+			newRank := (1-damping)/vcount + float64(damping*reduced.Float())
 			rank[v] = newRank
 			if degs[v] == 0 {
 				return pisc.FloatValue(0), true

@@ -54,7 +54,7 @@ func (f *Framework) EdgeMap(frontier *VertexSubset, fns EdgeMapFns, mode Mode) *
 	}
 	size := frontier.Size()
 	outDeg := f.frontierOutDegree(frontier)
-	if size+outDeg > f.g.NumEdges()/f.denseThresholdDen {
+	if size+outDeg > f.g.NumEdges()/denseThresholdDen {
 		return f.edgeMapDense(frontier, fns)
 	}
 	return f.edgeMapSparse(frontier, fns)
@@ -99,7 +99,7 @@ func (f *Framework) edgeMapSparse(frontier *VertexSubset, fns EdgeMapFns) *Verte
 	ids := frontier.sparse
 	f.ParallelOutEdges(ids,
 		func(ctx *core.Ctx, s uint32) {
-			ctx.Exec(f.cost.PerVertex)
+			ctx.Exec(perVertex)
 			ctx.Read(frontier.region, int(s))
 		},
 		func(ctx *core.Ctx, s uint32, j int, d uint32, w int32) {
@@ -146,7 +146,7 @@ func (f *Framework) edgeMapDenseForward(frontier *VertexSubset, fns EdgeMapFns) 
 	// sequential read), collecting the active sources.
 	var active []uint32
 	f.m.ParallelFor(f.g.NumVertices(), func(ctx *core.Ctx, s int) {
-		ctx.Exec(f.cost.PerVertex)
+		ctx.Exec(perVertex)
 		ctx.Read(frontier.region, s)
 		if frontier.dense[s] {
 			active = append(active, uint32(s))
@@ -182,7 +182,7 @@ func (f *Framework) edgeMapDensePull(frontier *VertexSubset, fns EdgeMapFns) *Ve
 	}
 
 	f.m.ParallelFor(f.g.NumVertices(), func(ctx *core.Ctx, d int) {
-		ctx.Exec(f.cost.PerVertex)
+		ctx.Exec(perVertex)
 		if fns.Cond != nil && !fns.Cond(ctx, uint32(d)) {
 			return
 		}
@@ -192,7 +192,7 @@ func (f *Framework) edgeMapDensePull(frontier *VertexSubset, fns EdgeMapFns) *Ve
 		base := int(f.g.InOffsets[d])
 		f.DenseEdges += uint64(len(neighbors))
 		for j, s := range neighbors {
-			ctx.Exec(f.cost.PerEdge + f.cost.PerFrontierCheck)
+			ctx.Exec(perEdge + perFrontierCheck)
 			ctx.Read(f.inEdges, base+j)
 			ctx.Read(frontier.region, int(s))
 			if !frontier.dense[s] {
@@ -238,7 +238,7 @@ func (f *Framework) VertexMap(s *VertexSubset, fn func(ctx *core.Ctx, v uint32) 
 			if !s.dense[i] {
 				return
 			}
-			ctx.Exec(f.cost.PerVertex)
+			ctx.Exec(perVertex)
 			if fn(ctx, uint32(i)) {
 				kept = append(kept, uint32(i))
 				ctx.Write(out.region, i)
@@ -247,7 +247,7 @@ func (f *Framework) VertexMap(s *VertexSubset, fn func(ctx *core.Ctx, v uint32) 
 	} else {
 		ids := s.sparse
 		f.m.ParallelFor(len(ids), func(ctx *core.Ctx, i int) {
-			ctx.Exec(f.cost.PerVertex)
+			ctx.Exec(perVertex)
 			ctx.Read(s.region, i)
 			if fn(ctx, ids[i]) {
 				kept = append(kept, ids[i])
@@ -263,7 +263,7 @@ func (f *Framework) VertexMap(s *VertexSubset, fn func(ctx *core.Ctx, v uint32) 
 // frontier, as in PageRank's per-iteration normalization).
 func (f *Framework) ForAllVertices(fn func(ctx *core.Ctx, v uint32)) {
 	f.m.ParallelFor(f.g.NumVertices(), func(ctx *core.Ctx, i int) {
-		ctx.Exec(f.cost.PerVertex)
+		ctx.Exec(perVertex)
 		fn(ctx, uint32(i))
 	})
 }

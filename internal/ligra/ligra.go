@@ -20,29 +20,26 @@ import (
 	"omega/internal/scratchpad"
 )
 
-// CostModel holds the instruction-count charges for framework bookkeeping;
-// they convert logical work into cpu.Exec cycles.
-type CostModel struct {
-	// PerEdge is charged for each edge processed (index arithmetic,
+// The instruction-count charges of the compiled Ligra inner loops; they
+// convert framework bookkeeping into cpu.Exec cycles.
+const (
+	// perEdge is charged for each edge processed (index arithmetic,
 	// compare, branch).
-	PerEdge int
-	// PerVertex is charged for each vertex visited in a map.
-	PerVertex int
-	// PerFrontierCheck is charged per dense-frontier membership test.
-	PerFrontierCheck int
-}
-
-// DefaultCostModel reflects the compiled Ligra inner loops.
-func DefaultCostModel() CostModel {
-	return CostModel{PerEdge: 4, PerVertex: 6, PerFrontierCheck: 1}
-}
+	perEdge = 4
+	// perVertex is charged for each vertex visited in a map.
+	perVertex = 6
+	// perFrontierCheck is charged per dense-frontier membership test.
+	perFrontierCheck = 1
+	// denseThresholdDen makes Ligra's |E|/20 sparse/dense switching
+	// threshold.
+	denseThresholdDen = 20
+)
 
 // Framework binds a graph to a machine: it allocates the simulated regions
 // for the CSR arrays and manages property arrays and frontiers.
 type Framework struct {
-	m    *core.Machine
-	g    *graph.Graph
-	cost CostModel
+	m *core.Machine
+	g *graph.Graph
 
 	outOffsets *core.Region
 	outEdges   *core.Region
@@ -53,8 +50,6 @@ type Framework struct {
 
 	props []*PropArray
 
-	// denseThresholdDen is Ligra's |E|/20 switching threshold denominator.
-	denseThresholdDen int
 	// densePull selects Ligra's gather-style dense traversal (edgeMapDense)
 	// instead of the default scatter-style edgeMapDenseForward. The paper's
 	// atomic-centric characterization (Table II) corresponds to the
@@ -80,26 +75,21 @@ type Framework struct {
 
 // New binds graph g to machine m.
 func New(m *core.Machine, g *graph.Graph) *Framework {
-	f := &Framework{
-		m:                 m,
-		g:                 g,
-		cost:              DefaultCostModel(),
-		denseThresholdDen: 20,
-	}
+	f := &Framework{m: m, g: g}
 	n := g.NumVertices()
 	e := g.NumEdges()
 	f.outOffsets = m.Alloc("edgeList.outOffsets", n+1, 8, memsys.KindEdgeList)
-	f.outEdges = m.Alloc("edgeList.outEdges", maxInt(e, 1), 4, memsys.KindEdgeList)
+	f.outEdges = m.Alloc("edgeList.outEdges", max(e, 1), 4, memsys.KindEdgeList)
 	f.inOffsets = m.Alloc("edgeList.inOffsets", n+1, 8, memsys.KindEdgeList)
-	f.inEdges = m.Alloc("edgeList.inEdges", maxInt(e, 1), 4, memsys.KindEdgeList)
+	f.inEdges = m.Alloc("edgeList.inEdges", max(e, 1), 4, memsys.KindEdgeList)
 	if g.Weighted() {
-		f.outWeights = m.Alloc("edgeList.outWeights", maxInt(e, 1), 4, memsys.KindEdgeList)
-		f.inWeights = m.Alloc("edgeList.inWeights", maxInt(e, 1), 4, memsys.KindEdgeList)
+		f.outWeights = m.Alloc("edgeList.outWeights", max(e, 1), 4, memsys.KindEdgeList)
+		f.inWeights = m.Alloc("edgeList.inWeights", max(e, 1), 4, memsys.KindEdgeList)
 	}
 	// The nGraphData region models Ligra's loop temporaries and counters.
 	// Nothing accesses it, but it holds its place in the address map and
 	// in the alloc gauges.
-	m.Alloc("nGraphData", maxInt(n, 1), 8, memsys.KindNGraphData)
+	m.Alloc("nGraphData", max(n, 1), 8, memsys.KindNGraphData)
 
 	// Register framework-level probes on the machine's registry. The
 	// registry replaces on re-registration (latest wins), so binding a
@@ -113,13 +103,6 @@ func New(m *core.Machine, g *graph.Graph) *Framework {
 	reg.RegisterCounter("ligra", "sparse_edges", "", func() uint64 { return f.SparseEdges })
 	reg.RegisterGauge("ligra", "resident", "", func() uint64 { return uint64(f.resident) })
 	return f
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // Machine returns the bound machine.
@@ -152,7 +135,7 @@ func (f *Framework) NewProp(name string, entryBytes int, init pisc.Value) *PropA
 	n := f.g.NumVertices()
 	p := &PropArray{
 		Name:   name,
-		Region: f.m.Alloc("vtxProp."+name, maxInt(n, 1), entryBytes, memsys.KindVtxProp),
+		Region: f.m.Alloc("vtxProp."+name, max(n, 1), entryBytes, memsys.KindVtxProp),
 		vals:   make([]pisc.Value, n),
 		fw:     f,
 	}
@@ -301,7 +284,7 @@ func (f *Framework) ParallelOutEdges(sources []uint32,
 		weights := f.g.OutWeights(graph.VertexID(s))
 		base := int(f.g.OutOffsets[s])
 		for j := sp.lo; j < sp.hi; j++ {
-			ctx.Exec(f.cost.PerEdge)
+			ctx.Exec(perEdge)
 			ctx.Read(f.outEdges, base+j)
 			var w int32 = 1
 			if weights != nil {
@@ -322,7 +305,7 @@ func (f *Framework) EmitInEdgeScan(ctx *core.Ctx, d uint32, fn func(j int, s uin
 	weights := f.g.InWeightsOf(graph.VertexID(d))
 	base := int(f.g.InOffsets[d])
 	for j, s := range neighbors {
-		ctx.Exec(f.cost.PerEdge)
+		ctx.Exec(perEdge)
 		ctx.Read(f.inEdges, base+j)
 		var w int32 = 1
 		if weights != nil {

@@ -58,7 +58,7 @@ func (f *Framework) NewVertexSubsetEmpty() *VertexSubset {
 }
 
 func (f *Framework) allocActiveRegion() *core.Region {
-	return f.m.Alloc("activeList", maxInt(f.g.NumVertices(), 1), 1, memsys.KindActiveList)
+	return f.m.Alloc("activeList", max(f.g.NumVertices(), 1), 1, memsys.KindActiveList)
 }
 
 // Size returns the number of active vertices.
@@ -113,7 +113,7 @@ func (f *Framework) toDense(s *VertexSubset) {
 	d := make([]bool, s.n)
 	ids := s.sparse
 	f.m.ParallelFor(len(ids), func(ctx *core.Ctx, i int) {
-		ctx.Exec(f.cost.PerVertex)
+		ctx.Exec(perVertex)
 		ctx.Write(s.region, int(ids[i]))
 		d[ids[i]] = true
 	})

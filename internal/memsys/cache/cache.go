@@ -18,8 +18,6 @@ type Config struct {
 	SizeBytes int
 	// Ways is the associativity (1 = direct mapped).
 	Ways int
-	// LatencyCycles is the hit latency.
-	LatencyCycles memsys.Cycles
 	// Name labels the cache in stats ("L1D-3", "L2-0", ...).
 	Name string
 }
@@ -126,9 +124,6 @@ func (c *Cache) waysMask() uint64 { return ^uint64(0) >> uint(64-c.ways) }
 
 // Config returns the cache's configuration.
 func (c *Cache) Config() Config { return c.cfg }
-
-// Latency returns the hit latency.
-func (c *Cache) Latency() memsys.Cycles { return c.cfg.LatencyCycles }
 
 // Ref is a resolved line coordinate in one cache: set index, the set's
 // tag-row base in the slab, and the probe key. Resolving once and reusing

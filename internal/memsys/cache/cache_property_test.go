@@ -275,7 +275,7 @@ func FuzzCacheOps(f *testing.F) {
 		}
 		ways := 1 + int(script[0]%8)
 		numSets := 1 + int(script[1]%16)
-		c := New(Config{SizeBytes: numSets * ways * memsys.LineSize, Ways: ways, LatencyCycles: 1, Name: "fuzz"})
+		c := New(Config{SizeBytes: numSets * ways * memsys.LineSize, Ways: ways, Name: "fuzz"})
 		ref := newRefCache(numSets, ways)
 		// missed is the line the previous op probed and missed, if any:
 		// the known-absent fills may only target it.
@@ -371,7 +371,7 @@ func FuzzCacheOps(f *testing.F) {
 func TestPinExcludesFromEviction(t *testing.T) {
 	f := func(seed uint64) bool {
 		r := stats.NewRand(seed)
-		c := New(Config{SizeBytes: 1 << 10, Ways: 4, LatencyCycles: 1, Name: "p"})
+		c := New(Config{SizeBytes: 1 << 10, Ways: 4, Name: "p"})
 		var pinned []memsys.Addr
 		for i := 0; i < 8; i++ {
 			a := memsys.Addr(r.Intn(1<<13)) &^ 63
@@ -400,7 +400,7 @@ func TestPinExcludesFromEviction(t *testing.T) {
 func TestPinRefusesFullSet(t *testing.T) {
 	// 2-way cache: second pin into the same set must fail (a set must
 	// keep one replaceable way).
-	c := New(Config{SizeBytes: 1 << 10, Ways: 2, LatencyCycles: 1, Name: "p"})
+	c := New(Config{SizeBytes: 1 << 10, Ways: 2, Name: "p"})
 	numSets := (1 << 10) / (64 * 2)
 	a1 := memsys.Addr(0)
 	a2 := memsys.Addr(numSets * 64) // same set, next tag

@@ -10,7 +10,7 @@ import (
 
 func small() *Cache {
 	// 1 KB, 2-way, 64 B lines -> 8 sets.
-	return New(Config{SizeBytes: 1 << 10, Ways: 2, LatencyCycles: 3, Name: "t"})
+	return New(Config{SizeBytes: 1 << 10, Ways: 2, Name: "t"})
 }
 
 func TestMissThenHit(t *testing.T) {
@@ -126,7 +126,7 @@ func TestVictimAddressReconstruction(t *testing.T) {
 	// fills reports the original line address.
 	f := func(seed uint64) bool {
 		r := stats.NewRand(seed)
-		c := New(Config{SizeBytes: 2 << 10, Ways: 1, LatencyCycles: 1, Name: "dm"})
+		c := New(Config{SizeBytes: 2 << 10, Ways: 1, Name: "dm"})
 		numSets := (2 << 10) / 64
 		set := r.Intn(numSets)
 		a1 := memsys.Addr((r.Intn(100)*numSets + set) * 64)
@@ -181,7 +181,7 @@ func TestBadGeometryPanics(t *testing.T) {
 
 func TestConfigAccessors(t *testing.T) {
 	c := small()
-	if c.Config().Ways != 2 || c.Latency() != 3 {
+	if c.Config().Ways != 2 || c.Config().Name != "t" {
 		t.Fatal("accessors wrong")
 	}
 }

@@ -14,7 +14,7 @@ const benchLines = 4 * benchCacheBytes / memsys.LineSize
 const benchCacheBytes = 32 << 10
 
 func benchCache() *Cache {
-	return New(Config{SizeBytes: benchCacheBytes, Ways: 8, LatencyCycles: 1, Name: "bench"})
+	return New(Config{SizeBytes: benchCacheBytes, Ways: 8, Name: "bench"})
 }
 
 // BenchmarkCacheFill measures the install path under steady eviction

@@ -8,7 +8,7 @@ import (
 )
 
 func TestRowBufferHit(t *testing.T) {
-	d := New(DefaultConfig())
+	d := New(Config{})
 	l1 := d.AccessHint(0, 0, false)
 	l2 := d.AccessHint(10000, 0, false) // same line -> same row, open
 	if l2 >= l1 {
@@ -20,13 +20,12 @@ func TestRowBufferHit(t *testing.T) {
 }
 
 func TestRowConflict(t *testing.T) {
-	cfg := DefaultConfig()
-	d := New(cfg)
+	d := New(Config{})
 	d.AccessHint(0, 0, false)
 	// Same channel and bank, different row: channels interleave by line,
-	// banks by RowBytes. Stride of channels*banks*rowBytes keeps channel
+	// banks by rowBytes. Stride of channels*banks*rowBytes keeps channel
 	// and bank while changing the row.
-	stride := memsys.Addr(cfg.Channels * cfg.BanksPerChan * cfg.RowBytes)
+	stride := memsys.Addr(channels * banksPerChan * rowBytes)
 	d.AccessHint(100000, stride, false)
 	if d.RowHits.Hits != 0 {
 		t.Fatal("row conflict should not count as hit")
@@ -34,9 +33,7 @@ func TestRowConflict(t *testing.T) {
 }
 
 func TestClosePagePolicy(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.ClosePage = true
-	d := New(cfg)
+	d := New(Config{ClosePage: true})
 	d.AccessHint(0, 0, false)
 	d.AccessHint(10000, 0, false) // same row, but page was closed
 	if d.RowHits.Hits != 0 {
@@ -45,7 +42,7 @@ func TestClosePagePolicy(t *testing.T) {
 }
 
 func TestBytesAccounting(t *testing.T) {
-	d := New(DefaultConfig())
+	d := New(Config{})
 	for i := 0; i < 10; i++ {
 		d.AccessHint(0, memsys.Addr(i*64), false)
 	}
@@ -58,7 +55,7 @@ func TestBytesAccounting(t *testing.T) {
 }
 
 func TestBandwidthSaturationQueues(t *testing.T) {
-	d := New(DefaultConfig())
+	d := New(Config{})
 	r := stats.NewRand(3)
 	var now memsys.Cycles
 	for i := 0; i < 20000; i++ {
@@ -71,7 +68,7 @@ func TestBandwidthSaturationQueues(t *testing.T) {
 }
 
 func TestUtilization(t *testing.T) {
-	d := New(DefaultConfig())
+	d := New(Config{})
 	for i := 0; i < 100; i++ {
 		d.AccessHint(memsys.Cycles(i*100), memsys.Addr(i*64), false)
 	}
@@ -85,15 +82,17 @@ func TestUtilization(t *testing.T) {
 }
 
 func TestPeakBandwidth(t *testing.T) {
-	d := New(DefaultConfig())
-	want := float64(4*64) / 11
-	if got := d.PeakBytesPerCycle(); got != want {
-		t.Fatalf("peak %v, want %v", got, want)
+	// The compile-time constant must equal the run-time division it
+	// replaced: channels·LineSize/lineService rounded once.
+	ch, line, service := channels, memsys.LineSize, lineService
+	want := float64(ch) * float64(line) / float64(service)
+	if peakBytesPerCycle != want {
+		t.Fatalf("peak %v, want %v", peakBytesPerCycle, want)
 	}
 }
 
 func TestChannelsIndependent(t *testing.T) {
-	d := New(DefaultConfig())
+	d := New(Config{})
 	// Saturate channel 0 only (addresses with line index ≡ 0 mod 4).
 	var now memsys.Cycles
 	for i := 0; i < 5000; i++ {
@@ -109,33 +108,11 @@ func TestChannelsIndependent(t *testing.T) {
 	_ = delayed
 }
 
-func TestBadConfigPanics(t *testing.T) {
-	zero := DefaultConfig()
-	zero.Channels = 0
-	oddChannels := DefaultConfig()
-	oddChannels.Channels = 3
-	oddBanks := DefaultConfig()
-	oddBanks.BanksPerChan = 6
-	oddRow := DefaultConfig()
-	oddRow.RowBytes = 1000
-	for _, cfg := range []Config{zero, oddChannels, oddBanks, oddRow} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("New(%+v) did not panic", cfg)
-				}
-			}()
-			New(cfg)
-		}()
-	}
-}
-
 func TestLatencyComposition(t *testing.T) {
-	cfg := DefaultConfig()
-	d := New(cfg)
+	d := New(Config{})
 	lat := d.AccessHint(0, 0, false)
-	if lat != cfg.RowMissCycles {
-		t.Fatalf("cold idle access should cost RowMissCycles (%d), got %d",
-			cfg.RowMissCycles, lat)
+	if lat != rowMissCycles {
+		t.Fatalf("cold idle access should cost rowMissCycles (%d), got %d",
+			rowMissCycles, lat)
 	}
 }

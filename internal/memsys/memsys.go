@@ -15,8 +15,17 @@ type Cycles uint64
 // structure.
 type Addr uint64
 
-// LineSize is the cache-line size in bytes (Table III).
-const LineSize = 64
+// The Table III values more than one component package needs; every other
+// fixed parameter is a constant in the one package that uses it.
+const (
+	// LineSize is the cache-line size in bytes.
+	LineSize = 64
+	// NumCores is the core count: one L1, one L2 bank, one crossbar port
+	// and, on OMEGA, one scratchpad slice and one PISC engine per core.
+	NumCores = 16
+	// SPLat is the scratchpad slice access latency.
+	SPLat Cycles = 3
+)
 
 // LineAddr returns the line-aligned address containing a.
 func LineAddr(a Addr) Addr { return a &^ (LineSize - 1) }

@@ -8,37 +8,29 @@ package noc
 
 import (
 	"fmt"
-	"math/bits"
 
 	"omega/internal/faults"
 	"omega/internal/memsys"
 	"omega/internal/stats"
 )
 
-// Config sizes the crossbar.
-type Config struct {
-	// Ports is the number of endpoints (cores/L2 banks pairs).
-	Ports int
-	// BaseLatency is the unloaded one-way traversal latency; the paper
+// The Table III crossbar: one port per core (core/L2-bank pair).
+const (
+	// baseLatency is the unloaded one-way traversal latency; the paper
 	// measures an average of 17 cycles for remote scratchpad access,
-	// which includes request+response, so one way defaults to 8 with a
-	// 1-cycle router overhead folded in.
-	BaseLatency memsys.Cycles
-	// BusBytes is the link width per cycle (128 bits = 16 B).
-	BusBytes int
-	// CtrlBytes is the size of an address/command header attached to
-	// line-sized and control messages. Word-class messages (OMEGA's
-	// scratchpad packets) are self-contained 64-bit packets (§V.E) and
-	// carry no extra header.
-	CtrlBytes int
-	// MaxQueueCycles bounds modeled output-port queueing per message.
-	MaxQueueCycles memsys.Cycles
-}
-
-// DefaultConfig returns the Table III crossbar.
-func DefaultConfig(ports int) Config {
-	return Config{Ports: ports, BaseLatency: 8, BusBytes: 16, CtrlBytes: 8, MaxQueueCycles: 64}
-}
+	// which includes request+response, so one way is 8 with a 1-cycle
+	// router overhead folded in.
+	baseLatency memsys.Cycles = 8
+	// busBytes is the link width per cycle (128 bits).
+	busBytes = 16
+	// headerBytes is the address/command header attached to line-sized
+	// and control messages. Word-class messages (OMEGA's scratchpad
+	// packets) are self-contained 64-bit packets (§V.E) and carry no
+	// extra header.
+	headerBytes = 8
+	// maxQueueCycles bounds modeled output-port queueing per message.
+	maxQueueCycles memsys.Cycles = 64
+)
 
 // MsgClass labels traffic for the Figure 17 breakdown.
 type MsgClass uint8
@@ -75,11 +67,8 @@ type classTraffic struct {
 
 // Crossbar is the interconnect model. Not safe for concurrent use.
 type Crossbar struct {
-	cfg     Config
-	ports   []memsys.Queue
+	ports   [memsys.NumCores]memsys.Queue
 	traffic [numClasses]classTraffic
-	// busShift is log2(BusBytes): the serialization division as a shift.
-	busShift uint
 	// faults, when attached, drops/delays non-local messages with
 	// bounded retransmission (nil = no injection, the default).
 	faults    *faults.Injector
@@ -88,37 +77,25 @@ type Crossbar struct {
 	RetryWait stats.Counter
 }
 
-// New builds the crossbar. BusBytes must be a power of two.
-func New(cfg Config) *Crossbar {
-	if cfg.Ports <= 0 || cfg.BusBytes <= 0 || cfg.BusBytes&(cfg.BusBytes-1) != 0 {
-		panic(fmt.Sprintf("noc: bad config %+v", cfg))
-	}
-	return &Crossbar{
-		cfg:      cfg,
-		ports:    make([]memsys.Queue, cfg.Ports),
-		busShift: uint(bits.TrailingZeros(uint(cfg.BusBytes))),
-	}
-}
-
-// Config returns the configuration.
-func (x *Crossbar) Config() Config { return x.cfg }
+// New builds the crossbar.
+func New() *Crossbar { return &Crossbar{} }
 
 // AttachFaults installs a fault injector; non-local sends then suffer
 // seeded drop/retransmission events. nil detaches.
 func (x *Crossbar) AttachFaults(in *faults.Injector) { x.faults = in }
 
 // Send simulates one message of payloadBytes from src to dst starting at
-// now, returning its delivery latency. A control header of CtrlBytes is
+// now, returning its delivery latency. A control header of headerBytes is
 // charged on top of the payload. src == dst models a local hop and is
 // free of traversal latency but still counts traffic when count is set.
 // The body is straight-line: one unsigned range check, one branch for the
 // word-packet sizing, fused per-class traffic accounting, and a shift for
-// the flit count.
+// the flit count (busBytes is a power of two).
 func (x *Crossbar) Send(now memsys.Cycles, src, dst int, payloadBytes int, class MsgClass) memsys.Cycles {
-	if uint(src) >= uint(x.cfg.Ports) || uint(dst) >= uint(x.cfg.Ports) {
+	if uint(src) >= memsys.NumCores || uint(dst) >= memsys.NumCores {
 		panic(fmt.Sprintf("noc: port out of range src=%d dst=%d", src, dst))
 	}
-	total := payloadBytes + x.cfg.CtrlBytes
+	total := payloadBytes + headerBytes
 	if class == ClassWord {
 		// OMEGA word packets are self-contained (≤64-bit, §V.E): the
 		// payload already includes command/vertex bits.
@@ -133,14 +110,11 @@ func (x *Crossbar) Send(now memsys.Cycles, src, dst int, payloadBytes int, class
 	if src == dst {
 		return 1
 	}
-	// Serialization: flits of BusBytes per cycle, at least 1.
-	flits := memsys.Cycles((total + x.cfg.BusBytes - 1) >> x.busShift)
-	wait := x.ports[dst].Enqueue(now, flits)
-	if x.cfg.MaxQueueCycles > 0 && wait > x.cfg.MaxQueueCycles {
-		wait = x.cfg.MaxQueueCycles
-	}
+	// Serialization: flits of busBytes per cycle, at least 1.
+	flits := memsys.Cycles(uint(total+busBytes-1) / busBytes)
+	wait := min(x.ports[dst].Enqueue(now, flits), maxQueueCycles)
 	x.QueueWait.Add(uint64(wait))
-	lat := wait + x.cfg.BaseLatency + flits
+	lat := wait + baseLatency + flits
 	if x.faults != nil {
 		if extra, resends := x.faults.NoCSend(flits, total); resends > 0 {
 			// Retransmissions are real traffic: count their bytes and

@@ -63,7 +63,10 @@ func (q *Queue) rollWindow(span Cycles) {
 	if u > 1 {
 		u = 1
 	}
-	q.util = 0.5*q.util + 0.5*u
+	// The explicit conversions round each product, so no architecture
+	// fuses them into a multiply-add and the estimate is the same bits
+	// everywhere.
+	q.util = float64(0.5*q.util) + float64(0.5*u)
 	if q.util > maxUtil {
 		q.util = maxUtil
 	}

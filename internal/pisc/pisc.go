@@ -116,14 +116,13 @@ func StandardMicrocode(name string, op Op, trackDense, trackSparse bool) Microco
 	return Microcode{Name: name, Op: op, Steps: steps}
 }
 
-// Latency returns the routine's total PISC occupancy, given the scratchpad
-// access latency.
-func (m Microcode) Latency(spLat memsys.Cycles) memsys.Cycles {
+// Latency returns the routine's total PISC occupancy.
+func (m Microcode) Latency() memsys.Cycles {
 	var t memsys.Cycles
 	for _, s := range m.Steps {
 		switch s {
 		case UReadSP, UWriteSP:
-			t += spLat
+			t += memsys.SPLat
 		case UALU:
 			t += m.Op.Latency()
 		case USetActiveDense:
@@ -142,17 +141,10 @@ func (m Microcode) Latency(spLat memsys.Cycles) memsys.Cycles {
 
 // Occupancy returns the engine's initiation interval for the routine: the
 // sequencer pipelines scratchpad reads/writes against the ALU, so a new
-// update can start every max(spLat, aluLat) cycles even though each one
+// update can start every max(SPLat, aluLat) cycles even though each one
 // takes Latency() end to end.
-func (m Microcode) Occupancy(spLat memsys.Cycles) memsys.Cycles {
-	occ := m.Op.Latency()
-	if spLat > occ {
-		occ = spLat
-	}
-	if occ == 0 {
-		occ = 1
-	}
-	return occ
+func (m Microcode) Occupancy() memsys.Cycles {
+	return max(m.Op.Latency(), memsys.SPLat)
 }
 
 // Value is the 64-bit payload of an atomic update. Interpretation depends
@@ -209,26 +201,15 @@ func (o Op) Apply(dst, operand Value) (newVal Value, changed bool) {
 	panic(fmt.Sprintf("pisc: unknown op %d", uint8(o)))
 }
 
-// Config parameterizes the offload timing.
-type Config struct {
-	// QueueDepth is the number of pending offloads a PISC absorbs before
-	// back-pressuring the sender (network-interface queue).
-	QueueDepth int
-	// SPLatency is the attached scratchpad's access latency.
-	SPLatency memsys.Cycles
-}
-
-// DefaultConfig matches the evaluation setup.
-func DefaultConfig(spLat memsys.Cycles) Config {
-	return Config{QueueDepth: 16, SPLatency: spLat}
-}
+// queueDepth is the number of pending offloads a PISC absorbs before
+// back-pressuring the sender (network-interface queue).
+const queueDepth = 16
 
 // Engine models one PISC's timing: a single-server queue (the sequencer
 // serializes routines, which also provides the per-vertex blocking of
 // §V.A — all requests to the engine are ordered). Not safe for concurrent
 // use.
 type Engine struct {
-	cfg       Config
 	microcode Microcode
 	queue     memsys.Queue
 
@@ -239,12 +220,7 @@ type Engine struct {
 }
 
 // NewEngine builds a PISC engine.
-func NewEngine(cfg Config) *Engine {
-	if cfg.QueueDepth <= 0 {
-		cfg.QueueDepth = 1
-	}
-	return &Engine{cfg: cfg}
-}
+func NewEngine() *Engine { return &Engine{} }
 
 // LoadMicrocode installs the routine (the store sequence generated by the
 // translation tool, §V.F).
@@ -257,12 +233,12 @@ func (e *Engine) Microcode() Microcode { return e.microcode }
 // arrival. It returns the sender-visible stall (nonzero only when the
 // queue is saturated) and the completion time of the update.
 func (e *Engine) Offload(arrival memsys.Cycles) (senderStall memsys.Cycles, done memsys.Cycles) {
-	occ := e.microcode.Occupancy(e.cfg.SPLatency)
-	lat := e.microcode.Latency(e.cfg.SPLatency)
+	occ := e.microcode.Occupancy()
+	lat := e.microcode.Latency()
 	wait := e.queue.Enqueue(arrival, occ)
 	// The sender only stalls when the (finite) queue is full, and then
 	// only until enough of it drains to accept the new entry.
-	limit := memsys.Cycles(e.cfg.QueueDepth) * occ
+	limit := queueDepth * occ
 	if wait > limit {
 		senderStall = wait - limit
 		if senderStall > limit {

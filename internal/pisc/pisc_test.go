@@ -127,37 +127,34 @@ func TestMinConvergesToMinimum(t *testing.T) {
 
 func TestMicrocodeLatency(t *testing.T) {
 	mc := StandardMicrocode("pr", OpFPAdd, false, false)
-	// read(3) + fpadd(3) + write(3) = 9 at spLat 3.
-	if mc.Latency(3) != 9 {
-		t.Fatalf("latency %d, want 9", mc.Latency(3))
+	// read(3) + fpadd(3) + write(3) = 9 at SPLat 3.
+	if mc.Latency() != 9 {
+		t.Fatalf("latency %d, want 9", mc.Latency())
 	}
 	mcTrack := StandardMicrocode("bfs", OpUnsignedCompareSwap, true, true)
 	// read(3) + alu(1) + write(3) + dense(1) + sparse(1) = 9.
-	if mcTrack.Latency(3) != 9 {
-		t.Fatalf("latency %d, want 9", mcTrack.Latency(3))
+	if mcTrack.Latency() != 9 {
+		t.Fatalf("latency %d, want 9", mcTrack.Latency())
 	}
 	var empty Microcode
-	if empty.Latency(3) != 1 {
+	if empty.Latency() != 1 {
 		t.Fatal("empty microcode should cost 1")
 	}
 }
 
 func TestMicrocodeOccupancyPipelined(t *testing.T) {
 	mc := StandardMicrocode("pr", OpFPAdd, false, false)
-	if mc.Occupancy(3) != 3 {
-		t.Fatalf("fp occupancy %d, want 3", mc.Occupancy(3))
+	if mc.Occupancy() != 3 {
+		t.Fatalf("fp occupancy %d, want 3", mc.Occupancy())
 	}
 	mcInt := StandardMicrocode("cc", OpSignedMin, false, false)
-	if mcInt.Occupancy(3) != 3 {
-		t.Fatalf("int occupancy bounded by SP latency: %d", mcInt.Occupancy(3))
-	}
-	if mcInt.Occupancy(0) != 1 {
-		t.Fatal("occupancy floor is 1")
+	if mcInt.Occupancy() != 3 {
+		t.Fatalf("int occupancy bounded by SP latency: %d", mcInt.Occupancy())
 	}
 }
 
 func TestEngineOffloadIdle(t *testing.T) {
-	e := NewEngine(DefaultConfig(3))
+	e := NewEngine()
 	e.LoadMicrocode(StandardMicrocode("pr", OpFPAdd, false, false))
 	stall, done := e.Offload(100)
 	if stall != 0 {
@@ -172,7 +169,7 @@ func TestEngineOffloadIdle(t *testing.T) {
 }
 
 func TestEngineBackpressureUnderFlood(t *testing.T) {
-	e := NewEngine(DefaultConfig(3))
+	e := NewEngine()
 	e.LoadMicrocode(StandardMicrocode("pr", OpFPAdd, false, false))
 	var stalled memsys.Cycles
 	now := memsys.Cycles(0)
@@ -190,7 +187,7 @@ func TestEngineBackpressureUnderFlood(t *testing.T) {
 }
 
 func TestEngineKeepsUpAtCapacity(t *testing.T) {
-	e := NewEngine(DefaultConfig(3))
+	e := NewEngine()
 	e.LoadMicrocode(StandardMicrocode("cc", OpSignedMin, false, false))
 	var stalled memsys.Cycles
 	now := memsys.Cycles(0)

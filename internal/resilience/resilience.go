@@ -14,6 +14,7 @@
 package resilience
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -225,7 +226,7 @@ func classify(st core.MachineStats, outputs [][]pisc.Value, g *Golden) Outcome {
 	switch {
 	case !outputsMatch(outputs, g.Outputs),
 		ev.DRAMSilent > 0,
-		detected == 0 && !bytesEqual(signatureOf(st), g.Signature):
+		detected == 0 && !bytes.Equal(signatureOf(st), g.Signature):
 		return SilentDataCorruption
 	case detected > 0 && (st.SPDegraded > 0 || ev.NoCGaveUp > 0):
 		return DetectedDegraded
@@ -233,18 +234,6 @@ func classify(st core.MachineStats, outputs [][]pisc.Value, g *Golden) Outcome {
 		return DetectedCorrected
 	}
 	return Clean
-}
-
-func bytesEqual(a, b []byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // outputsMatch compares property arrays against the golden: exact first;

@@ -1,6 +1,7 @@
 package resilience
 
 import (
+	"bytes"
 	"math"
 	"strings"
 	"testing"
@@ -155,11 +156,11 @@ func TestSignatureNormalizesFaultFields(t *testing.T) {
 	b.Cycles = 42
 	b.Faults = faults.Events{DRAMCorrected: 9, NoCDropped: 2}
 	b.SPDegraded = 5
-	if !bytesEqual(signatureOf(a), signatureOf(b)) {
+	if !bytes.Equal(signatureOf(a), signatureOf(b)) {
 		t.Fatal("fault fields leaked into the signature")
 	}
 	b.Cycles = 43
-	if bytesEqual(signatureOf(a), signatureOf(b)) {
+	if bytes.Equal(signatureOf(a), signatureOf(b)) {
 		t.Fatal("cycle divergence not visible in the signature")
 	}
 }

@@ -48,19 +48,22 @@ func (m MonitorRegister) Contains(addr memsys.Addr) (vertex uint32, ok bool) {
 	return uint32(v), true
 }
 
-// Config sizes the distributed scratchpads.
+const (
+	// slices is the number of scratchpad slices, one per core.
+	slices = memsys.NumCores
+	// srcBufEntries sizes the per-core source vertex buffer (§V.C).
+	srcBufEntries = 64
+)
+
+// Config sizes the distributed scratchpads; the slice count, access
+// latency (memsys.SPLat) and source buffer size are Table III constants.
 type Config struct {
-	// NumCores is the number of scratchpad slices (one per core).
-	NumCores int
 	// BytesPerCore is the slice capacity.
 	BytesPerCore int
-	// LatencyCycles is the slice access latency (3 in Table III).
-	LatencyCycles memsys.Cycles
 	// ChunkSize is the interleaving chunk of the vertex->slice mapping;
 	// OMEGA configures it to match the framework's OpenMP chunk (§V.D).
+	// It must be positive.
 	ChunkSize int
-	// SrcBufferEntries sizes the per-core source vertex buffer.
-	SrcBufferEntries int
 }
 
 // Controller is the distributed scratchpad controller: one logical entity
@@ -89,27 +92,20 @@ type Controller struct {
 	// ActiveBitSets counts dense active-list bit updates done in-SP.
 	ActiveBitSets stats.Counter
 
-	srcBufs []*srcBuffer
+	srcBufs [slices]srcBuffer
 }
 
 // NewController builds the controller.
 func NewController(cfg Config) *Controller {
-	if cfg.NumCores <= 0 || cfg.BytesPerCore <= 0 {
+	if cfg.BytesPerCore <= 0 {
 		panic(fmt.Sprintf("scratchpad: bad config %+v", cfg))
 	}
-	if cfg.ChunkSize <= 0 {
-		cfg.ChunkSize = 1
-	}
 	c := &Controller{cfg: cfg}
-	c.srcBufs = make([]*srcBuffer, cfg.NumCores)
 	for i := range c.srcBufs {
-		c.srcBufs[i] = newSrcBuffer(cfg.SrcBufferEntries)
+		c.srcBufs[i].index = make(map[uint32]int, srcBufEntries)
 	}
 	return c
 }
-
-// Config returns the controller configuration.
-func (c *Controller) Config() Config { return c.cfg }
 
 // Configure registers the vtxProp arrays for the running algorithm and
 // computes how many of the hottest vertices fit. The framework calls this
@@ -132,7 +128,7 @@ func (c *Controller) Configure(monitors []MonitorRegister, totalVertices int) in
 		return 0
 	}
 	c.bytesPerVertex = bytes
-	capVertices := uint64(c.cfg.NumCores) * uint64(c.cfg.BytesPerCore) / uint64(bytes)
+	capVertices := slices * uint64(c.cfg.BytesPerCore) / uint64(bytes)
 	if capVertices > uint64(totalVertices) {
 		capVertices = uint64(totalVertices)
 	}
@@ -184,21 +180,17 @@ func (c *Controller) DegradedCount() int { return len(c.faulty) }
 // Vertices are distributed in chunks of ChunkSize round-robin across
 // slices (§V.D).
 func (c *Controller) Home(vertex uint32) int {
-	return int(uint64(vertex) / uint64(c.cfg.ChunkSize) % uint64(c.cfg.NumCores))
+	return int(uint64(vertex) / uint64(c.cfg.ChunkSize) % slices)
 }
 
 // Index implements the index unit: the line number of vertex inside its
 // home slice.
 func (c *Controller) Index(vertex uint32) int {
 	chunk := uint64(c.cfg.ChunkSize)
-	cores := uint64(c.cfg.NumCores)
 	v := uint64(vertex)
-	round := v / (chunk * cores)
+	round := v / (chunk * slices)
 	return int(round*chunk + v%chunk)
 }
-
-// Latency returns the slice access latency.
-func (c *Controller) Latency() memsys.Cycles { return c.cfg.LatencyCycles }
 
 // RecordAccess tallies a local or remote slice access.
 func (c *Controller) RecordAccess(local bool) {
@@ -227,31 +219,18 @@ func (c *Controller) SrcBufLookup(core int, vertex uint32) (hit bool) {
 // of each algorithm iteration, which is what makes the buffers coherence-
 // free (§V.C).
 func (c *Controller) InvalidateSrcBufs() {
-	for _, b := range c.srcBufs {
-		b.invalidate()
+	for i := range c.srcBufs {
+		c.srcBufs[i].invalidate()
 	}
 }
 
 // srcBuffer is a small fully-associative read-only buffer with FIFO
 // replacement.
 type srcBuffer struct {
-	entries  []uint32
-	valid    []bool
-	next     int
-	capacity int
-	index    map[uint32]int
-}
-
-func newSrcBuffer(entries int) *srcBuffer {
-	if entries <= 0 {
-		entries = 1
-	}
-	return &srcBuffer{
-		entries:  make([]uint32, entries),
-		valid:    make([]bool, entries),
-		capacity: entries,
-		index:    make(map[uint32]int, entries),
-	}
+	entries [srcBufEntries]uint32
+	valid   [srcBufEntries]bool
+	next    int
+	index   map[uint32]int
 }
 
 func (b *srcBuffer) lookupInsert(vertex uint32) bool {
@@ -260,7 +239,7 @@ func (b *srcBuffer) lookupInsert(vertex uint32) bool {
 	}
 	// Install, evicting FIFO.
 	i := b.next
-	b.next = (b.next + 1) % b.capacity
+	b.next = (b.next + 1) % srcBufEntries
 	if b.valid[i] {
 		delete(b.index, b.entries[i])
 	}
@@ -271,9 +250,7 @@ func (b *srcBuffer) lookupInsert(vertex uint32) bool {
 }
 
 func (b *srcBuffer) invalidate() {
-	for i := range b.valid {
-		b.valid[i] = false
-	}
-	b.index = make(map[uint32]int, b.capacity)
+	b.valid = [srcBufEntries]bool{}
+	clear(b.index)
 	b.next = 0
 }

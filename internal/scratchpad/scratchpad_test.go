@@ -9,13 +9,7 @@ import (
 )
 
 func controller() *Controller {
-	return NewController(Config{
-		NumCores:         4,
-		BytesPerCore:     1024,
-		LatencyCycles:    3,
-		ChunkSize:        8,
-		SrcBufferEntries: 4,
-	})
+	return NewController(Config{BytesPerCore: 1024, ChunkSize: 8})
 }
 
 func TestMonitorRegisterContains(t *testing.T) {
@@ -50,10 +44,10 @@ func TestConfigureResidency(t *testing.T) {
 	c := controller()
 	// Two 4-byte props + 2 active bits -> 9 bytes per vertex line.
 	n := c.Configure([]MonitorRegister{
-		{StartAddr: 0, TypeSize: 4, Stride: 4, Count: 1000},
-		{StartAddr: 8192, TypeSize: 4, Stride: 4, Count: 1000},
-	}, 1000)
-	want := 4 * 1024 / 9
+		{StartAddr: 0, TypeSize: 4, Stride: 4, Count: 4000},
+		{StartAddr: 1 << 16, TypeSize: 4, Stride: 4, Count: 4000},
+	}, 4000)
+	want := slices * 1024 / 9
 	if n != want {
 		t.Fatalf("resident %d, want %d", n, want)
 	}
@@ -79,8 +73,11 @@ func TestConfigureEmpty(t *testing.T) {
 
 func TestMatch(t *testing.T) {
 	c := controller()
-	c.Configure([]MonitorRegister{{StartAddr: 0x1000, TypeSize: 8, Stride: 8, Count: 1000}}, 1000)
+	c.Configure([]MonitorRegister{{StartAddr: 0x1000, TypeSize: 8, Stride: 8, Count: 4000}}, 4000)
 	resident := uint32(c.ResidentCount())
+	if resident >= 4000 {
+		t.Fatalf("all %d vertices resident; the test needs a non-resident one", resident)
+	}
 	v, ok := c.Match(0x1000 + 8*memsys.Addr(resident-1))
 	if !ok || v != resident-1 {
 		t.Fatalf("last resident should match: %d %v", v, ok)
@@ -88,18 +85,18 @@ func TestMatch(t *testing.T) {
 	if _, ok := c.Match(0x1000 + 8*memsys.Addr(resident)); ok {
 		t.Fatal("first non-resident vertex should not be resident")
 	}
-	if _, ok := c.Match(0x50000); ok {
+	if _, ok := c.Match(0x1000 + 8*4000); ok {
 		t.Fatal("unmonitored address should not match")
 	}
 }
 
 func TestPartitionChunked(t *testing.T) {
-	c := controller() // chunk 8, 4 cores
-	// Vertices 0-7 -> slice 0, 8-15 -> slice 1, ..., 32-39 -> slice 0.
+	c := controller() // chunk 8, 16 slices
+	// Vertices 0-7 -> slice 0, 8-15 -> slice 1, ..., 128-135 -> slice 0.
 	cases := []struct {
 		v    uint32
 		home int
-	}{{0, 0}, {7, 0}, {8, 1}, {31, 3}, {32, 0}, {40, 1}}
+	}{{0, 0}, {7, 0}, {8, 1}, {127, 15}, {128, 0}, {136, 1}}
 	for _, tc := range cases {
 		if got := c.Home(tc.v); got != tc.home {
 			t.Fatalf("Home(%d) = %d, want %d", tc.v, got, tc.home)
@@ -108,12 +105,12 @@ func TestPartitionChunked(t *testing.T) {
 }
 
 func TestIndexWithinSlice(t *testing.T) {
-	c := controller() // chunk 8, 4 cores
-	// Slice 0 holds vertices 0-7 (lines 0-7), 32-39 (lines 8-15), ...
+	c := controller() // chunk 8, 16 slices
+	// Slice 0 holds vertices 0-7 (lines 0-7), 128-135 (lines 8-15), ...
 	cases := []struct {
 		v   uint32
 		idx int
-	}{{0, 0}, {7, 7}, {32, 8}, {39, 15}, {64, 16}}
+	}{{0, 0}, {7, 7}, {128, 8}, {135, 15}, {256, 16}}
 	for _, tc := range cases {
 		if got := c.Index(tc.v); got != tc.idx {
 			t.Fatalf("Index(%d) = %d, want %d", tc.v, got, tc.idx)
@@ -122,19 +119,18 @@ func TestIndexWithinSlice(t *testing.T) {
 }
 
 func TestPartitionIndexBijection(t *testing.T) {
-	// Property: (Home, Index) is injective over vertices.
+	// Property: over the first rounds full passes of the interleaving,
+	// (Home, Index) maps the vertices one-to-one onto every slice's first
+	// chunk*rounds lines.
 	f := func(seed uint64) bool {
 		r := stats.NewRand(seed)
 		chunk := 1 + r.Intn(16)
-		cores := 1 + r.Intn(8)
-		c := NewController(Config{
-			NumCores: cores, BytesPerCore: 4096, LatencyCycles: 3,
-			ChunkSize: chunk, SrcBufferEntries: 4,
-		})
+		rounds := 1 + r.Intn(4)
+		c := NewController(Config{BytesPerCore: 4096, ChunkSize: chunk})
 		seen := map[[2]int]bool{}
-		for v := uint32(0); v < 500; v++ {
+		for v := uint32(0); v < uint32(chunk*slices*rounds); v++ {
 			key := [2]int{c.Home(v), c.Index(v)}
-			if seen[key] {
+			if seen[key] || key[0] < 0 || key[0] >= slices || key[1] < 0 || key[1] >= chunk*rounds {
 				return false
 			}
 			seen[key] = true
@@ -164,17 +160,19 @@ func TestSrcBufferHitsAfterInstall(t *testing.T) {
 }
 
 func TestSrcBufferFIFOEviction(t *testing.T) {
-	c := controller() // 4 entries
-	for v := uint32(0); v < 4; v++ {
+	c := controller()
+	for v := uint32(0); v < srcBufEntries; v++ {
 		c.SrcBufLookup(0, v)
 	}
-	c.SrcBufLookup(0, 99) // evicts vertex 0
+	c.SrcBufLookup(0, 999) // evicts vertex 0
 	if c.SrcBufLookup(0, 0) {
 		t.Fatal("vertex 0 should have been evicted FIFO")
 	}
-	// That lookup reinstalled 0, evicting 2 (1 was evicted by the miss
-	// on 0 itself? No: miss on 0 installed at slot 1 evicting v1).
-	if !c.SrcBufLookup(0, 99) && !c.SrcBufLookup(0, 3) {
+	// That miss reinstalled 0 in the next slot, evicting vertex 1.
+	if c.SrcBufLookup(0, 1) {
+		t.Fatal("vertex 1 should have been evicted FIFO")
+	}
+	if !c.SrcBufLookup(0, 999) || !c.SrcBufLookup(0, srcBufEntries-1) {
 		t.Fatal("recently installed entries should survive")
 	}
 }
@@ -205,5 +203,5 @@ func TestBadConfigPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	NewController(Config{NumCores: 0, BytesPerCore: 1})
+	NewController(Config{BytesPerCore: 0, ChunkSize: 1})
 }

@@ -143,7 +143,8 @@ func PageRankSliced(g *graph.Graph, plan Plan, iterations int, damping float64) 
 		// Merge: fold damping (the per-slice results are disjoint, so
 		// the merge is the plain fold).
 		for v := range curr {
-			curr[v] = (1-damping)/float64(n) + damping*next[v]
+			// float64(...) rounds the product: no fused multiply-add.
+			curr[v] = (1-damping)/float64(n) + float64(damping*next[v])
 		}
 	}
 	return curr

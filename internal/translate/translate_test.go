@@ -191,7 +191,7 @@ func TestTranslationMatchesAlgorithmMicrocode(t *testing.T) {
 			t.Fatalf("step %d: %v, want %v", i, tr.Microcode.Steps[i], want.Steps[i])
 		}
 	}
-	if tr.Microcode.Latency(3) != want.Latency(3) {
+	if tr.Microcode.Latency() != want.Latency() {
 		t.Fatal("latency model disagrees")
 	}
 }
