@@ -60,44 +60,6 @@ func BFS(fw *ligra.Framework, root uint32) *BFSResult {
 	return res
 }
 
-// Levels derives per-vertex BFS levels from the parent array (root level
-// 0, unreachable ^0).
-func (r *BFSResult) Levels(root uint32) []uint32 {
-	const unset = ^uint32(0)
-	levels := make([]uint32, len(r.Parents))
-	for i := range levels {
-		levels[i] = unset
-	}
-	var walk func(v uint32) uint32
-	walk = func(v uint32) uint32 {
-		if levels[v] != unset {
-			return levels[v]
-		}
-		if v == root {
-			levels[v] = 0
-			return 0
-		}
-		p := r.Parents[v]
-		if p == ^uint32(0) {
-			return unset
-		}
-		// Mark to catch cycles (would indicate a broken tree).
-		levels[v] = unset - 1
-		pl := walk(p)
-		if pl >= unset-1 {
-			panic("bfs: parent chain broken")
-		}
-		levels[v] = pl + 1
-		return levels[v]
-	}
-	for v := range r.Parents {
-		if r.Parents[v] != ^uint32(0) {
-			walk(uint32(v))
-		}
-	}
-	return levels
-}
-
 // ReferenceBFS computes per-vertex BFS distances from root without
 // simulation; unreachable vertices get ^0.
 func ReferenceBFS(g *graph.Graph, root uint32) []uint32 {

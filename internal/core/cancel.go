@@ -37,7 +37,7 @@ func IsCancelled(r any) bool {
 const cancelCheckMask = 1023
 
 // AttachContext arms cooperative cancellation: once ctx is done, the
-// machine's run loops (ParallelForGrain, Sequential, BeginIteration) panic
+// machine's run loops (ParallelForGrain, BeginIteration) panic
 // with *Cancelled instead of running the simulation to completion, so a
 // watchdog or SIGINT actually stops in-flight work rather than abandoning
 // the goroutine driving it. nil (or a context that is never cancelled)
@@ -64,9 +64,9 @@ func (m *Machine) checkCancel() {
 	m.pollCancel()
 }
 
-// checkCancelNow polls unconditionally; region and iteration boundaries
-// use it so cancellation is observed even by loops too short to trip the
-// throttled counter.
+// checkCancelNow polls unconditionally; iteration boundaries use it so
+// cancellation is observed even by loops too short to trip the throttled
+// counter.
 func (m *Machine) checkCancelNow() {
 	if m.ctxDone == nil {
 		return

@@ -11,6 +11,12 @@ import (
 	"omega/internal/scratchpad"
 )
 
+// sequential runs body once on core 0, as a one-item parallel region
+// whose barrier then aligns every core's clock.
+func sequential(m *Machine, body func(ctx *Ctx)) {
+	m.ParallelForGrain(1, 1, func(ctx *Ctx, _ int) { body(ctx) })
+}
+
 func testBaseline() Config {
 	b, _ := ScaledPair(4096, 8, 0.2)
 	return b
@@ -192,16 +198,18 @@ func TestBarrierAlignsClocks(t *testing.T) {
 	}
 }
 
-func TestSequentialRunsOnCoreZero(t *testing.T) {
+// TestOneItemRegionRunsOnCoreZero pins what the sequential helper relies
+// on: a one-item region runs its item on core 0 and charges its work.
+func TestOneItemRegionRunsOnCoreZero(t *testing.T) {
 	m := NewMachine(testBaseline())
-	m.Sequential(func(ctx *Ctx) {
-		if ctx.Core() != 0 {
-			t.Fatal("sequential sections run on core 0")
+	sequential(m, func(ctx *Ctx) {
+		if ctx.core != 0 {
+			t.Fatalf("one-item region ran on core %d, want 0", ctx.core)
 		}
 		ctx.Exec(100)
 	})
 	if m.ElapsedCycles() == 0 {
-		t.Fatal("sequential work not charged")
+		t.Fatal("one-item region work not charged")
 	}
 }
 
@@ -278,7 +286,7 @@ func TestAtomicsAsPlainEmitsReadWrite(t *testing.T) {
 	cfg.AtomicsAsPlain = true
 	m := NewMachine(cfg)
 	r := m.Alloc("p", 100, 8, memsys.KindVtxProp)
-	m.Sequential(func(ctx *Ctx) { ctx.Atomic(r, 5) })
+	sequential(m, func(ctx *Ctx) { ctx.Atomic(r, 5) })
 	st := m.Stats()
 	if st.Atomics != 0 {
 		t.Fatal("plain mode should not issue atomics")
@@ -292,7 +300,7 @@ func TestVertexProfile(t *testing.T) {
 	m := NewMachine(testBaseline())
 	m.EnableVertexProfile(100)
 	r := m.Alloc("p", 100, 8, memsys.KindVtxProp)
-	m.Sequential(func(ctx *Ctx) {
+	sequential(m, func(ctx *Ctx) {
 		ctx.Read(r, 7)
 		ctx.Read(r, 7)
 		ctx.Write(r, 9)
@@ -361,7 +369,7 @@ func levelProfile(m *Machine) (counts, latencies map[string]uint64) {
 func TestLevelCountersExposed(t *testing.T) {
 	m := NewMachine(testBaseline())
 	r := m.Alloc("p", 64, 8, memsys.KindVtxProp)
-	m.Sequential(func(ctx *Ctx) { ctx.Read(r, 0) })
+	sequential(m, func(ctx *Ctx) { ctx.Read(r, 0) })
 	counts, lats := levelProfile(m)
 	if len(counts) == 0 || len(lats) == 0 {
 		t.Fatal("level profile empty")

@@ -42,7 +42,7 @@ type cachePath struct {
 func newCachePath(cfg Config, xbar *noc.Crossbar, mem *dram.DRAM) *cachePath {
 	p := &cachePath{
 		cfg:  cfg,
-		dir:  coherence.New(NumCores),
+		dir:  coherence.New(),
 		dram: mem,
 		noc:  xbar,
 	}

@@ -28,8 +28,12 @@ func TestLatencyProbes(t *testing.T) {
 		a := r.Addr(100)
 		return a, m.path.homeBank(memsys.LineAddr(a))
 	}
-	read := func(m *Machine, now memsys.Cycles, core int, a memsys.Addr, kind memsys.Kind, v uint32) memsys.Result {
-		return m.hier.Access(now, memsys.Access{Core: core, Addr: a, Size: 8, Op: memsys.OpRead, Kind: kind, Vertex: v})
+	read := func(m *Machine, now memsys.Cycles, core int, a memsys.Addr, kind memsys.Kind) memsys.Result {
+		acc := memsys.Access{Core: core, Addr: a, Size: 8, Op: memsys.OpRead, Kind: kind}
+		if m.omega != nil {
+			return m.omega.Access(now, acc)
+		}
+		return m.path.Access(now, acc)
 	}
 	// spVertex configures 1024 scratchpad-resident vertices on an OMEGA
 	// machine and returns vertex 70's address and home slice.
@@ -50,36 +54,36 @@ func TestLatencyProbes(t *testing.T) {
 		{"L1 hit", Baseline(), func(m *Machine) memsys.Result {
 			a, bank := edgeLine(m)
 			core := (bank + 1) % NumCores
-			read(m, 0, core, a, memsys.KindEdgeList, 0)
-			return read(m, later, core, a, memsys.KindEdgeList, 0)
+			read(m, 0, core, a, memsys.KindEdgeList)
+			return read(m, later, core, a, memsys.KindEdgeList)
 		}, 1, memsys.LevelL1},
 		// 1 local hop + 6 L2 + 1 local hop.
 		{"local-bank L2 hit", Baseline(), func(m *Machine) memsys.Result {
 			a, bank := edgeLine(m)
-			read(m, 0, (bank+2)%NumCores, a, memsys.KindEdgeList, 0)
-			return read(m, later, bank, a, memsys.KindEdgeList, 0)
+			read(m, 0, (bank+2)%NumCores, a, memsys.KindEdgeList)
+			return read(m, later, bank, a, memsys.KindEdgeList)
 		}, 8, memsys.LevelL2Plus},
 		// 9 control + 6 L2 + 13 line.
 		{"remote-bank L2 hit", Baseline(), func(m *Machine) memsys.Result {
 			a, bank := edgeLine(m)
-			read(m, 0, (bank+2)%NumCores, a, memsys.KindEdgeList, 0)
-			return read(m, later, (bank+1)%NumCores, a, memsys.KindEdgeList, 0)
+			read(m, 0, (bank+2)%NumCores, a, memsys.KindEdgeList)
+			return read(m, later, (bank+1)%NumCores, a, memsys.KindEdgeList)
 		}, 28, memsys.LevelL2Plus},
 		// 9 control + 6 L2 miss + 140 DRAM row miss on an idle channel +
 		// 13 line.
 		{"cold idle DRAM read", Baseline(), func(m *Machine) memsys.Result {
 			a, bank := edgeLine(m)
-			return read(m, 0, (bank+1)%NumCores, a, memsys.KindEdgeList, 0)
+			return read(m, 0, (bank+1)%NumCores, a, memsys.KindEdgeList)
 		}, 168, memsys.LevelL2Plus},
 		// The 3-cycle slice access.
 		{"local scratchpad read", OMEGA(), func(m *Machine) memsys.Result {
 			a, home := spVertex(m)
-			return read(m, 0, home, a, memsys.KindVtxProp, 70)
+			return read(m, 0, home, a, memsys.KindVtxProp)
 		}, 3, memsys.LevelSPLocal},
 		// 9 control request + 9 word response + 3 slice access.
 		{"remote scratchpad read", OMEGA(), func(m *Machine) memsys.Result {
 			a, home := spVertex(m)
-			return read(m, 0, (home+1)%NumCores, a, memsys.KindVtxProp, 70)
+			return read(m, 0, (home+1)%NumCores, a, memsys.KindVtxProp)
 		}, 21, memsys.LevelSPRemote},
 	}
 	for _, tc := range cases {

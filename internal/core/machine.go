@@ -35,7 +35,6 @@ type Machine struct {
 	xbar   *noc.Crossbar
 	mem    *dram.DRAM
 	path   *cachePath
-	hier   memsys.Hierarchy
 	omega  *omegaHier       // nil on the baseline machine
 	faults *faults.Injector // nil when injection is disabled
 
@@ -86,16 +85,13 @@ type Machine struct {
 	// contexts, the clock-ordered core heap), reused across parallel
 	// regions so scheduling allocates nothing in steady state.
 	sched schedState
-	// seqCtx is the reusable core-0 context handed to Sequential bodies.
-	seqCtx Ctx
 
 	// lbHits/lbStores count same-line fast-path memo hits and arms;
-	// parRegions/seqRegions/schedItems count scheduler activity. All are
+	// parRegions/schedItems count scheduler activity. All are
 	// observability-only: nothing in the simulation reads them back.
 	lbHits     stats.Counter
 	lbStores   stats.Counter
 	parRegions stats.Counter
-	seqRegions stats.Counter
 	schedItems stats.Counter
 
 	// reg is the machine's metric registry: read-only closures over the
@@ -164,16 +160,13 @@ func NewMachineChecked(cfg Config) (*Machine, error) {
 	m.path = newCachePath(cfg, m.xbar, m.mem)
 	m.path.faults = m.faults
 	for c := 0; c < NumCores; c++ {
-		m.cores = append(m.cores, cpu.New(c))
+		m.cores = append(m.cores, cpu.New())
 	}
 	if m.faults != nil {
 		m.memoFaults = make([]memoFault, NumCores)
 	}
 	if cfg.SPBytesPerCore > 0 {
-		m.omega = newOmegaHier(cfg, m.path, m.xbar, m.faults)
-		m.hier = m.omega
-	} else {
-		m.hier = &baselineHier{m.path}
+		m.omega = newOmegaHier(m.path)
 	}
 	m.reg = buildRegistry(m)
 	m.recomputeFold()
@@ -200,7 +193,7 @@ func (m *Machine) TraceAccesses(fn func(now memsys.Cycles, a memsys.Access, r me
 }
 
 // TraceSpans installs the span tracer (nil detaches): fn receives one
-// obs.Span per core that did work in each parallel or sequential region.
+// obs.Span per core that did work in each parallel region.
 func (m *Machine) TraceSpans(fn func(obs.Span)) { m.traceSpan = fn }
 
 // SinkAttached reports whether a telemetry sink is attached.
@@ -296,8 +289,9 @@ func (m *Machine) EnableVertexProfile(numVertices int) {
 func (m *Machine) VertexProfile() []uint64 { return m.vertexProfile }
 
 // BeginIteration marks an algorithm iteration boundary. Iteration
-// boundaries change iteration-scoped state (source vertex buffers), so
-// every core's L1 same-line memo is conservatively dropped.
+// boundaries change iteration-scoped state (OMEGA invalidates its source
+// vertex buffers, paper §V.C), so every core's L1 same-line memo is
+// conservatively dropped.
 //
 // With a sink attached, the boundary closes the previous iteration by
 // emitting every registered metric (cumulative values; a frontier gauge
@@ -315,7 +309,9 @@ func (m *Machine) BeginIteration() {
 	m.finalEmitted = false
 	m.iterations.Inc()
 	m.path.dropMemos()
-	m.hier.BeginIteration()
+	if m.omega != nil {
+		m.omega.ctrl.InvalidateSrcBufs()
+	}
 }
 
 // ElapsedCycles returns the max core clock — the simulated execution time.
@@ -337,9 +333,6 @@ type Ctx struct {
 	m    *Machine
 	core int
 }
-
-// Core returns the simulated core ID.
-func (c *Ctx) Core() int { return c.core }
 
 // Exec retires ops ALU/branch instructions on this core.
 func (c *Ctx) Exec(ops int) { c.m.cores[c.core].Exec(ops) }
@@ -366,11 +359,8 @@ func (c *Ctx) access(r *Region, i int, op memsys.Op, srcRead bool) {
 		Kind:    r.Kind,
 		SrcRead: srcRead,
 	}
-	if r.Kind == memsys.KindVtxProp {
-		a.Vertex = uint32(i)
-		if c.m.vertexProfile != nil && i < len(c.m.vertexProfile) {
-			c.m.vertexProfile[i]++
-		}
+	if r.Kind == memsys.KindVtxProp && c.m.vertexProfile != nil && i < len(c.m.vertexProfile) {
+		c.m.vertexProfile[i]++
 	}
 	c.m.accessesByKind[r.Kind].Inc()
 	if op == memsys.OpAtomic {
@@ -383,8 +373,10 @@ func (c *Ctx) access(r *Region, i int, op memsys.Op, srcRead bool) {
 	var res memsys.Result
 	if op == memsys.OpRead && r.Kind != memsys.KindVtxProp && !c.m.cfg.DisableLineBuffer {
 		res = c.m.fastRead(core, a, r)
+	} else if c.m.omega != nil {
+		res = c.m.omega.Access(core.Clock(), a)
 	} else {
-		res = c.m.hier.Access(core.Clock(), a)
+		res = c.m.path.Access(core.Clock(), a)
 	}
 	if op == memsys.OpAtomic && res.Level == memsys.LevelPISC && c.m.faults != nil {
 		if mask, ok := c.m.faults.ALUFlip(); ok {
@@ -420,7 +412,8 @@ type memoFault struct {
 //
 // Bit-identity argument: the fast path applies only to plain reads of the
 // streaming kinds (edgeList, nGraphData, activeList), which on both
-// hierarchies flow straight to the cache path — vtxProp is excluded
+// machines flow straight to the cache path (so the full probe below calls
+// it directly) — vtxProp is excluded
 // because OMEGA routes it through the scratchpad monitor, where residency
 // is per-vertex (two vertices in one 64 B line can differ) and resident
 // accesses consume fault-PRNG draws. A cache-path L1 read hit has exactly
@@ -456,7 +449,7 @@ func (m *Machine) fastRead(core *cpu.Core, a memsys.Access, r *Region) memsys.Re
 			m.faults.NoteLineBufGenCatch()
 		}
 	}
-	res := m.hier.Access(core.Clock(), a)
+	res := m.path.Access(core.Clock(), a)
 	// The probe armed the L1 memo for this line, whether it hit or missed
 	// (the streaming fill seeds it); lbStores counts those arms.
 	m.lbStores.Inc()
@@ -661,26 +654,6 @@ func (m *Machine) acquireSched(p int) *schedState {
 }
 
 func (m *Machine) releaseSched(s *schedState) { s.busy = false }
-
-// Sequential runs body on core 0 (the paper's framework executes
-// inter-region glue on one thread), then synchronizes all cores.
-func (m *Machine) Sequential(body func(ctx *Ctx)) {
-	m.checkCancelNow()
-	m.seqRegions.Inc()
-	start := m.cores[0].Clock()
-	m.seqCtx = Ctx{m: m, core: 0}
-	body(&m.seqCtx)
-	m.flushFold()
-	if m.traceSpan != nil {
-		if end := m.cores[0].Clock(); end != start {
-			m.traceSpan(obs.Span{
-				Machine: m.cfg.Name, Core: 0, Name: "sequential",
-				Start: start, End: end,
-			})
-		}
-	}
-	m.Barrier()
-}
 
 // Barrier drains every core's outstanding-miss window and aligns all
 // clocks to the maximum (bulk-synchronous region end).

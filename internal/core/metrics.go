@@ -214,7 +214,6 @@ func buildRegistry(m *Machine) *obs.Registry {
 
 	// sched / linebuf / alloc: the execution-driver side.
 	r.RegisterCounter("sched", "parallel_regions", "", m.parRegions.Value)
-	r.RegisterCounter("sched", "sequential_regions", "", m.seqRegions.Value)
 	r.RegisterCounter("sched", "items", "", m.schedItems.Value)
 	r.RegisterCounter("linebuf", "hits", "", m.lbHits.Value)
 	r.RegisterCounter("linebuf", "stores", "", m.lbStores.Value)

@@ -71,8 +71,8 @@ func TestObserverContract(t *testing.T) {
 				t.Errorf("detaching the access tracer moved the stats:\ngot  %+v\nwant %+v", second, want2)
 			}
 
-			// blockScript has one Sequential region, where core 0 works, and
-			// one two-item parallel region, where cores 0 and 1 work.
+			// blockScript has one one-item region, where core 0 works, and
+			// one two-item region, where cores 0 and 1 work.
 			var spans []obs.Span
 			_, got = run(func(m *Machine) {
 				m.TraceSpans(func(s obs.Span) { spans = append(spans, s) })
@@ -91,7 +91,7 @@ func TestObserverContract(t *testing.T) {
 				}
 				gotWhere = append(gotWhere, where{s.Name, s.Core})
 			}
-			pass := []where{{"sequential", 0}, {"parallel", 0}, {"parallel", 1}}
+			pass := []where{{"parallel", 0}, {"parallel", 0}, {"parallel", 1}}
 			if wantWhere := append(pass, pass...); !reflect.DeepEqual(gotWhere, wantWhere) {
 				t.Errorf("spans at %v, want %v", gotWhere, wantWhere)
 			}

@@ -1,22 +1,12 @@
 package core
 
 import (
-	"omega/internal/faults"
 	"omega/internal/memsys"
 	"omega/internal/memsys/noc"
 	"omega/internal/pisc"
 	"omega/internal/scratchpad"
 	"omega/internal/stats"
 )
-
-// baselineHier is the baseline machine's memory system: the cache path and
-// nothing else.
-type baselineHier struct {
-	*cachePath
-}
-
-// BeginIteration is a no-op: the baseline has no iteration-scoped state.
-func (h *baselineHier) BeginIteration() {}
 
 // omegaHier is the OMEGA heterogeneous memory system: a scratchpad
 // controller with PISC engines in front of a (half-sized) cache path.
@@ -27,34 +17,25 @@ type omegaHier struct {
 	*cachePath
 	ctrl    *scratchpad.Controller
 	engines []*pisc.Engine
-	xbar    *noc.Crossbar
-	cfg     Config
-	faults  *faults.Injector // nil when injection is disabled
 
 	offloads    stats.Counter
 	spAtomics   stats.Counter // atomics executed at SP without PISC
 	remoteReads stats.Counter
 }
 
-func newOmegaHier(cfg Config, path *cachePath, xbar *noc.Crossbar, inj *faults.Injector) *omegaHier {
+func newOmegaHier(path *cachePath) *omegaHier {
 	h := &omegaHier{
 		cachePath: path,
 		ctrl: scratchpad.NewController(scratchpad.Config{
-			BytesPerCore: cfg.SPBytesPerCore,
-			ChunkSize:    cfg.chunkSize(),
+			BytesPerCore: path.cfg.SPBytesPerCore,
+			ChunkSize:    path.cfg.chunkSize(),
 		}),
-		xbar:   xbar,
-		cfg:    cfg,
-		faults: inj,
 	}
 	for c := 0; c < NumCores; c++ {
 		h.engines = append(h.engines, pisc.NewEngine())
 	}
 	return h
 }
-
-// BeginIteration invalidates the source vertex buffers (paper §V.C).
-func (h *omegaHier) BeginIteration() { h.ctrl.InvalidateSrcBufs() }
 
 // Access routes one access through the heterogeneous hierarchy.
 func (h *omegaHier) Access(now memsys.Cycles, a memsys.Access) memsys.Result {
@@ -110,11 +91,11 @@ func (h *omegaHier) spAccess(now memsys.Cycles, a memsys.Access, v uint32) memsy
 			var sendLat memsys.Cycles
 			if local {
 				sendLat = 1
-				h.xbar.Send(now, a.Core, home, size, noc.ClassWord)
+				h.noc.Send(now, a.Core, home, size, noc.ClassWord)
 			} else {
-				sendLat = h.xbar.Send(now, a.Core, home, size, noc.ClassWord)
+				sendLat = h.noc.Send(now, a.Core, home, size, noc.ClassWord)
 			}
-			stall, _ := h.engines[home].Offload(now + sendLat)
+			stall := h.engines[home].Offload(now + sendLat)
 			return memsys.Result{Latency: stall, Offloaded: true, Level: memsys.LevelPISC}
 		}
 		// Scratchpads without PISC (§X.A ablation): the core performs
@@ -125,11 +106,11 @@ func (h *omegaHier) spAccess(now memsys.Cycles, a memsys.Access, v uint32) memsy
 		var lat memsys.Cycles
 		if local {
 			lat = SPLat + 2
-			h.xbar.Send(now, a.Core, home, size, noc.ClassWord)
+			h.noc.Send(now, a.Core, home, size, noc.ClassWord)
 		} else {
-			rt := h.xbar.RoundTrip(now, a.Core, home, 0, size, noc.ClassWord)
+			rt := h.noc.RoundTrip(now, a.Core, home, 0, size, noc.ClassWord)
 			lat = rt + SPLat + 2
-			h.xbar.Send(now+lat, a.Core, home, size, noc.ClassWord)
+			h.noc.Send(now+lat, a.Core, home, size, noc.ClassWord)
 		}
 		return memsys.Result{Latency: lat, Blocking: true, Level: memsys.LevelSPAtomic}
 
@@ -141,7 +122,7 @@ func (h *omegaHier) spAccess(now memsys.Cycles, a memsys.Access, v uint32) memsy
 			return memsys.Result{Latency: SPLat, Level: memsys.LevelSPLocal}
 		}
 		h.remoteReads.Inc()
-		lat := h.xbar.RoundTrip(now, a.Core, home, 0, size, noc.ClassWord) + SPLat
+		lat := h.noc.RoundTrip(now, a.Core, home, 0, size, noc.ClassWord) + SPLat
 		return memsys.Result{Latency: lat, Level: memsys.LevelSPRemote}
 
 	default: // OpWrite
@@ -152,10 +133,10 @@ func (h *omegaHier) spAccess(now memsys.Cycles, a memsys.Access, v uint32) memsy
 // spWrite models a posted (non-blocking) word write to a slice.
 func (h *omegaHier) spWrite(now memsys.Cycles, core, home int, local bool, size int) memsys.Result {
 	if local {
-		h.xbar.Send(now, core, home, size, noc.ClassWord)
+		h.noc.Send(now, core, home, size, noc.ClassWord)
 		return memsys.Result{Latency: SPLat, Level: memsys.LevelSPLocal}
 	}
-	lat := h.xbar.Send(now, core, home, size, noc.ClassWord) + SPLat
+	lat := h.noc.Send(now, core, home, size, noc.ClassWord) + SPLat
 	return memsys.Result{Latency: lat, Level: memsys.LevelSPRemote}
 }
 

@@ -40,7 +40,7 @@ func perfMachine(omega bool) (*Machine, *Region) {
 // caches, the directory table, and per-core buffers reach steady state.
 func warmAccess(m *Machine, r *Region) {
 	for pass := 0; pass < 4; pass++ {
-		m.Sequential(func(ctx *Ctx) {
+		sequential(m, func(ctx *Ctx) {
 			for i := 0; i < perfN; i++ {
 				ctx.Read(r, i)
 				ctx.Write(r, i)
@@ -62,7 +62,7 @@ func benchAccess(b *testing.B, omega bool, op func(*Ctx, *Region, int)) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {
-		m.Sequential(body)
+		sequential(m, body)
 	}
 }
 
@@ -109,12 +109,12 @@ func BenchmarkMissPath(b *testing.B) {
 		i++
 	}
 	for k := 0; k < missN; k++ { // warm lap: caches, directory, queues
-		m.Sequential(body)
+		sequential(m, body)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {
-		m.Sequential(body)
+		sequential(m, body)
 	}
 }
 
@@ -129,9 +129,9 @@ func TestMissPathZeroAlloc(t *testing.T) {
 		i++
 	}
 	for k := 0; k < missN; k++ {
-		m.Sequential(body)
+		sequential(m, body)
 	}
-	allocs := testing.AllocsPerRun(2000, func() { m.Sequential(body) })
+	allocs := testing.AllocsPerRun(2000, func() { sequential(m, body) })
 	if allocs != 0 {
 		t.Fatalf("steady-state miss path allocates %.1f objects/access, want 0", allocs)
 	}
@@ -180,7 +180,7 @@ func TestAccessPathZeroAlloc(t *testing.T) {
 				ctx.ReadSrc(r, j)
 				i++
 			}
-			allocs := testing.AllocsPerRun(2000, func() { m.Sequential(body) })
+			allocs := testing.AllocsPerRun(2000, func() { sequential(m, body) })
 			if allocs != 0 {
 				t.Fatalf("steady-state access path allocates %.1f objects/iteration, want 0", allocs)
 			}
@@ -220,7 +220,7 @@ func TestAccessPathZeroAllocWithSink(t *testing.T) {
 					ctx.ReadSrc(r, j)
 					i++
 				}
-				allocs := testing.AllocsPerRun(2000, func() { m.Sequential(body) })
+				allocs := testing.AllocsPerRun(2000, func() { sequential(m, body) })
 				if allocs != 0 {
 					t.Fatalf("access path with %s sink allocates %.1f objects/iteration, want 0",
 						sk.name, allocs)

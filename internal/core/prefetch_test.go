@@ -8,7 +8,7 @@ import (
 
 // streamRead walks a region sequentially on one core.
 func streamRead(m *Machine, r *Region) MachineStats {
-	m.Sequential(func(ctx *Ctx) {
+	sequential(m, func(ctx *Ctx) {
 		for i := 0; i < r.Count; i++ {
 			ctx.Read(r, i)
 		}
@@ -42,7 +42,7 @@ func TestPrefetcherIgnoresRandomVtxProp(t *testing.T) {
 	cfg.LLCPollution = 0
 	m := NewMachine(cfg)
 	r := m.Alloc("props", 4096, 8, memsys.KindVtxProp)
-	m.Sequential(func(ctx *Ctx) {
+	sequential(m, func(ctx *Ctx) {
 		for i := 0; i < 2000; i++ {
 			ctx.Read(r, (i*2654435761)%4096)
 		}

@@ -26,9 +26,10 @@ import (
 // region (modulo the table), bits 4-6 a run length and bit 7 the core;
 // the argument is an element index (modulo the region's count) or an Exec
 // count. Top-level ops run on a Ctx of their core. opSequential and
-// opParallel run the next arg%16+1 ops inside a Sequential region (core
-// 0) or inside a two-item ParallelForGrain, where item i runs the ops of
-// core i; inside those, only accesses, Exec and Metrics run.
+// opParallel run the next arg%16+1 ops inside a one-item region on core
+// 0 (the sequential helper) or inside a two-item ParallelForGrain, where
+// item i runs the ops of core i; inside those, only accesses, Exec and
+// Metrics run.
 const (
 	opRead           byte = iota // Read(r, i)
 	opReadSrc                    // ReadSrc(r, i)
@@ -41,7 +42,7 @@ const (
 	opStats                      // Machine.Stats
 	opBeginIteration             // Machine.BeginIteration
 	opBarrier                    // Machine.Barrier
-	opSequential                 // Sequential block
+	opSequential                 // sequential block (core 0)
 	opParallel                   // ParallelForGrain block
 	numScriptOps
 )
@@ -124,7 +125,7 @@ func foldScript() []byte {
 // blockScript encodes scans through the scheduler: runs over every
 // streaming region of fuzzRegions (five streams, so the four-entry
 // registry evicts round-robin), an atomic on the open window's line,
-// alternating pairs, Sequential and
+// alternating pairs, sequential and
 // parallel blocks on cores 0 and 1, and mid-script Metrics reads.
 func blockScript() []byte {
 	var b scriptBuilder
@@ -204,7 +205,7 @@ func (s *scriptRunner) run(ops []scriptOp) {
 			block := ops[k+1 : k+1+n]
 			k += n
 			if op.code == opSequential {
-				s.m.Sequential(func(ctx *Ctx) { s.block(ctx, block, -1) })
+				sequential(s.m, func(ctx *Ctx) { s.block(ctx, block, -1) })
 			} else {
 				s.m.ParallelForGrain(2, 1, func(ctx *Ctx, i int) { s.block(ctx, block, i) })
 			}

@@ -53,27 +53,8 @@ func (b Breakdown) Total() memsys.Cycles {
 	return b.Retiring + b.Frontend + b.MemoryBound + b.CoreBound
 }
 
-// BackendFraction returns (memory+core)/total.
-func (b Breakdown) BackendFraction() float64 {
-	t := b.Total()
-	if t == 0 {
-		return 0
-	}
-	return float64(b.MemoryBound+b.CoreBound) / float64(t)
-}
-
-// MemoryFraction returns memory/total.
-func (b Breakdown) MemoryFraction() float64 {
-	t := b.Total()
-	if t == 0 {
-		return 0
-	}
-	return float64(b.MemoryBound) / float64(t)
-}
-
 // Core is the timing model for a single core. Not safe for concurrent use.
 type Core struct {
-	ID    int
 	clock memsys.Cycles
 
 	// outstanding holds completion times of in-flight overlappable
@@ -94,8 +75,8 @@ type Core struct {
 	OffloadStall  memsys.Cycles
 }
 
-// New builds a core with the given ID.
-func New(id int) *Core { return &Core{ID: id} }
+// New builds a core at clock 0.
+func New() *Core { return &Core{} }
 
 // Clock returns the core's local time.
 func (c *Core) Clock() memsys.Cycles { return c.clock }

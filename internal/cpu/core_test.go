@@ -6,7 +6,7 @@ import (
 	"omega/internal/memsys"
 )
 
-func newCore() *Core { return New(0) }
+func newCore() *Core { return New() }
 
 func TestExecAdvancesClock(t *testing.T) {
 	c := newCore()
@@ -136,16 +136,6 @@ func TestBreakdownTotals(t *testing.T) {
 	b := c.Breakdown()
 	if b.Total() == 0 {
 		t.Fatal("empty breakdown")
-	}
-	if b.BackendFraction() <= 0 || b.BackendFraction() > 1 {
-		t.Fatalf("backend fraction %v", b.BackendFraction())
-	}
-	if b.MemoryFraction() <= 0 || b.MemoryFraction() > 1 {
-		t.Fatalf("memory fraction %v", b.MemoryFraction())
-	}
-	var zero Breakdown
-	if zero.BackendFraction() != 0 || zero.MemoryFraction() != 0 {
-		t.Fatal("zero breakdown fractions should be 0")
 	}
 }
 

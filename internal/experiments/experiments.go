@@ -334,7 +334,6 @@ func DatasetByName(name string) (Dataset, bool) {
 // the dataset key that identifies its build — the graph half of a cell
 // cache key.
 type prepared struct {
-	ds  Dataset
 	g   *graph.Graph
 	key datasets.Key
 }
@@ -373,7 +372,6 @@ func buildDataset(ds Dataset, o Options, weighted, reordered bool) *graph.Graph 
 // placement relies on in-degree ordering).
 func prepareDataset(ds Dataset, o Options, weighted bool) prepared {
 	return prepared{
-		ds:  ds,
 		g:   buildDataset(ds, o, weighted, true),
 		key: datasetKey(ds, o, weighted, true),
 	}

@@ -138,3 +138,51 @@ func TestSuiteMetricsDeterminism(t *testing.T) {
 		t.Fatal("suite emitted no samples")
 	}
 }
+
+// TestLevelCountConservation checks a conservation law on every cell a
+// scale-9 suite builds: each access issued is served by exactly one
+// hierarchy level, so in a cell's final samples (its last iteration) the
+// level_count metrics summed over levels equal the accesses metrics
+// summed over kinds. Each cell's stream is read from the suite's cell
+// cache, where it is stored apart from every other cell's.
+func TestLevelCountConservation(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full suite skipped in -short mode")
+	}
+	cells := NewCellCache()
+	opts := Options{Scale: 9, Seed: 42, Coverage: 0.20, Cells: cells}
+	if n := Suite(context.Background(), Registry(), opts, nil).Failed(); n > 0 {
+		t.Fatalf("%d experiments failed", n)
+	}
+	checked := 0
+	for key, e := range cells.entries {
+		if !e.ok {
+			continue
+		}
+		var last uint64
+		for _, s := range e.cell.samples {
+			last = max(last, s.Iteration)
+		}
+		var levels, accesses uint64
+		for _, s := range e.cell.samples {
+			if s.Iteration != last || s.Component != "machine" {
+				continue
+			}
+			switch s.Name {
+			case "level_count":
+				levels += s.Value
+			case "accesses":
+				accesses += s.Value
+			}
+		}
+		if levels != accesses || accesses == 0 {
+			t.Errorf("%s %s on %s: level counts sum to %d, accesses to %d",
+				key.Workload, key.Config.Name, key.Dataset.Kind, levels, accesses)
+		}
+		checked++
+	}
+	if checked == 0 {
+		t.Fatal("the suite built no cells")
+	}
+	t.Logf("%d cells checked", checked)
+}

@@ -63,6 +63,7 @@ func FuzzLoadBinary(f *testing.F) {
 	f.Add(buf.Bytes())
 	f.Add([]byte("OMGA"))
 	f.Add([]byte{})
+	f.Add(binaryHeader(1<<24, 1<<24))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g, err := LoadBinary(bytes.NewReader(data))
 		if err != nil {

@@ -221,7 +221,7 @@ func LoadBinary(r io.Reader) (*graph.Graph, error) {
 	var verFlags, n, m uint64
 	for _, p := range []*uint64{&verFlags, &n, &m} {
 		if err := binary.Read(br, binary.LittleEndian, p); err != nil {
-			return nil, err
+			return nil, fmt.Errorf("gio: read header: %w", err)
 		}
 	}
 	version := uint32(verFlags >> 32)
@@ -229,53 +229,74 @@ func LoadBinary(r io.Reader) (*graph.Graph, error) {
 	if version != binVersion {
 		return nil, fmt.Errorf("gio: unsupported version %d", version)
 	}
-	// Bound the header counts before allocating: vertex IDs are 32-bit,
-	// and a real file cannot be smaller than its arrays.
+	// Vertex IDs are 32-bit. The arrays themselves are read in bounded
+	// chunks (readArray), so a header claiming more than the input holds
+	// fails after allocating about what the input actually carried.
 	const maxCount = 1 << 31
 	if n >= maxCount || m >= maxCount {
 		return nil, fmt.Errorf("gio: implausible header counts n=%d m=%d", n, m)
 	}
-	g := &graph.Graph{
-		Undirected: flags&flagUndirected != 0,
-		OutOffsets: make([]uint64, n+1),
-		InOffsets:  make([]uint64, n+1),
-		OutEdges:   make([]graph.VertexID, m),
-		InEdges:    make([]graph.VertexID, m),
+	g := &graph.Graph{Undirected: flags&flagUndirected != 0}
+	var err error
+	if g.OutOffsets, err = readArray[uint64](br, n+1, "out-offsets"); err != nil {
+		return nil, err
 	}
-	for _, s := range [][]uint64{g.OutOffsets, g.InOffsets} {
-		if err := binary.Read(br, binary.LittleEndian, s); err != nil {
-			return nil, err
-		}
+	if g.InOffsets, err = readArray[uint64](br, n+1, "in-offsets"); err != nil {
+		return nil, err
 	}
-	for _, s := range [][]graph.VertexID{g.OutEdges, g.InEdges} {
-		if err := binary.Read(br, binary.LittleEndian, s); err != nil {
-			return nil, err
-		}
+	if g.OutEdges, err = readArray[graph.VertexID](br, m, "out-edges"); err != nil {
+		return nil, err
+	}
+	if g.InEdges, err = readArray[graph.VertexID](br, m, "in-edges"); err != nil {
+		return nil, err
 	}
 	if flags&flagWeighted != 0 {
-		g.Weights = make([]int32, m)
-		g.InWeights = make([]int32, m)
-		if err := binary.Read(br, binary.LittleEndian, g.Weights); err != nil {
+		if g.Weights, err = readArray[int32](br, m, "weights"); err != nil {
 			return nil, err
 		}
-		if err := binary.Read(br, binary.LittleEndian, g.InWeights); err != nil {
+		if g.InWeights, err = readArray[int32](br, m, "in-weights"); err != nil {
 			return nil, err
 		}
 	}
 	var nameLen uint32
 	if err := binary.Read(br, binary.LittleEndian, &nameLen); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("gio: read name length: %w", err)
 	}
 	if nameLen > 4096 {
 		return nil, fmt.Errorf("gio: implausible name length %d", nameLen)
 	}
 	nameBytes := make([]byte, nameLen)
 	if _, err := io.ReadFull(br, nameBytes); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("gio: read name: %w", err)
 	}
 	g.Name = string(nameBytes)
 	if err := g.Validate(); err != nil {
 		return nil, fmt.Errorf("gio: loaded graph invalid: %v", err)
 	}
 	return g, nil
+}
+
+// readChunk is how many elements readArray reads per step.
+const readChunk = 1 << 13
+
+// readArray reads count little-endian values of T from r, one bounded
+// chunk at a time, growing the result geometrically as the data arrives:
+// memory follows the bytes actually present, never the count alone. A
+// short input fails with an error naming the array (what).
+func readArray[T uint64 | uint32 | int32](r io.Reader, count uint64, what string) ([]T, error) {
+	s := make([]T, 0, min(count, readChunk))
+	for n := uint64(0); n < count; {
+		k := min(count-n, readChunk)
+		if uint64(cap(s)) < n+k {
+			grown := make([]T, n, min(count, max(2*uint64(cap(s)), n+k)))
+			copy(grown, s)
+			s = grown
+		}
+		s = s[:n+k]
+		if err := binary.Read(r, binary.LittleEndian, s[n:]); err != nil {
+			return nil, fmt.Errorf("gio: read %s: %w", what, err)
+		}
+		n += k
+	}
+	return s, nil
 }

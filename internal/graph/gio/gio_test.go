@@ -2,6 +2,10 @@ package gio
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"io"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -216,5 +220,34 @@ func TestLoadBinaryRejectsUnsortedNeighbors(t *testing.T) {
 	_, err := LoadBinary(&buf)
 	if err == nil || !strings.Contains(err.Error(), "vertex 0 are not sorted") {
 		t.Fatalf("want an unsorted-list error naming vertex 0, got %v", err)
+	}
+}
+
+// binaryHeader is a bare binary-format header (magic, version/flags, n,
+// m: 28 bytes) with no array data behind it.
+func binaryHeader(n, m uint64) []byte {
+	var b bytes.Buffer
+	b.WriteString(binMagic)
+	for _, v := range []uint64{uint64(binVersion) << 32, n, m} {
+		binary.Write(&b, binary.LittleEndian, v)
+	}
+	return b.Bytes()
+}
+
+// TestLoadBinaryAllocatesWhatIsPresent: a header claiming 2^24 vertices
+// and edges, with no data behind it, must fail naming the array it was
+// reading, having allocated far less than the 512 MiB the claim implies.
+func TestLoadBinaryAllocatesWhatIsPresent(t *testing.T) {
+	hdr := binaryHeader(1<<24, 1<<24)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	_, err := LoadBinary(bytes.NewReader(hdr))
+	runtime.ReadMemStats(&after)
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+		t.Fatalf("a %d-byte input allocated %d bytes, want under 1 MiB", len(hdr), alloc)
+	}
+	if err == nil || !errors.Is(err, io.EOF) || !strings.Contains(err.Error(), "out-offsets") {
+		t.Fatalf("err = %v, want an EOF reading out-offsets", err)
 	}
 }

@@ -288,3 +288,24 @@ func BenchmarkApply(b *testing.B) {
 		})
 	}
 }
+
+// Inverse returns the old-ID-for-new-ID mapping.
+func (p Permutation) Inverse() Permutation {
+	inv := make(Permutation, len(p))
+	for old, nw := range p {
+		inv[nw] = graph.VertexID(old)
+	}
+	return inv
+}
+
+// Valid reports whether p is a bijection on [0, len(p)).
+func (p Permutation) Valid() bool {
+	seen := make([]bool, len(p))
+	for _, nw := range p {
+		if int(nw) >= len(p) || seen[nw] {
+			return false
+		}
+		seen[nw] = true
+	}
+	return true
+}

@@ -123,7 +123,6 @@ type PropArray struct {
 	Name   string
 	Region *core.Region
 	vals   []pisc.Value
-	fw     *Framework
 }
 
 // NewProp allocates a vtxProp array with entryBytes-sized simulated
@@ -137,7 +136,6 @@ func (f *Framework) NewProp(name string, entryBytes int, init pisc.Value) *PropA
 		Name:   name,
 		Region: f.m.Alloc("vtxProp."+name, max(n, 1), entryBytes, memsys.KindVtxProp),
 		vals:   make([]pisc.Value, n),
-		fw:     f,
 	}
 	for i := range p.vals {
 		p.vals[i] = init
@@ -167,13 +165,6 @@ func (f *Framework) Resident() int { return f.resident }
 // Raw returns the functional values without emitting simulated accesses
 // (initialization and result extraction).
 func (p *PropArray) Raw() []pisc.Value { return p.vals }
-
-// Fill sets every entry functionally (no simulation).
-func (p *PropArray) Fill(v pisc.Value) {
-	for i := range p.vals {
-		p.vals[i] = v
-	}
-}
 
 // Get reads entry v, emitting a plain load.
 func (p *PropArray) Get(ctx *core.Ctx, v uint32) pisc.Value {

@@ -1,12 +1,18 @@
 package ligra
 
 import (
+	"sort"
 	"testing"
 
 	"omega/internal/core"
 	"omega/internal/graph"
 	"omega/internal/pisc"
 )
+
+// sequential runs body once on core 0, as a one-item parallel region.
+func sequential(m *core.Machine, body func(ctx *core.Ctx)) {
+	m.ParallelForGrain(1, 1, func(ctx *core.Ctx, _ int) { body(ctx) })
+}
 
 // testSetup builds a small framework over a diamond graph:
 // 0->1, 0->2, 1->3, 2->3 (directed).
@@ -47,7 +53,7 @@ func TestPropArrayFunctional(t *testing.T) {
 	}
 	fw.Configure(pisc.StandardMicrocode("t", pisc.OpSignedAdd, false, false))
 	m := fw.Machine()
-	m.Sequential(func(ctx *core.Ctx) {
+	sequential(m, func(ctx *core.Ctx) {
 		p.Set(ctx, 1, pisc.IntValue(42))
 		if p.Get(ctx, 1).Int() != 42 {
 			t.Fatal("set/get broken")
@@ -94,7 +100,7 @@ func TestVertexSubsetSparse(t *testing.T) {
 	if len(ids) != 2 || ids[0] != 1 || ids[1] != 3 {
 		t.Fatalf("ids %v", ids)
 	}
-	if s.IsDense() {
+	if s.isDense {
 		t.Fatal("should start sparse")
 	}
 }
@@ -102,7 +108,7 @@ func TestVertexSubsetSparse(t *testing.T) {
 func TestVertexSubsetAllAndEmpty(t *testing.T) {
 	fw, _ := testSetup(t)
 	all := fw.NewVertexSubsetAll()
-	if all.Size() != 4 || !all.IsDense() {
+	if all.Size() != 4 || !all.isDense {
 		t.Fatal("all-subset wrong")
 	}
 	empty := fw.NewVertexSubsetEmpty()
@@ -115,11 +121,11 @@ func TestSubsetConversions(t *testing.T) {
 	fw, _ := testSetup(t)
 	s := fw.NewVertexSubsetSparse([]uint32{0, 2})
 	fw.toDense(s)
-	if !s.IsDense() || s.Size() != 2 || !s.Contains(2) {
+	if !s.isDense || s.Size() != 2 || !s.Contains(2) {
 		t.Fatal("toDense broken")
 	}
 	fw.toSparse(s)
-	if s.IsDense() || s.Size() != 2 || !s.Contains(0) {
+	if s.isDense || s.Size() != 2 || !s.Contains(0) {
 		t.Fatal("toSparse broken")
 	}
 }
@@ -240,7 +246,7 @@ func TestEmitEdgeScans(t *testing.T) {
 	fw, _ := testSetup(t)
 	fw.Configure(pisc.StandardMicrocode("t", pisc.OpNop, false, false))
 	var ins1, ins3 []uint32
-	fw.Machine().Sequential(func(ctx *core.Ctx) {
+	sequential(fw.Machine(), func(ctx *core.Ctx) {
 		fw.EmitInEdgeScan(ctx, 1, func(j int, s uint32, w int32) {
 			ins1 = append(ins1, s)
 		})
@@ -266,7 +272,7 @@ func TestWeightedEdgeScan(t *testing.T) {
 	fw := New(core.NewMachine(cfg), g)
 	fw.Configure(pisc.StandardMicrocode("t", pisc.OpNop, false, false))
 	var got int32
-	fw.Machine().Sequential(func(ctx *core.Ctx) {
+	sequential(fw.Machine(), func(ctx *core.Ctx) {
 		fw.EmitInEdgeScan(ctx, 1, func(j int, s uint32, w int32) { got = w })
 	})
 	if got != 17 {
@@ -295,4 +301,27 @@ func TestFrontierOutDegree(t *testing.T) {
 	if d := fw.frontierOutDegree(s); d != 3 {
 		t.Fatalf("dense outdeg %d, want 3", d)
 	}
+}
+
+// Contains reports membership functionally (no simulated access).
+func (s *VertexSubset) Contains(v uint32) bool {
+	if s.isDense {
+		return s.dense[v]
+	}
+	i := sort.Search(len(s.sparse), func(i int) bool { return s.sparse[i] >= v })
+	return i < len(s.sparse) && s.sparse[i] == v
+}
+
+// IDs returns the active vertex IDs in ascending order (functional).
+func (s *VertexSubset) IDs() []uint32 {
+	if !s.isDense {
+		return append([]uint32(nil), s.sparse...)
+	}
+	var ids []uint32
+	for v, b := range s.dense {
+		if b {
+			ids = append(ids, uint32(v))
+		}
+	}
+	return ids
 }

@@ -2,7 +2,6 @@ package ligra
 
 import (
 	"slices"
-	"sort"
 
 	"omega/internal/core"
 	"omega/internal/memsys"
@@ -77,32 +76,6 @@ func (s *VertexSubset) Size() int {
 
 // IsEmpty reports whether no vertex is active.
 func (s *VertexSubset) IsEmpty() bool { return s.Size() == 0 }
-
-// IsDense reports the current representation.
-func (s *VertexSubset) IsDense() bool { return s.isDense }
-
-// Contains reports membership functionally (no simulated access).
-func (s *VertexSubset) Contains(v uint32) bool {
-	if s.isDense {
-		return s.dense[v]
-	}
-	i := sort.Search(len(s.sparse), func(i int) bool { return s.sparse[i] >= v })
-	return i < len(s.sparse) && s.sparse[i] == v
-}
-
-// IDs returns the active vertex IDs in ascending order (functional).
-func (s *VertexSubset) IDs() []uint32 {
-	if !s.isDense {
-		return append([]uint32(nil), s.sparse...)
-	}
-	var ids []uint32
-	for v, b := range s.dense {
-		if b {
-			ids = append(ids, uint32(v))
-		}
-	}
-	return ids
-}
 
 // toDense converts to the dense representation, charging the parallel
 // conversion pass Ligra performs (writes one byte per active vertex).

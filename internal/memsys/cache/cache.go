@@ -54,7 +54,6 @@ type setMeta struct {
 // is the slab index of the way's tag cell; the way's lastUse cell is at
 // index+Ways.
 type Cache struct {
-	cfg      Config
 	ways     int
 	numSets  uint64
 	useClock uint64
@@ -100,7 +99,6 @@ func New(cfg Config) *Cache {
 	}
 	numSets := cfg.SizeBytes / setBytes
 	c := &Cache{
-		cfg:      cfg,
 		ways:     cfg.Ways,
 		numSets:  uint64(numSets),
 		slab:     make([]uint64, numSets*2*cfg.Ways),
@@ -121,9 +119,6 @@ func New(cfg Config) *Cache {
 
 // waysMask returns the bitmask with one bit per way.
 func (c *Cache) waysMask() uint64 { return ^uint64(0) >> uint(64-c.ways) }
-
-// Config returns the cache's configuration.
-func (c *Cache) Config() Config { return c.cfg }
 
 // Ref is a resolved line coordinate in one cache: set index, the set's
 // tag-row base in the slab, and the probe key. Resolving once and reusing
@@ -439,15 +434,6 @@ func (c *Cache) Pin(a memsys.Addr) bool {
 	return false
 }
 
-// PinnedLines counts pinned lines across the cache.
-func (c *Cache) PinnedLines() int {
-	n := 0
-	for i := range c.meta {
-		n += bits.OnesCount64(c.meta[i].pin)
-	}
-	return n
-}
-
 // InvalidateAt drops r's line if present, returning whether it was
 // present and dirty (the caller is responsible for the writeback). Because
 // a Ref encodes only geometry, one Ref can drive the invalidation sweep
@@ -471,13 +457,4 @@ func (c *Cache) InvalidateAt(r Ref) (present, dirty bool) {
 // reconstruct rebuilds a line-aligned address from set index and tag.
 func (c *Cache) reconstruct(set, tag uint64) memsys.Addr {
 	return memsys.Addr((tag*c.numSets + set) * memsys.LineSize)
-}
-
-// HitRate returns the combined read+write hit rate.
-func (c *Cache) HitRate() float64 {
-	total := c.Reads.Total + c.Writes.Total
-	if total == 0 {
-		return 0
-	}
-	return float64(c.Reads.Hits+c.Writes.Hits) / float64(total)
 }

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"math/bits"
 	"testing"
 	"testing/quick"
 
@@ -417,4 +418,13 @@ func TestPinRefusesFullSet(t *testing.T) {
 	if !c.Pin(a1) || c.PinnedLines() != 1 {
 		t.Fatal("re-pin should be idempotent")
 	}
+}
+
+// PinnedLines counts pinned lines across the cache.
+func (c *Cache) PinnedLines() int {
+	n := 0
+	for i := range c.meta {
+		n += bits.OnesCount64(c.meta[i].pin)
+	}
+	return n
 }

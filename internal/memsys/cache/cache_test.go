@@ -116,9 +116,6 @@ func TestHitRateAccounting(t *testing.T) {
 	if c.Writes.Total != 2 || c.Writes.Hits != 1 {
 		t.Fatalf("writes %d/%d", c.Writes.Hits, c.Writes.Total)
 	}
-	if c.HitRate() != 0.5 {
-		t.Fatalf("hit rate %v", c.HitRate())
-	}
 }
 
 func TestVictimAddressReconstruction(t *testing.T) {
@@ -176,12 +173,5 @@ func TestBadGeometryPanics(t *testing.T) {
 			}()
 			New(cfg)
 		}()
-	}
-}
-
-func TestConfigAccessors(t *testing.T) {
-	c := small()
-	if c.Config().Ways != 2 || c.Config().Name != "t" {
-		t.Fatal("accessors wrong")
 	}
 }

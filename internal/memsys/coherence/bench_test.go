@@ -15,7 +15,7 @@ func BenchmarkDirectory(b *testing.B) {
 		cores = 16
 		lines = 8192
 	)
-	d := New(cores)
+	d := New()
 	// Warm the table to its steady-state capacity.
 	for i := 0; i < lines; i++ {
 		d.AcquireShared(memsys.Addr(i*memsys.LineSize), i%cores)

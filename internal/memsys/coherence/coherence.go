@@ -52,26 +52,21 @@ const dirInitialCap = 1 << 10
 
 // Directory tracks L1 copies. Not safe for concurrent use.
 type Directory struct {
-	numCores int
-	entries  []dirEntry
-	mask     uint64
-	count    int // occupied slots
+	entries []dirEntry
+	mask    uint64
+	count   int // occupied slots
 
 	// Stats
 	Invalidations stats.Counter // individual invalidation messages sent
 	C2CTransfers  stats.Counter // dirty cache-to-cache interventions
-	Downgrades    stats.Counter // M->S demotions with writeback
 }
 
-// New builds a directory for numCores private caches.
-func New(numCores int) *Directory {
-	if numCores <= 0 || numCores > 64 {
-		panic("coherence: numCores must be in 1..64")
-	}
+// New builds an empty directory. Sharer and residency masks are 64-bit,
+// one bit per core.
+func New() *Directory {
 	return &Directory{
-		numCores: numCores,
-		entries:  make([]dirEntry, dirInitialCap),
-		mask:     dirInitialCap - 1,
+		entries: make([]dirEntry, dirInitialCap),
+		mask:    dirInitialCap - 1,
 	}
 }
 
@@ -196,7 +191,6 @@ func (d *Directory) AcquireShared(line memsys.Addr, core int) ReadOutcome {
 	if e.owner >= 0 && int(e.owner) != core {
 		out.DirtyOwner = int(e.owner)
 		d.C2CTransfers.Inc()
-		d.Downgrades.Inc()
 		e.owner = -1
 	}
 	e.resident |= 1 << uint(core)
@@ -211,14 +205,13 @@ func (d *Directory) AcquireShared(line memsys.Addr, core int) ReadOutcome {
 // FillShared records that core's L1 installed line after a read miss or
 // prefetch: it marks residency and, exactly when the line is untracked
 // (not modified by core, zero sharers), performs AcquireShared's state
-// change. It folds the hierarchy's IsModifiedBy/Holders guard and the
-// conditional AcquireShared into a single table probe.
+// change. It folds the owner/sharers guard and the conditional
+// AcquireShared into a single table probe.
 func (d *Directory) FillShared(line memsys.Addr, core int) {
 	e := &d.entries[d.findOrInsert(line)]
 	if e.owner != int8(core) && e.sharers == 0 {
 		if e.owner >= 0 {
 			d.C2CTransfers.Inc()
-			d.Downgrades.Inc()
 			e.owner = -1
 		}
 		e.sharers |= 1 << uint(core)
@@ -322,28 +315,6 @@ func (d *Directory) ClearResident(line memsys.Addr, core int) {
 	if e.sharers == 0 && e.owner < 0 && e.resident == 0 {
 		d.erase(uint64(i))
 	}
-}
-
-// Holders returns how many cores currently hold line.
-func (d *Directory) Holders(line memsys.Addr) int {
-	return bits.OnesCount64(d.Sharers(line))
-}
-
-// Sharers returns the bitmask of cores holding line (bit c = core c), or 0
-// when the line is untracked. A core's bit is set whenever its L1 holds
-// the line, so callers can restrict per-core probe loops to set bits.
-func (d *Directory) Sharers(line memsys.Addr) uint64 {
-	i := d.find(line)
-	if i < 0 {
-		return 0
-	}
-	return d.entries[i].sharers
-}
-
-// IsModifiedBy reports whether core holds line in Modified state.
-func (d *Directory) IsModifiedBy(line memsys.Addr, core int) bool {
-	i := d.find(line)
-	return i >= 0 && d.entries[i].owner == int8(core)
 }
 
 // Lines returns how many lines the directory currently tracks.

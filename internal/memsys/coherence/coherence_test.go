@@ -1,6 +1,7 @@
 package coherence
 
 import (
+	"math/bits"
 	"testing"
 
 	"omega/internal/memsys"
@@ -10,7 +11,7 @@ import (
 const line = memsys.Addr(0x1000)
 
 func TestReadSharing(t *testing.T) {
-	d := New(4)
+	d := New()
 	out := d.AcquireShared(line, 0)
 	if out.DirtyOwner != -1 {
 		t.Fatal("clean line should have no dirty owner")
@@ -23,7 +24,7 @@ func TestReadSharing(t *testing.T) {
 }
 
 func TestWriteInvalidatesSharers(t *testing.T) {
-	d := New(4)
+	d := New()
 	d.AcquireShared(line, 0)
 	d.AcquireShared(line, 1)
 	d.AcquireShared(line, 2)
@@ -40,7 +41,7 @@ func TestWriteInvalidatesSharers(t *testing.T) {
 }
 
 func TestWriteAfterWriteIsC2C(t *testing.T) {
-	d := New(4)
+	d := New()
 	d.AcquireExclusive(line, 0)
 	out := d.AcquireExclusive(line, 1)
 	if out.DirtyOwner != 0 {
@@ -58,14 +59,11 @@ func TestWriteAfterWriteIsC2C(t *testing.T) {
 }
 
 func TestReadAfterWriteDowngrades(t *testing.T) {
-	d := New(4)
+	d := New()
 	d.AcquireExclusive(line, 0)
 	out := d.AcquireShared(line, 1)
 	if out.DirtyOwner != 0 {
 		t.Fatalf("dirty owner %d", out.DirtyOwner)
-	}
-	if d.Downgrades.Value() != 1 {
-		t.Fatal("downgrade not counted")
 	}
 	// Both now share.
 	if d.Holders(line) != 2 {
@@ -78,7 +76,7 @@ func TestReadAfterWriteDowngrades(t *testing.T) {
 }
 
 func TestReadHitUnderOwnModified(t *testing.T) {
-	d := New(4)
+	d := New()
 	d.AcquireExclusive(line, 2)
 	out := d.AcquireShared(line, 2)
 	if out.DirtyOwner != -1 {
@@ -90,7 +88,7 @@ func TestReadHitUnderOwnModified(t *testing.T) {
 }
 
 func TestDrop(t *testing.T) {
-	d := New(4)
+	d := New()
 	d.AcquireExclusive(line, 0)
 	if !d.Drop(line, 0) {
 		t.Fatal("dropping the M copy should report modified")
@@ -108,14 +106,14 @@ func TestDrop(t *testing.T) {
 }
 
 func TestDropUnknownLine(t *testing.T) {
-	d := New(2)
+	d := New()
 	if d.Drop(0xdead000, 0) {
 		t.Fatal("unknown line drop should be false")
 	}
 }
 
 func TestManyLinesIndependent(t *testing.T) {
-	d := New(8)
+	d := New()
 	r := stats.NewRand(5)
 	for i := 0; i < 1000; i++ {
 		l := memsys.Addr(r.Intn(64)) * 64
@@ -137,7 +135,7 @@ func TestManyLinesIndependent(t *testing.T) {
 func TestInvariantSingleOwner(t *testing.T) {
 	// Property: at most one core holds M for a line, and the M holder is
 	// always in the sharer set.
-	d := New(4)
+	d := New()
 	r := stats.NewRand(11)
 	lines := []memsys.Addr{0, 64, 128}
 	for i := 0; i < 2000; i++ {
@@ -163,22 +161,13 @@ func TestInvariantSingleOwner(t *testing.T) {
 	}
 }
 
-func TestBadCoreCountPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	New(0)
-}
-
 // TestTableGrowthAndErase drives the open-addressing table through
 // several doublings and a full teardown, checking that every line keeps
 // its state across rehashes and that backward-shift deletion never
 // strands a reachable entry.
 func TestTableGrowthAndErase(t *testing.T) {
 	const n = 20000 // well past several growths from the initial capacity
-	d := New(16)
+	d := New()
 	for i := 0; i < n; i++ {
 		d.AcquireShared(memsys.Addr(i*memsys.LineSize), i%16)
 	}
@@ -205,4 +194,26 @@ func TestTableGrowthAndErase(t *testing.T) {
 			t.Fatalf("line %d: holders %d, want %d", i, got, want)
 		}
 	}
+}
+
+// Holders returns how many cores currently hold line.
+func (d *Directory) Holders(line memsys.Addr) int {
+	return bits.OnesCount64(d.Sharers(line))
+}
+
+// IsModifiedBy reports whether core holds line in Modified state.
+func (d *Directory) IsModifiedBy(line memsys.Addr, core int) bool {
+	i := d.find(line)
+	return i >= 0 && d.entries[i].owner == int8(core)
+}
+
+// Sharers returns the bitmask of cores holding line (bit c = core c), or 0
+// when the line is untracked. A core's bit is set whenever its L1 holds
+// the line, so callers can restrict per-core probe loops to set bits.
+func (d *Directory) Sharers(line memsys.Addr) uint64 {
+	i := d.find(line)
+	if i < 0 {
+		return 0
+	}
+	return d.entries[i].sharers
 }

@@ -7,7 +7,7 @@ import (
 )
 
 func TestCorruptEntryEmptyTable(t *testing.T) {
-	d := New(4)
+	d := New()
 	if d.CorruptEntry(5, 3) {
 		t.Fatal("corrupting an empty table reported success")
 	}
@@ -17,7 +17,7 @@ func TestCorruptEntryEmptyTable(t *testing.T) {
 }
 
 func TestCorruptEntryThenScrub(t *testing.T) {
-	d := New(4)
+	d := New()
 	for i := 0; i < 32; i++ {
 		d.AcquireShared(memsys.Addr(0x1000+i*memsys.LineSize), 0)
 	}
@@ -45,7 +45,7 @@ func TestCorruptEntryThenScrub(t *testing.T) {
 // re-inserts on next use and probe chains still resolve every other line
 // (the backward-shift erase left no broken chains).
 func TestScrubKeepsTableUsable(t *testing.T) {
-	d := New(4)
+	d := New()
 	lines := make([]memsys.Addr, 64)
 	for i := range lines {
 		lines[i] = memsys.Addr(0x4000 + i*memsys.LineSize)
@@ -71,7 +71,7 @@ func TestScrubKeepsTableUsable(t *testing.T) {
 // flipped tag makes the directory treat the victim as a brand-new line —
 // the silent-corruption arm the campaign's directory site measures.
 func TestCorruptWithoutScrubPerturbsLookup(t *testing.T) {
-	d := New(4)
+	d := New()
 	d.AcquireShared(line, 0)
 	d.AcquireShared(line, 1)
 	if !d.CorruptEntry(0, 2) {

@@ -148,9 +148,6 @@ type Access struct {
 	Op Op
 	// Kind is the data-structure classification.
 	Kind Kind
-	// Vertex is the vertex ID for vtxProp/active-list accesses (used by
-	// the scratchpad partition unit); ignored otherwise.
-	Vertex uint32
 	// SrcRead marks a read of a *source* vertex's property during edge
 	// processing — the access class served by OMEGA's source vertex
 	// buffer (paper §V.C).
@@ -169,17 +166,4 @@ type Result struct {
 	Offloaded bool
 	// Level identifies the component that satisfied the access.
 	Level Level
-}
-
-// Hierarchy is a memory subsystem that can satisfy accesses. Both the
-// baseline CMP hierarchy and the OMEGA heterogeneous hierarchy implement
-// it. Implementations are not safe for concurrent use; the simulation
-// driver serializes calls (it is itself single-threaded event scheduling).
-type Hierarchy interface {
-	// Access simulates one access issued at time now and returns its
-	// timing outcome.
-	Access(now Cycles, a Access) Result
-	// BeginIteration signals an algorithm-level iteration boundary
-	// (OMEGA invalidates source-vertex buffers here, paper §V.C).
-	BeginIteration()
 }

@@ -136,15 +136,6 @@ func (x *Crossbar) RoundTrip(now memsys.Cycles, src, dst int, reqBytes, respByte
 	return l1 + l2
 }
 
-// TotalBytes returns all on-chip traffic in bytes.
-func (x *Crossbar) TotalBytes() uint64 {
-	var t uint64
-	for i := range x.traffic {
-		t += x.traffic[i].bytes
-	}
-	return t
-}
-
 // BytesByClass returns traffic for one class.
 func (x *Crossbar) BytesByClass(c MsgClass) uint64 { return x.traffic[c].bytes }
 

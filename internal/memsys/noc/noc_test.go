@@ -65,9 +65,6 @@ func TestTrafficByClass(t *testing.T) {
 	if x.BytesByClass(ClassWord) != 8 {
 		t.Fatalf("word bytes %d", x.BytesByClass(ClassWord))
 	}
-	if x.TotalBytes() != 88 {
-		t.Fatalf("total %d", x.TotalBytes())
-	}
 	if x.MessagesByClass(ClassLine) != 1 || x.MessagesByClass(ClassCtrl) != 1 {
 		t.Fatal("message counts wrong")
 	}

@@ -73,6 +73,3 @@ func (q *Queue) rollWindow(span Cycles) {
 	q.windowStart = q.horizon
 	q.work = 0
 }
-
-// Utilization returns the smoothed utilization estimate.
-func (q *Queue) Utilization() float64 { return q.util }

@@ -219,3 +219,6 @@ func TestQueueSmoothingConverges(t *testing.T) {
 		}
 	}
 }
+
+// Utilization returns the smoothed utilization estimate.
+func (q *Queue) Utilization() float64 { return q.util }

@@ -70,7 +70,7 @@ type Span struct {
 	Machine string
 	// Core is the simulated core ID.
 	Core int
-	// Name labels the region ("parallel", "sequential").
+	// Name labels the region ("parallel").
 	Name string
 	// Start and End bound the activity.
 	Start, End memsys.Cycles
@@ -150,9 +150,6 @@ func (r *Registry) RegisterCounter(component, name, level string, fn func() uint
 func (r *Registry) RegisterGauge(component, name, level string, fn func() uint64) {
 	r.Register(Desc{Component: component, Name: name, Level: level, Kind: KindGauge, Read: fn})
 }
-
-// Len returns the number of registered metrics.
-func (r *Registry) Len() int { return len(r.metrics) }
 
 // Each visits every descriptor in registration order.
 func (r *Registry) Each(fn func(Desc)) {

@@ -15,11 +15,11 @@ func TestRegistryOrderAndReplace(t *testing.T) {
 	r.RegisterCounter("cache", "read_hits", "L1", func() uint64 { return 1 })
 	r.RegisterCounter("dram", "accesses", "", func() uint64 { return 2 })
 	r.RegisterCounter("cache", "read_hits", "L1", func() uint64 { return 7 }) // replace
-	if r.Len() != 2 {
-		t.Fatalf("Len = %d, want 2 (replace must not duplicate)", r.Len())
-	}
 	var order []string
 	r.Each(func(d Desc) { order = append(order, d.Component+"."+d.Name) })
+	if len(order) != 2 {
+		t.Fatalf("%d metrics, want 2 (replace must not duplicate)", len(order))
+	}
 	if order[0] != "cache.read_hits" || order[1] != "dram.accesses" {
 		t.Fatalf("registration order not preserved: %v", order)
 	}

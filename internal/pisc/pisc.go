@@ -116,33 +116,10 @@ func StandardMicrocode(name string, op Op, trackDense, trackSparse bool) Microco
 	return Microcode{Name: name, Op: op, Steps: steps}
 }
 
-// Latency returns the routine's total PISC occupancy.
-func (m Microcode) Latency() memsys.Cycles {
-	var t memsys.Cycles
-	for _, s := range m.Steps {
-		switch s {
-		case UReadSP, UWriteSP:
-			t += memsys.SPLat
-		case UALU:
-			t += m.Op.Latency()
-		case USetActiveDense:
-			// Folded into the write port: 1 cycle.
-			t++
-		case UAppendActiveSparse:
-			// Queue the ID into the L1-bound store buffer.
-			t++
-		}
-	}
-	if t == 0 {
-		t = 1
-	}
-	return t
-}
-
 // Occupancy returns the engine's initiation interval for the routine: the
 // sequencer pipelines scratchpad reads/writes against the ALU, so a new
 // update can start every max(SPLat, aluLat) cycles even though each one
-// takes Latency() end to end.
+// takes longer end to end.
 func (m Microcode) Occupancy() memsys.Cycles {
 	return max(m.Op.Latency(), memsys.SPLat)
 }
@@ -210,8 +187,8 @@ const queueDepth = 16
 // §V.A — all requests to the engine are ordered). Not safe for concurrent
 // use.
 type Engine struct {
-	microcode Microcode
-	queue     memsys.Queue
+	occ   memsys.Cycles // initiation interval of the loaded routine
+	queue memsys.Queue
 
 	// Stats
 	Executed  stats.Counter
@@ -223,22 +200,18 @@ type Engine struct {
 func NewEngine() *Engine { return &Engine{} }
 
 // LoadMicrocode installs the routine (the store sequence generated by the
-// translation tool, §V.F).
-func (e *Engine) LoadMicrocode(m Microcode) { e.microcode = m }
-
-// Microcode returns the installed routine.
-func (e *Engine) Microcode() Microcode { return e.microcode }
+// translation tool, §V.F). Only its initiation interval shapes timing.
+func (e *Engine) LoadMicrocode(m Microcode) { e.occ = m.Occupancy() }
 
 // Offload enqueues one atomic update arriving at the engine at time
-// arrival. It returns the sender-visible stall (nonzero only when the
-// queue is saturated) and the completion time of the update.
-func (e *Engine) Offload(arrival memsys.Cycles) (senderStall memsys.Cycles, done memsys.Cycles) {
-	occ := e.microcode.Occupancy()
-	lat := e.microcode.Latency()
-	wait := e.queue.Enqueue(arrival, occ)
+// arrival; a routine must be loaded. It returns the sender-visible stall,
+// nonzero only when the queue is saturated: the sender does not wait for
+// the update itself.
+func (e *Engine) Offload(arrival memsys.Cycles) (senderStall memsys.Cycles) {
+	wait := e.queue.Enqueue(arrival, e.occ)
 	// The sender only stalls when the (finite) queue is full, and then
 	// only until enough of it drains to accept the new entry.
-	limit := queueDepth * occ
+	limit := queueDepth * e.occ
 	if wait > limit {
 		senderStall = wait - limit
 		if senderStall > limit {
@@ -247,6 +220,6 @@ func (e *Engine) Offload(arrival memsys.Cycles) (senderStall memsys.Cycles, done
 		e.Backpress.Add(uint64(senderStall))
 	}
 	e.Executed.Inc()
-	e.BusyTime.Add(uint64(occ))
-	return senderStall, arrival + wait + lat
+	e.BusyTime.Add(uint64(e.occ))
+	return senderStall
 }

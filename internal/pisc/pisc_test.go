@@ -125,23 +125,6 @@ func TestMinConvergesToMinimum(t *testing.T) {
 	}
 }
 
-func TestMicrocodeLatency(t *testing.T) {
-	mc := StandardMicrocode("pr", OpFPAdd, false, false)
-	// read(3) + fpadd(3) + write(3) = 9 at SPLat 3.
-	if mc.Latency() != 9 {
-		t.Fatalf("latency %d, want 9", mc.Latency())
-	}
-	mcTrack := StandardMicrocode("bfs", OpUnsignedCompareSwap, true, true)
-	// read(3) + alu(1) + write(3) + dense(1) + sparse(1) = 9.
-	if mcTrack.Latency() != 9 {
-		t.Fatalf("latency %d, want 9", mcTrack.Latency())
-	}
-	var empty Microcode
-	if empty.Latency() != 1 {
-		t.Fatal("empty microcode should cost 1")
-	}
-}
-
 func TestMicrocodeOccupancyPipelined(t *testing.T) {
 	mc := StandardMicrocode("pr", OpFPAdd, false, false)
 	if mc.Occupancy() != 3 {
@@ -156,12 +139,8 @@ func TestMicrocodeOccupancyPipelined(t *testing.T) {
 func TestEngineOffloadIdle(t *testing.T) {
 	e := NewEngine()
 	e.LoadMicrocode(StandardMicrocode("pr", OpFPAdd, false, false))
-	stall, done := e.Offload(100)
-	if stall != 0 {
+	if stall := e.Offload(100); stall != 0 {
 		t.Fatalf("idle engine should not backpressure, stall %d", stall)
-	}
-	if done != 100+9 {
-		t.Fatalf("completion %d, want 109", done)
 	}
 	if e.Executed.Value() != 1 {
 		t.Fatal("execution not counted")
@@ -174,7 +153,7 @@ func TestEngineBackpressureUnderFlood(t *testing.T) {
 	var stalled memsys.Cycles
 	now := memsys.Cycles(0)
 	for i := 0; i < 10000; i++ {
-		s, _ := e.Offload(now)
+		s := e.Offload(now)
 		stalled += s
 		now++ // 1 op/cycle demanded vs 1 per 3 cycles capacity
 	}
@@ -192,7 +171,7 @@ func TestEngineKeepsUpAtCapacity(t *testing.T) {
 	var stalled memsys.Cycles
 	now := memsys.Cycles(0)
 	for i := 0; i < 10000; i++ {
-		s, _ := e.Offload(now)
+		s := e.Offload(now)
 		stalled += s
 		now += 4 // below the 1-per-3-cycles capacity
 	}

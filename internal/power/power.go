@@ -8,7 +8,6 @@ package power
 import (
 	"fmt"
 	"math"
-	"strings"
 
 	"omega/internal/core"
 )
@@ -101,17 +100,6 @@ func Budget(cfg core.Config) NodeBudget {
 		Component{"L2 cache", sramScale(l2Power1MBW, mb(cfg.L2BytesPerCore), sramPowerExp),
 			sramScale(l2Area1MBMM2, mb(cfg.L2BytesPerCore), sramAreaExp)})
 	return b
-}
-
-// Format renders the budget as a Table IV-style block.
-func (n NodeBudget) Format() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s node:\n", n.Machine)
-	for _, c := range n.Components {
-		fmt.Fprintf(&b, "  %-11s %7.3f W  %7.2f mm2\n", c.Name, c.PowerW, c.AreaMM2)
-	}
-	fmt.Fprintf(&b, "  %-11s %7.3f W  %7.2f mm2\n", "Node total", n.TotalPower(), n.TotalArea())
-	return b.String()
 }
 
 // Per-event and per-byte energies (picojoules) for the Figure 21 memory-

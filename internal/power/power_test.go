@@ -64,15 +64,6 @@ func TestBaselineHasNoScratchpadComponents(t *testing.T) {
 	}
 }
 
-func TestBudgetFormat(t *testing.T) {
-	s := Budget(core.OMEGA()).Format()
-	for _, want := range []string{"omega node", "Core", "Scratchpad", "PISC", "Node total"} {
-		if !strings.Contains(s, want) {
-			t.Fatalf("format missing %q:\n%s", want, s)
-		}
-	}
-}
-
 func TestEnergyScalesWithActivity(t *testing.T) {
 	cfg := core.Baseline()
 	small := core.MachineStats{Cycles: 1000, L1HitRate: 0.9}

@@ -25,9 +25,6 @@ type MonitorRegister struct {
 	Stride uint32
 	// Count is the number of vertices covered.
 	Count uint32
-	// Slot is the property index within the scratchpad line (a line
-	// holds all Props of one vertex, §V.A).
-	Slot int
 }
 
 // Contains reports whether addr falls inside this register's array and, if
@@ -72,10 +69,6 @@ type Config struct {
 type Controller struct {
 	cfg      Config
 	monitors []MonitorRegister
-	// bytesPerVertex is the line size: sum of all registered Props'
-	// TypeSize, plus one active-list bit per property (rounded up inside
-	// lineBytes).
-	bytesPerVertex int
 	// residentCount is how many vertices (0..residentCount-1, i.e. the
 	// most-connected after in-degree reordering) live in scratchpads.
 	residentCount uint32
@@ -113,21 +106,19 @@ func NewController(cfg Config) *Controller {
 // totalVertices bounds residency. It returns the resident count.
 func (c *Controller) Configure(monitors []MonitorRegister, totalVertices int) int {
 	c.monitors = append(c.monitors[:0], monitors...)
+	// A vertex line holds every registered property of the vertex (§V.A)
+	// plus one active-list tracking bit per property, rounded up to whole
+	// bytes.
 	bytes := 0
 	for i := range c.monitors {
-		c.monitors[i].Slot = i
 		bytes += int(c.monitors[i].TypeSize)
 	}
-	// One active-list tracking bit per vtxProp entry (§V.A), rounded up
-	// to whole bytes per vertex line.
 	bits := len(c.monitors)
 	bytes += (bits + 7) / 8
 	if bytes == 0 {
-		c.bytesPerVertex = 0
 		c.residentCount = 0
 		return 0
 	}
-	c.bytesPerVertex = bytes
 	capVertices := slices * uint64(c.cfg.BytesPerCore) / uint64(bytes)
 	if capVertices > uint64(totalVertices) {
 		capVertices = uint64(totalVertices)
@@ -138,9 +129,6 @@ func (c *Controller) Configure(monitors []MonitorRegister, totalVertices int) in
 
 // ResidentCount returns how many vertices are scratchpad-resident.
 func (c *Controller) ResidentCount() int { return int(c.residentCount) }
-
-// BytesPerVertex returns the scratchpad line size in bytes.
-func (c *Controller) BytesPerVertex() int { return c.bytesPerVertex }
 
 // Match implements the monitor unit: it reports whether addr belongs to a
 // registered vtxProp array of a scratchpad-resident vertex. Vertex lines
@@ -183,15 +171,6 @@ func (c *Controller) Home(vertex uint32) int {
 	return int(uint64(vertex) / uint64(c.cfg.ChunkSize) % slices)
 }
 
-// Index implements the index unit: the line number of vertex inside its
-// home slice.
-func (c *Controller) Index(vertex uint32) int {
-	chunk := uint64(c.cfg.ChunkSize)
-	v := uint64(vertex)
-	round := v / (chunk * slices)
-	return int(round*chunk + v%chunk)
-}
-
 // RecordAccess tallies a local or remote slice access.
 func (c *Controller) RecordAccess(local bool) {
 	if local {
@@ -199,11 +178,6 @@ func (c *Controller) RecordAccess(local bool) {
 	} else {
 		c.RemoteAccesses.Inc()
 	}
-}
-
-// Accesses returns the total slice accesses.
-func (c *Controller) Accesses() uint64 {
-	return c.LocalAccesses.Value() + c.RemoteAccesses.Value()
 }
 
 // SrcBufLookup consults core's source vertex buffer for vertex; on a miss

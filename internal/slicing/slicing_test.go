@@ -1,10 +1,12 @@
 package slicing
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
 	"omega/internal/algorithms"
+	"omega/internal/graph"
 	"omega/internal/graph/gen"
 	"omega/internal/graph/reorder"
 )
@@ -94,4 +96,27 @@ func TestDefaultsOnBadInputs(t *testing.T) {
 	if err := p.Validate(g); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// Validate checks plan invariants: slices tile [0, n) without gaps or
+// overlap and account for every in-edge.
+func (p Plan) Validate(g *graph.Graph) error {
+	n := g.NumVertices()
+	expect := 0
+	for i, sl := range p.Slices {
+		if sl.Lo != expect {
+			return fmt.Errorf("slicing: slice %d starts at %d, want %d", i, sl.Lo, expect)
+		}
+		if sl.Hi <= sl.Lo {
+			return fmt.Errorf("slicing: slice %d empty", i)
+		}
+		expect = sl.Hi
+	}
+	if len(p.Slices) > 0 && expect != n {
+		return fmt.Errorf("slicing: slices end at %d, want %d", expect, n)
+	}
+	if p.TotalEdges != g.NumEdges() {
+		return fmt.Errorf("slicing: %d edges planned, graph has %d", p.TotalEdges, g.NumEdges())
+	}
+	return nil
 }

@@ -16,7 +16,7 @@ func (c *Counter) Inc() { c.n++ }
 // Value returns the current count.
 func (c *Counter) Value() uint64 { return c.n }
 
-// Ratio is a hit/total style pair with a convenience rate.
+// Ratio is a hit/total style pair.
 type Ratio struct {
 	Hits  uint64
 	Total uint64
@@ -35,14 +35,6 @@ func (r *Ratio) AddHits(n uint64) { r.Hits += n; r.Total += n }
 
 // AddMisses records n misses (n totals, no hits).
 func (r *Ratio) AddMisses(n uint64) { r.Total += n }
-
-// Rate returns Hits/Total, or 0 when empty.
-func (r *Ratio) Rate() float64 {
-	if r.Total == 0 {
-		return 0
-	}
-	return float64(r.Hits) / float64(r.Total)
-}
 
 // Histogram is a fixed-bucket histogram over non-negative integer samples.
 type Histogram struct {

@@ -7,7 +7,7 @@ package stats
 
 // Rand is a small, fast, deterministic pseudo-random generator
 // (xorshift128+ variant). It is not safe for concurrent use; give each
-// goroutine its own instance via Split.
+// goroutine its own instance.
 //
 // We intentionally do not use math/rand here: simulations must be
 // reproducible across Go releases, and math/rand's global source ordering
@@ -52,23 +52,12 @@ func (r *Rand) Uint64() uint64 {
 	return x + y
 }
 
-// Split derives an independent generator from this one. The parent stream
-// advances by one value.
-func (r *Rand) Split() *Rand {
-	return NewRand(r.Uint64())
-}
-
 // Intn returns a uniform value in [0, n). It panics if n <= 0.
 func (r *Rand) Intn(n int) int {
 	if n <= 0 {
 		panic("stats: Intn with non-positive n")
 	}
 	return int(r.Uint64() % uint64(n))
-}
-
-// Int63 returns a non-negative 63-bit value.
-func (r *Rand) Int63() int64 {
-	return int64(r.Uint64() >> 1)
 }
 
 // Float64 returns a uniform value in [0, 1).
@@ -87,12 +76,4 @@ func (r *Rand) Perm(n int) []int {
 		p[i], p[j] = p[j], p[i]
 	}
 	return p
-}
-
-// Shuffle pseudo-randomly reorders n elements using swap.
-func (r *Rand) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
 }
