@@ -105,7 +105,7 @@ type Config struct {
 	Faults faults.Config
 
 	// DisableLineBuffer turns off the same-line read fast path (each
-	// core's L1 same-line memo, Cache.SameLineReadHit), and with it
+	// core's L1 same-line memo, Cache.HotWay), and with it
 	// run-fold batching. Results are bit-identical either way except when
 	// Faults.DirFlipRate or Faults.LineBufFlipRate is nonzero: the full
 	// probe draws a directory flip per access that a memo hit skips, and

@@ -99,47 +99,41 @@ func (p *cachePath) Access(now memsys.Cycles, a memsys.Access) memsys.Result {
 		scrubLat = faults.DirScrubCycles
 	}
 
-	// Streaming-kind reads seed the L1's same-line memo (the fast path in
-	// Machine.fastRead); vtxProp and writes use the plain probe so point
-	// accesses do not evict a live stream memo. The line's L1 coordinates
-	// are resolved once and reused by the miss-side fill.
+	// Streaming-kind reads arm the L1's same-line memo (the fast path in
+	// Machine.fastRead) on a hit or fill; vtxProp and writes do not, so
+	// point accesses do not evict a live stream memo. The line's L1
+	// coordinates are resolved once and reused by the miss-side fill.
 	stream := !write && a.Kind != memsys.KindVtxProp
 	r1 := l1.Resolve(line)
-	var l1Hit bool
-	if stream {
-		l1Hit = l1.AccessStreamReadAt(r1)
-	} else {
-		l1Hit = l1.AccessAt(r1, write)
-	}
+	way := l1.AccessAt(r1, write)
 
 	var lat memsys.Cycles
 	level := memsys.LevelL1
-	if l1Hit {
+	if way >= 0 {
 		lat = L1Lat
+		if stream {
+			l1.ArmHot(line, way)
+		}
 		if write {
-			// Upgrade: invalidate other sharers (single directory probe;
-			// a no-op when this core already holds the line Modified).
-			if out, upgraded := p.dir.Upgrade(line, a.Core); upgraded {
-				if out.Invalidated > 0 {
-					bank := p.homeBank(line)
-					for i := 0; i < out.Invalidated; i++ {
-						p.noc.Send(now, a.Core, bank, 0, noc.ClassCtrl)
-					}
-					if atomic {
-						lat += InvalidationCycles
-					}
+			// Write hit: acquire the line exclusively, invalidating the
+			// other sharers (none when this core already holds it
+			// Modified, since an owner is its line's only sharer).
+			if out := p.dir.AcquireExclusive(line, a.Core); out.Invalidated > 0 {
+				bank := p.homeBank(line)
+				for i := 0; i < out.Invalidated; i++ {
+					p.noc.Send(now, a.Core, bank, 0, noc.ClassCtrl)
+				}
+				if atomic {
+					lat += InvalidationCycles
 				}
 			}
 		}
 	} else {
 		lat = p.miss(now, a.Core, line, write, a.Kind == memsys.KindVtxProp)
 		level = memsys.LevelL2Plus
-		// Fill L1 and handle its victim. Streaming fills seed the L1's
+		// Fill L1 and handle its victim. Streaming fills arm the L1's
 		// same-line memo so the reads that follow the miss take the fast
-		// path. The fill reuses the probe's Ref and the known-absent
-		// contract: nothing between the missing probe above and here can
-		// have installed the line (the miss path only fills L2 and may
-		// *invalidate* L1 lines via back-invalidation).
+		// path. The fill reuses the probe's Ref.
 		p.fillL1(now, a.Core, r1, line, write, stream, false)
 		if p.cfg.L1Prefetch &&
 			(a.Kind == memsys.KindEdgeList || a.Kind == memsys.KindNGraphData) {
@@ -193,23 +187,21 @@ func (p *cachePath) miss(now memsys.Cycles, core int, line memsys.Addr, write, l
 		l2.FillAt(rl2, true)
 		fwd := p.noc.Send(now+lat, bank, dirtyOwner, 0, noc.ClassCtrl)
 		xfer := p.noc.Send(now+lat+fwd, dirtyOwner, core, memsys.LineSize, noc.ClassLine)
-		// The owner's dirty data also refreshes the L2 bank.
+		// The owner's dirty data also refreshes the L2 bank (the dirty
+		// fill above).
 		p.noc.Send(now+lat+fwd, dirtyOwner, bank, memsys.LineSize, noc.ClassLine)
-		l2.FillAt(rl2, true)
 		return lat + fwd + xfer + L1Lat
 	}
 
 	p.pollute(bank)
-	if l2.AccessAt(rl2, false) {
+	if l2.AccessAt(rl2, false) >= 0 {
 		// L2 hit: data line back to the requester.
 		resp := p.noc.Send(now+lat+L2Lat, bank, core, memsys.LineSize, noc.ClassLine)
 		return lat + L2Lat + resp
 	}
-	// L2 miss: DRAM access, fill L2 (inclusive), then respond. The fill
-	// may take the known-absent path: the probe just missed and only the
-	// DRAM access (no cache mutation) ran in between.
+	// L2 miss: DRAM access, fill L2 (inclusive), then respond.
 	dramLat := p.dram.AccessHint(now+lat+L2Lat, line, lowLocality)
-	if victim, evicted := l2.FillMissAt(rl2, false); evicted {
+	if victim, evicted, _ := l2.FillAt(rl2, false); evicted {
 		p.evictFromL2(now, bank, victim)
 	}
 	resp := p.noc.Send(now+lat+L2Lat+dramLat, bank, core, memsys.LineSize, noc.ClassLine)
@@ -230,18 +222,16 @@ func (p *cachePath) prefetchNext(now memsys.Cycles, core int, line memsys.Addr) 
 	p.noc.Send(now, core, bank, 0, noc.ClassCtrl)
 	l2 := p.l2[bank]
 	rl2 := l2.Resolve(p.l2Local(next))
-	if !l2.AccessAt(rl2, false) {
+	if l2.AccessAt(rl2, false) < 0 {
 		p.dram.AccessHint(now, next, false)
-		if victim, evicted := l2.FillMissAt(rl2, false); evicted {
+		if victim, evicted, _ := l2.FillAt(rl2, false); evicted {
 			p.evictFromL2(now, bank, victim)
 		}
 	}
 	p.noc.Send(now, bank, core, memsys.LineSize, noc.ClassLine)
-	// Prefetched lines do not seed the memo: the demand stream's memo
+	// Prefetched lines do not arm the memo: the demand stream's memo
 	// should keep pointing at the line the core is actually reading. The
-	// L1 fill reuses the lookup's Ref; the lookup missed and the only L1
-	// mutations since are possible back-invalidations (removals), so the
-	// known-absent contract holds.
+	// L1 fill reuses the lookup's Ref.
 	p.fillL1(now, core, rn, next, false, false, true)
 }
 
@@ -264,7 +254,8 @@ func (p *cachePath) pollute(bank int) {
 		// Known fault: a real victim of this fill is dropped like a
 		// synthetic one — no L1 back-invalidation and no DRAM writeback of
 		// a dirty line, though Writebacks counts it (DESIGN.md §13).
-		p.l2[bank].Fill(p.l2Local(addr), false)
+		l2 := p.l2[bank]
+		l2.FillAt(l2.Resolve(p.l2Local(addr)), false)
 	}
 }
 
@@ -317,18 +308,15 @@ func (p *cachePath) evictFromL2(now memsys.Cycles, bank int, victim cache.Evicte
 
 // fillL1 installs line into the core's L1 and handles the victim
 // (directory drop + dirty writeback to the home bank). stream additionally
-// seeds the L1's same-line memo with the filled line; prefetch marks a
-// fill no demand access acquired in the directory. r is the line's Ref in
-// the core's L1, carried over from the probe that missed; both callers
-// guarantee the known-absent contract (the probe missed and only removals
-// can have touched the L1 since), so the fill skips the presence re-probe.
+// arms the L1's same-line memo with the filled line, unless a fully
+// pinned set rejected the fill; prefetch marks a fill no demand access
+// acquired in the directory. r is the line's Ref in the core's L1,
+// carried over from the probe that missed.
 func (p *cachePath) fillL1(now memsys.Cycles, core int, r cache.Ref, line memsys.Addr, write, stream, prefetch bool) {
-	var victim cache.EvictedLine
-	var evicted bool
-	if stream {
-		victim, evicted = p.l1[core].FillMissStreamAt(r, write)
-	} else {
-		victim, evicted = p.l1[core].FillMissAt(r, write)
+	l1 := p.l1[core]
+	victim, evicted, way := l1.FillAt(r, write)
+	if stream && way >= 0 {
+		l1.ArmHot(line, way)
 	}
 	if prefetch {
 		// Only a prefetch fill needs directory bookkeeping here: FillShared
@@ -347,7 +335,8 @@ func (p *cachePath) fillL1(now memsys.Cycles, core int, r cache.Ref, line memsys
 	if victim.Dirty {
 		bank := p.homeBank(victim.Addr)
 		p.noc.Send(now, core, bank, memsys.LineSize, noc.ClassLine)
-		if v2, ev2 := p.l2[bank].Fill(p.l2Local(victim.Addr), true); ev2 {
+		l2 := p.l2[bank]
+		if v2, ev2, _ := l2.FillAt(l2.Resolve(p.l2Local(victim.Addr)), true); ev2 {
 			// Victim-of-victim: count the DRAM writeback, do not recurse.
 			if v2.Dirty {
 				p.dram.Write(now, p.l2Global(v2.Addr, bank))

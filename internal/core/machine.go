@@ -406,9 +406,8 @@ type memoFault struct {
 }
 
 // fastRead serves a non-atomic, non-vtxProp read a of region r,
-// short-circuiting through the L1's same-line memo (Cache.SameLineReadHit)
-// when it provably hits the line of the core's most recent streaming L1
-// probe.
+// short-circuiting through the L1's same-line memo (Cache.HotWay) when it
+// provably hits the line of the core's most recent streaming L1 probe.
 //
 // Bit-identity argument: the fast path applies only to plain reads of the
 // streaming kinds (edgeList, nGraphData, activeList), which on both
@@ -419,11 +418,12 @@ type memoFault struct {
 // accesses consume fault-PRNG draws. A cache-path L1 read hit has exactly
 // three side effects — use-clock tick, LRU touch, read-hit counter — and a
 // constant result {L1Lat, LevelL1}; it touches no directory,
-// NoC, or DRAM state. Cache.SameLineReadHit replays those three effects
-// exactly, and only when the memoized line is provably the line a full
-// probe would hit (the memo dies on any eviction/invalidation of that
-// line, and on the machine-level events that drop it: BeginIteration,
-// ConfigureGraph, fault degrades, and memo corruptions). The exception is
+// NoC, or DRAM state. SetLastUse(way, FoldReadHits(1)) replays those
+// three effects exactly on the way HotWay returns, which it does only
+// when the memoized line is provably the line a full probe would hit
+// (the memo dies on any eviction/invalidation of that line, and on the
+// machine-level events that drop it: BeginIteration, ConfigureGraph,
+// fault degrades, and memo corruptions). The exception is
 // fault state: with an injector attached, the full probe draws a
 // directory-flip decision per access (cachePath.Access) that a memo hit
 // skips, and memo corruptions are drawn per full probe (below), so under
@@ -432,12 +432,13 @@ type memoFault struct {
 func (m *Machine) fastRead(core *cpu.Core, a memsys.Access, r *Region) memsys.Result {
 	l1 := m.path.l1[a.Core]
 	line := memsys.LineAddr(a.Addr)
-	if l1.SameLineReadHit(line) {
+	if way := l1.HotWay(line); way >= 0 {
+		l1.SetLastUse(way, l1.FoldReadHits(1))
 		m.lbHits.Inc()
 		if m.foldEnabled {
 			// Open a fold window (runfold.go): the next same-line read would
 			// replay this exact memo hit, so it can defer instead.
-			m.openFold(a.Core, r, line, l1.HotWay(line))
+			m.openFold(a.Core, r, line, way)
 		}
 		return memsys.Result{Latency: L1Lat, Level: memsys.LevelL1}
 	}

@@ -139,12 +139,17 @@ func TestSuiteMetricsDeterminism(t *testing.T) {
 	}
 }
 
-// TestLevelCountConservation checks a conservation law on every cell a
-// scale-9 suite builds: each access issued is served by exactly one
-// hierarchy level, so in a cell's final samples (its last iteration) the
-// level_count metrics summed over levels equal the accesses metrics
-// summed over kinds. Each cell's stream is read from the suite's cell
-// cache, where it is stored apart from every other cell's.
+// TestLevelCountConservation checks two conservation laws on every cell
+// a scale-9 suite builds, in the cell's final samples (its last
+// iteration). Each access issued is served by exactly one hierarchy
+// level, so the level_count metrics summed over levels equal the accesses
+// metrics summed over kinds. Each L1 miss makes exactly one L2-side
+// request, so the L2+ read and write totals sum to the L1 misses (totals
+// minus hits, reads and writes, summed over cores); with the next-line
+// prefetcher on, its L2 probes add requests that no L1 miss registered,
+// so the L2 side may only exceed the misses. Each cell's stream is read
+// from the suite's cell cache, where it is stored apart from every other
+// cell's.
 func TestLevelCountConservation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full suite skipped in -short mode")
@@ -163,21 +168,32 @@ func TestLevelCountConservation(t *testing.T) {
 		for _, s := range e.cell.samples {
 			last = max(last, s.Iteration)
 		}
-		var levels, accesses uint64
+		var levels, accesses, l1Misses, l2Requests uint64
 		for _, s := range e.cell.samples {
-			if s.Iteration != last || s.Component != "machine" {
+			if s.Iteration != last {
 				continue
 			}
-			switch s.Name {
-			case "level_count":
+			switch {
+			case s.Component == "machine" && s.Name == "level_count":
 				levels += s.Value
-			case "accesses":
+			case s.Component == "machine" && s.Name == "accesses":
 				accesses += s.Value
+			case s.Component != "cache":
+			case s.Level == "L1" && (s.Name == "read_total" || s.Name == "write_total"):
+				l1Misses += s.Value
+			case s.Level == "L1" && (s.Name == "read_hits" || s.Name == "write_hits"):
+				l1Misses -= s.Value
+			case s.Level == "L2+" && (s.Name == "read_total" || s.Name == "write_total"):
+				l2Requests += s.Value
 			}
 		}
 		if levels != accesses || accesses == 0 {
 			t.Errorf("%s %s on %s: level counts sum to %d, accesses to %d",
 				key.Workload, key.Config.Name, key.Dataset.Kind, levels, accesses)
+		}
+		if l2Requests != l1Misses && !(key.Config.L1Prefetch && l2Requests > l1Misses) {
+			t.Errorf("%s %s on %s: %d L2-side requests for %d L1 misses (prefetch %v)",
+				key.Workload, key.Config.Name, key.Dataset.Kind, l2Requests, l1Misses, key.Config.L1Prefetch)
 		}
 		checked++
 	}

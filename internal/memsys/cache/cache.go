@@ -72,8 +72,8 @@ type Cache struct {
 	meta []setMeta
 
 	// hotLine/hotIdx memoize the line of the most recent streaming read
-	// hit or fill so a run of reads to the same 64 B line skips the set
-	// probe (SameLineReadHit); hotIdx is -1 when no memo is armed. The
+	// hit or fill (ArmHot) so a run of reads to the same 64 B line skips
+	// the set probe (HotWay); hotIdx is -1 when no memo is armed. The
 	// memo dies whenever the memoized line's identity could have changed
 	// — an eviction or invalidation of that line, or a DropHot.
 	hotLine memsys.Addr
@@ -127,7 +127,6 @@ func (c *Cache) waysMask() uint64 { return ^uint64(0) >> uint(64-c.ways) }
 // across any content mutation (it encodes address geometry, not state)
 // but is specific to one cache geometry.
 type Ref struct {
-	la   memsys.Addr
 	set  uint64
 	base int
 	key  uint64
@@ -139,7 +138,6 @@ func (c *Cache) Resolve(a memsys.Addr) Ref {
 	if c.setShift >= 0 {
 		set := la & c.setMask
 		return Ref{
-			la:   memsys.Addr(la * memsys.LineSize),
 			set:  set,
 			base: int(set) * 2 * c.ways,
 			key:  (la >> uint(c.setShift)) + 1,
@@ -147,7 +145,6 @@ func (c *Cache) Resolve(a memsys.Addr) Ref {
 	}
 	set := la % c.numSets
 	return Ref{
-		la:   memsys.Addr(la * memsys.LineSize),
 		set:  set,
 		base: int(set) * 2 * c.ways,
 		key:  la/c.numSets + 1,
@@ -179,28 +176,15 @@ func (c *Cache) dropHot() { c.hotIdx = -1 }
 // same-line read must take the full probe.
 func (c *Cache) DropHot() { c.dropHot() }
 
-// SameLineReadHit is the same-line fast path: if addr falls in the line of
-// the most recent read hit and that line is provably untouched since (the
-// memo survives only until any eviction or invalidation of it), the read
-// is recorded as a hit — replaying exactly the accounting the full probe
-// would have done (use-clock tick, LRU touch, read-hit counter) — and true
-// is returned. Otherwise nothing is recorded and the caller must take the
-// full probe.
-func (c *Cache) SameLineReadHit(a memsys.Addr) bool {
-	if c.hotIdx < 0 || memsys.LineAddr(a) != c.hotLine {
-		return false
-	}
-	c.useClock++
-	c.slab[c.hotIdx+c.ways] = c.useClock
-	c.Reads.Observe(true)
-	return true
-}
-
 // HotWay returns the way index of the same-line memo when it is armed for
-// the line containing a, and -1 otherwise. Callers batching same-line
-// reads use it to learn which way a SameLineReadHit would stamp, so the
-// stamps can be applied in bulk later (FoldReadHits/SetLastUse), and read
-// the way's tag key (TagKey) to re-validate the way on later use.
+// the line containing a, and -1 otherwise. The memo survives only until
+// any eviction or invalidation of its line, so a returned way provably
+// holds a's line: a read of it is a hit, replayed without a probe as
+// SetLastUse(way, FoldReadHits(1)) — the use-clock tick, LRU touch and
+// read-hit count a hitting AccessAt would record. Callers batching
+// same-line reads apply n such replays in one step (FoldReadHits(n),
+// then SetLastUse), and read the way's tag key (TagKey) to re-validate
+// the way on later use.
 func (c *Cache) HotWay(a memsys.Addr) int {
 	if c.hotIdx >= 0 && memsys.LineAddr(a) == c.hotLine {
 		return c.hotIdx
@@ -220,10 +204,10 @@ func (c *Cache) HotWay(a memsys.Addr) int {
 func (c *Cache) TagKey(idx int) uint64 { return c.slab[idx] }
 
 // FoldReadHits applies the accounting of n same-line read hits in one
-// step — n use-clock ticks and n read hits, exactly what n calls of
-// SameLineReadHit (or hitting AccessStreamReadAt probes) would record — and
-// returns the use clock after the fold, from which the caller back-computes
-// the LRU stamps each folded hit would have left (SetLastUse).
+// step — n use-clock ticks and n read hits, exactly what n hitting
+// AccessAt reads would record — and returns the use clock after the fold,
+// from which the caller back-computes the LRU stamps each folded hit
+// would have left (SetLastUse).
 func (c *Cache) FoldReadHits(n uint64) uint64 {
 	c.useClock += n
 	c.Reads.AddHits(n)
@@ -235,9 +219,12 @@ func (c *Cache) FoldReadHits(n uint64) uint64 {
 // would have observed.
 func (c *Cache) SetLastUse(idx int, use uint64) { c.slab[idx+c.ways] = use }
 
-// ArmHot re-seeds the same-line memo with a (line, way) pair the caller
-// has validated via TagKey — the state a hitting AccessStreamReadAt of
-// that line would have left. It touches no counters.
+// ArmHot arms the same-line memo with a (line, way) pair: the way an
+// AccessAt hit or a FillAt of that line returned, or one the caller has
+// re-validated via TagKey. It is the only way to arm the memo, and it
+// touches no counters. The hierarchy arms it for the streaming access
+// kinds (edge lists, graph metadata) only, so point accesses (vertex
+// properties) interleaved with a stream do not evict the stream's memo.
 func (c *Cache) ArmHot(a memsys.Addr, idx int) {
 	c.hotLine = memsys.LineAddr(a)
 	c.hotIdx = idx
@@ -249,102 +236,47 @@ type EvictedLine struct {
 	Dirty bool
 }
 
-// AccessAt performs a read or write of r's line. On a hit, LRU is updated
-// and the line is dirtied for writes. On a miss, the line is *not* filled
-// — callers first consult the next level, then fill. The hit result lets
-// the hierarchy charge the correct latency chain.
-func (c *Cache) AccessAt(r Ref, write bool) (hit bool) {
+// AccessAt performs a read or write of r's line and returns the hit
+// way's index, or -1 on a miss. On a hit, LRU is updated and the line is
+// dirtied for writes. On a miss, the line is *not* filled — callers first
+// consult the next level, then fill. The hit result lets the hierarchy
+// charge the correct latency chain, and the way lets it arm the memo.
+func (c *Cache) AccessAt(r Ref, write bool) (way int) {
 	c.useClock++
-	if i := c.findIdx(r.base, r.key); i >= 0 {
+	i := c.findIdx(r.base, r.key)
+	if i >= 0 {
 		c.slab[i+c.ways] = c.useClock
 		if write {
 			c.meta[r.set].dirty |= 1 << uint(i-r.base)
-			c.Writes.Observe(true)
-		} else {
-			c.Reads.Observe(true)
 		}
-		return true
 	}
 	if write {
-		c.Writes.Observe(false)
+		c.Writes.Observe(i >= 0)
 	} else {
-		c.Reads.Observe(false)
+		c.Reads.Observe(i >= 0)
 	}
-	return false
+	return i
 }
 
-// AccessStreamReadAt is AccessAt(r, false) that additionally seeds the
-// same-line memo on a hit, arming SameLineReadHit for the next read of
-// this line. The hierarchy calls it for the streaming access kinds
-// (edge lists, graph metadata) and plain AccessAt for everything else,
-// so point accesses (vertex properties) interleaved with a stream do not
-// evict the stream's memo. Seeding affects only which later reads take
-// the fast path — the replayed accounting is identical either way.
-func (c *Cache) AccessStreamReadAt(r Ref) (hit bool) {
+// FillAt installs r's line: a present line is refreshed (LRU touch,
+// dirtied if dirty), an absent one installed, dirty for write-allocate
+// stores. It returns the evicted victim, if any, and the way now holding
+// the line, or -1 when a fully pinned set rejects the fill.
+func (c *Cache) FillAt(r Ref, dirty bool) (victim EvictedLine, evicted bool, way int) {
 	c.useClock++
 	if i := c.findIdx(r.base, r.key); i >= 0 {
-		c.slab[i+c.ways] = c.useClock
-		c.Reads.Observe(true)
-		c.hotLine = r.la
-		c.hotIdx = i
-		return true
-	}
-	c.Reads.Observe(false)
-	return false
-}
-
-// Fill installs the line containing addr, returning the evicted victim if
-// any. If dirty is set the new line is installed dirty (write-allocate
-// stores).
-func (c *Cache) Fill(a memsys.Addr, dirty bool) (victim EvictedLine, evicted bool) {
-	return c.FillAt(c.Resolve(a), dirty)
-}
-
-// FillMissAt installs a line the caller has just probed for and missed —
-// the known-absent fill contract: between the missing probe and this call
-// the cache saw no fill (invalidations are fine; they only remove lines),
-// so the present-line refresh probe is skipped entirely. With a free way
-// available the fill then touches exactly one way's state, no scan at all.
-func (c *Cache) FillMissAt(r Ref, dirty bool) (victim EvictedLine, evicted bool) {
-	c.useClock++
-	victim, evicted, _ = c.install(r, dirty)
-	return victim, evicted
-}
-
-// FillMissStreamAt is FillMissAt that additionally seeds the same-line
-// memo with the installed line, arming SameLineReadHit for the reads that
-// follow a streaming miss. Seeding is skipped when the fill is rejected
-// (fully pinned set), so the memo never points at an absent line.
-func (c *Cache) FillMissStreamAt(r Ref, dirty bool) (victim EvictedLine, evicted bool) {
-	c.useClock++
-	victim, evicted, idx := c.install(r, dirty)
-	if idx >= 0 {
-		c.hotLine = r.la
-		c.hotIdx = idx
-	}
-	return victim, evicted
-}
-
-// FillAt is Fill over a pre-resolved Ref: a present line is refreshed
-// (LRU touch, dirtied if dirty), an absent one installed.
-func (c *Cache) FillAt(r Ref, dirty bool) (victim EvictedLine, evicted bool) {
-	c.useClock++
-	if i := c.findIdx(r.base, r.key); i >= 0 {
-		// Already present (e.g. refilled by a racing path): refresh.
 		c.slab[i+c.ways] = c.useClock
 		if dirty {
 			c.meta[r.set].dirty |= 1 << uint(i-r.base)
 		}
-		return EvictedLine{}, false
+		return EvictedLine{}, false, i
 	}
-	victim, evicted, _ = c.install(r, dirty)
-	return victim, evicted
+	return c.install(r, dirty)
 }
 
-// install places a known-absent line: lowest free way first (no scan),
-// else the LRU victim among non-pinned ways, else rejection when the
-// whole set is pinned. The use clock has already been ticked by the
-// caller.
+// install places an absent line: lowest free way first (no scan), else
+// the LRU victim among non-pinned ways, else rejection when the whole set
+// is pinned. The use clock has already been ticked by FillAt.
 func (c *Cache) install(r Ref, dirty bool) (victim EvictedLine, evicted bool, installed int) {
 	m := &c.meta[r.set]
 	var w int
@@ -426,8 +358,7 @@ func (c *Cache) Pin(a memsys.Addr) bool {
 	if bits.OnesCount64(c.meta[r.set].pin) >= c.ways-1 {
 		return false
 	}
-	c.FillAt(r, false)
-	if i := c.findIdx(r.base, r.key); i >= 0 {
+	if _, _, i := c.FillAt(r, false); i >= 0 {
 		c.meta[r.set].pin |= 1 << uint(i-r.base)
 		return true
 	}

@@ -92,7 +92,8 @@ func (r *refCache) access(a memsys.Addr, write bool) bool {
 	return true
 }
 
-// streamRead is AccessStreamReadAt: a read that arms the memo on a hit.
+// streamRead is the streaming read, AccessAt then ArmHot: a read that
+// arms the memo on a hit.
 func (r *refCache) streamRead(a memsys.Addr) bool {
 	hit := r.access(a, false)
 	if hit {
@@ -178,8 +179,9 @@ func (r *refCache) pinnedIn(set uint64) int {
 	return n
 }
 
-// sameLineReadHit is SameLineReadHit: a read hit replayed through the
-// armed memo, nothing otherwise.
+// sameLineReadHit is the memo hit, HotWay then SetLastUse(way,
+// FoldReadHits(1)): a read hit replayed through the armed memo, nothing
+// otherwise.
 func (r *refCache) sameLineReadHit(a memsys.Addr) bool {
 	if !r.memoArmed || memsys.LineAddr(a) != r.memo {
 		return false
@@ -191,16 +193,15 @@ func (r *refCache) sameLineReadHit(a memsys.Addr) bool {
 // byte (kind in the low nibble modulo numCacheOps, the write/dirty flag in
 // bit 4, an in-line byte offset/8 in bits 5-7) and the line index.
 const (
-	opAccess         = iota // AccessAt(flag = write)
-	opStreamRead            // AccessStreamReadAt
-	opLookup                // LookupAt
-	opFillMiss              // FillMissAt(flag = dirty) of the line the previous op probed and missed
-	opFillMissStream        // FillMissStreamAt(flag = dirty), same contract
-	opFill                  // FillAt(flag = dirty), present or absent
-	opInvalidate            // InvalidateAt
-	opPin                   // Pin
-	opSameLine              // SameLineReadHit
-	opDropHot               // DropHot
+	opAccess     = iota // AccessAt(flag = write)
+	opStreamRead        // AccessAt(read), ArmHot on a hit
+	opLookup            // LookupAt
+	opFill              // FillAt(flag = dirty), present or absent
+	opFillStream        // FillAt(flag = dirty), ArmHot unless rejected
+	opInvalidate        // InvalidateAt
+	opPin               // Pin
+	opSameLine          // HotWay, SetLastUse(way, FoldReadHits(1)) when armed
+	opDropHot           // DropHot
 	numCacheOps
 )
 
@@ -259,9 +260,13 @@ func randomScript(seed uint64, ops int, tight bool) []byte {
 // FuzzCacheOps decodes each input to a cache geometry (1-8 ways, 1-16
 // sets, header bytes 0 and 1) and an op script, runs it on the real cache
 // and on refCache, and requires identical results on every step: hit or
-// miss, victim address and dirty bit, pin and invalidation outcomes, and
-// the Reads/Writes/Evictions/Writebacks counters. At the end every line's
-// presence and the pinned-line count must agree too.
+// miss, victim address and dirty bit, whether a fill installed, pin and
+// invalidation outcomes, and the Reads/Writes/Evictions/Writebacks
+// counters. Every way AccessAt, FillAt or HotWay returns must hold the
+// line. The streaming read, streaming fill and memo hit are driven the
+// way the hierarchy and fastRead drive them: AccessAt or FillAt then
+// ArmHot, and HotWay then SetLastUse(way, FoldReadHits(1)). At the end
+// every line's presence and the pinned-line count must agree too.
 func FuzzCacheOps(f *testing.F) {
 	for seed := uint64(1); seed <= 20; seed++ {
 		f.Add(quickCheckTrace(seed))
@@ -278,10 +283,6 @@ func FuzzCacheOps(f *testing.F) {
 		numSets := 1 + int(script[1]%16)
 		c := New(Config{SizeBytes: numSets * ways * memsys.LineSize, Ways: ways, Name: "fuzz"})
 		ref := newRefCache(numSets, ways)
-		// missed is the line the previous op probed and missed, if any:
-		// the known-absent fills may only target it.
-		var missed memsys.Addr
-		missedOK := false
 		for i := 2; i+1 < len(script); i += 2 {
 			op := script[i]
 			kind := int(op&0x0f) % numCacheOps
@@ -293,40 +294,41 @@ func FuzzCacheOps(f *testing.F) {
 						ways, numSets, (i-2)/2, kind, flag, a, what, got, want)
 				}
 			}
-			probed := false
+			// holds requires a way returned for a's line to hold it.
+			holds := func(way int) {
+				r := c.Resolve(a)
+				if way >= 0 && (way < r.base || way >= r.base+ways || c.TagKey(way) != r.key) {
+					t.Fatalf("%d-way %d-set, op %d (kind %d, addr %#x): way %d does not hold the line",
+						ways, numSets, (i-2)/2, kind, a, way)
+				}
+			}
 			switch kind {
 			case opAccess:
-				probed = true
-				step("hit", c.AccessAt(c.Resolve(a), flag), ref.access(a, flag))
+				way := c.AccessAt(c.Resolve(a), flag)
+				holds(way)
+				step("hit", way >= 0, ref.access(a, flag))
 			case opStreamRead:
-				probed = true
-				step("hit", c.AccessStreamReadAt(c.Resolve(a)), ref.streamRead(a))
+				way := c.AccessAt(c.Resolve(a), false)
+				holds(way)
+				if way >= 0 {
+					c.ArmHot(a, way)
+				}
+				step("hit", way >= 0, ref.streamRead(a))
 			case opLookup:
-				probed = true
 				step("present", c.LookupAt(c.Resolve(a)), ref.lookup(a))
-			case opFillMiss, opFillMissStream:
-				if !missedOK {
-					break
-				}
-				a = missed
-				var v EvictedLine
-				var ev bool
-				if kind == opFillMiss {
-					v, ev = c.FillMissAt(c.Resolve(a), flag)
-				} else {
-					v, ev = c.FillMissStreamAt(c.Resolve(a), flag)
-				}
+			case opFill, opFillStream:
+				v, ev, way := c.FillAt(c.Resolve(a), flag)
+				holds(way)
 				rv, rev, ok := ref.fill(a, flag)
-				if ok && kind == opFillMissStream {
+				if kind == opFillStream && way >= 0 {
+					c.ArmHot(a, way)
+				}
+				if kind == opFillStream && ok {
 					ref.memo, ref.memoArmed = memsys.LineAddr(a), true
 				}
 				step("evicted", ev, rev)
 				step("victim", v, rv)
-			case opFill:
-				v, ev := c.FillAt(c.Resolve(a), flag)
-				rv, rev, _ := ref.fill(a, flag)
-				step("evicted", ev, rev)
-				step("victim", v, rv)
+				step("installed", way >= 0, ok)
 			case opInvalidate:
 				p, d := c.InvalidateAt(c.Resolve(a))
 				rp, rd := ref.invalidate(a)
@@ -335,16 +337,15 @@ func FuzzCacheOps(f *testing.F) {
 			case opPin:
 				step("pinned", c.Pin(a), ref.pin(a))
 			case opSameLine:
-				step("memo hit", c.SameLineReadHit(a), ref.sameLineReadHit(a))
+				way := c.HotWay(a)
+				holds(way)
+				if way >= 0 {
+					c.SetLastUse(way, c.FoldReadHits(1))
+				}
+				step("memo hit", way >= 0, ref.sameLineReadHit(a))
 			case opDropHot:
 				c.DropHot()
 				ref.memoArmed = false
-			}
-			if probed {
-				missed = a
-				missedOK = !ref.lookup(a)
-			} else {
-				missedOK = false
 			}
 			step("reads", c.Reads, ref.reads)
 			step("writes", c.Writes, ref.writes)
@@ -382,8 +383,8 @@ func TestPinExcludesFromEviction(t *testing.T) {
 		}
 		for i := 0; i < 2000; i++ {
 			a := memsys.Addr(r.Intn(1 << 15))
-			if !c.AccessAt(c.Resolve(a), false) {
-				c.Fill(a, false)
+			if c.AccessAt(c.Resolve(a), false) < 0 {
+				fill(c, a, false)
 			}
 		}
 		for _, a := range pinned {

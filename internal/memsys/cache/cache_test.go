@@ -13,19 +13,25 @@ func small() *Cache {
 	return New(Config{SizeBytes: 1 << 10, Ways: 2, Name: "t"})
 }
 
+// fill is FillAt of a's line without the installed way.
+func fill(c *Cache, a memsys.Addr, dirty bool) (victim EvictedLine, evicted bool) {
+	victim, evicted, _ = c.FillAt(c.Resolve(a), dirty)
+	return victim, evicted
+}
+
 func TestMissThenHit(t *testing.T) {
 	c := small()
-	if c.AccessAt(c.Resolve(0x1000), false) {
+	if c.AccessAt(c.Resolve(0x1000), false) >= 0 {
 		t.Fatal("cold cache should miss")
 	}
-	c.Fill(0x1000, false)
-	if !c.AccessAt(c.Resolve(0x1000), false) {
+	fill(c, 0x1000, false)
+	if c.AccessAt(c.Resolve(0x1000), false) < 0 {
 		t.Fatal("filled line should hit")
 	}
-	if !c.AccessAt(c.Resolve(0x1038), false) {
+	if c.AccessAt(c.Resolve(0x1038), false) < 0 {
 		t.Fatal("same line, different offset should hit")
 	}
-	if c.AccessAt(c.Resolve(0x1040), false) {
+	if c.AccessAt(c.Resolve(0x1040), false) >= 0 {
 		t.Fatal("next line should miss")
 	}
 }
@@ -34,12 +40,12 @@ func TestLRUReplacement(t *testing.T) {
 	c := small() // 8 sets => set stride is 8*64 = 512 bytes
 	const stride = 512
 	// Fill both ways of set 0.
-	c.Fill(0*stride, false)
-	c.Fill(1*stride, false)
+	fill(c, 0*stride, false)
+	fill(c, 1*stride, false)
 	// Touch the first line so the second becomes LRU.
 	c.AccessAt(c.Resolve(0*stride), false)
 	// Fill a third line in set 0: must evict line 1 (LRU).
-	victim, evicted := c.Fill(2*stride, false)
+	victim, evicted := fill(c, 2*stride, false)
 	if !evicted {
 		t.Fatal("full set must evict")
 	}
@@ -54,9 +60,9 @@ func TestLRUReplacement(t *testing.T) {
 func TestDirtyEvictionReportsWriteback(t *testing.T) {
 	c := small()
 	const stride = 512
-	c.Fill(0, true) // dirty
-	c.Fill(stride, false)
-	victim, evicted := c.Fill(2*stride, false)
+	fill(c, 0, true) // dirty
+	fill(c, stride, false)
+	victim, evicted := fill(c, 2*stride, false)
 	if !evicted || !victim.Dirty || victim.Addr != 0 {
 		t.Fatalf("expected dirty victim at 0, got %+v evicted=%v", victim, evicted)
 	}
@@ -67,7 +73,7 @@ func TestDirtyEvictionReportsWriteback(t *testing.T) {
 
 func TestWriteDirtiesLine(t *testing.T) {
 	c := small()
-	c.Fill(0, false)
+	fill(c, 0, false)
 	c.AccessAt(c.Resolve(0), true)
 	present, dirty := c.InvalidateAt(c.Resolve(0))
 	if !present || !dirty {
@@ -77,7 +83,7 @@ func TestWriteDirtiesLine(t *testing.T) {
 
 func TestInvalidate(t *testing.T) {
 	c := small()
-	c.Fill(0x2000, false)
+	fill(c, 0x2000, false)
 	present, dirty := c.InvalidateAt(c.Resolve(0x2000))
 	if !present || dirty {
 		t.Fatalf("present=%v dirty=%v", present, dirty)
@@ -92,8 +98,8 @@ func TestInvalidate(t *testing.T) {
 
 func TestFillIdempotentWhenPresent(t *testing.T) {
 	c := small()
-	c.Fill(0, false)
-	if _, evicted := c.Fill(0, true); evicted {
+	fill(c, 0, false)
+	if _, evicted := fill(c, 0, true); evicted {
 		t.Fatal("refilling present line must not evict")
 	}
 	// The refill with dirty should mark it dirty.
@@ -106,7 +112,7 @@ func TestFillIdempotentWhenPresent(t *testing.T) {
 func TestHitRateAccounting(t *testing.T) {
 	c := small()
 	c.AccessAt(c.Resolve(0), false) // miss
-	c.Fill(0, false)
+	fill(c, 0, false)
 	c.AccessAt(c.Resolve(0), false) // hit
 	c.AccessAt(c.Resolve(0), true)  // hit (write)
 	c.AccessAt(c.Resolve(64), true) // miss (write)
@@ -128,8 +134,8 @@ func TestVictimAddressReconstruction(t *testing.T) {
 		set := r.Intn(numSets)
 		a1 := memsys.Addr((r.Intn(100)*numSets + set) * 64)
 		a2 := memsys.Addr(((r.Intn(100)+200)*numSets + set) * 64)
-		c.Fill(a1, false)
-		victim, evicted := c.Fill(a2, false)
+		fill(c, a1, false)
+		victim, evicted := fill(c, a2, false)
 		return evicted && victim.Addr == memsys.LineAddr(a1)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
@@ -143,8 +149,8 @@ func TestInclusionNeverExceedsCapacity(t *testing.T) {
 	live := map[memsys.Addr]bool{}
 	for i := 0; i < 5000; i++ {
 		a := memsys.Addr(r.Intn(1<<16)) &^ 63
-		if !c.AccessAt(c.Resolve(a), r.Intn(2) == 0) {
-			if victim, evicted := c.Fill(a, false); evicted {
+		if c.AccessAt(c.Resolve(a), r.Intn(2) == 0) < 0 {
+			if victim, evicted := fill(c, a, false); evicted {
 				if !live[victim.Addr] {
 					t.Fatalf("evicted line %#x never filled", victim.Addr)
 				}

@@ -1,61 +1,93 @@
 package cache
 
-import "testing"
+import (
+	"testing"
 
-// The same-line memo (hotLine/hotIdx, consulted via SameLineReadHit)
-// must die on every event that can change the identity of the memoized
-// way: invalidation, eviction, and explicit DropHot. These tests pin each
-// edge individually; the machine-level equivalence tests in internal/core
-// cover the composed behaviour.
+	"omega/internal/memsys"
+)
 
-func TestSameLineReadHitColdRefuses(t *testing.T) {
+// The same-line memo (hotLine/hotIdx, armed by ArmHot and consulted via
+// HotWay) must die on every event that can change the identity of the
+// memoized way: invalidation, eviction, and explicit DropHot. These tests
+// pin each edge individually; the machine-level equivalence tests in
+// internal/core cover the composed behaviour.
+
+// streamRead is the hierarchy's streaming read: AccessAt, arming the memo
+// with the hit way.
+func streamRead(c *Cache, a memsys.Addr) bool {
+	way := c.AccessAt(c.Resolve(a), false)
+	if way >= 0 {
+		c.ArmHot(a, way)
+	}
+	return way >= 0
+}
+
+// streamFill is the hierarchy's streaming fill: FillAt, arming the memo
+// with the installed way.
+func streamFill(c *Cache, a memsys.Addr) {
+	if _, _, way := c.FillAt(c.Resolve(a), false); way >= 0 {
+		c.ArmHot(a, way)
+	}
+}
+
+// memoHit is fastRead's memo hit: a read of the memoized line replayed on
+// its way without a probe. It reports whether the memo served the read.
+func memoHit(c *Cache, a memsys.Addr) bool {
+	way := c.HotWay(a)
+	if way >= 0 {
+		c.SetLastUse(way, c.FoldReadHits(1))
+	}
+	return way >= 0
+}
+
+func TestHotWayColdRefuses(t *testing.T) {
 	c := small()
-	if c.SameLineReadHit(0x1000) {
+	if memoHit(c, 0x1000) {
 		t.Fatal("cold cache validated a memo")
 	}
 }
 
 func TestFillStreamArmsAndReplaysHit(t *testing.T) {
 	c := small()
-	c.Fill(0x2000, false) // plain fill: must NOT arm the memo
-	if c.SameLineReadHit(0x2000) {
-		t.Fatal("plain Fill armed the memo")
+	fill(c, 0x2000, false) // plain fill: must NOT arm the memo
+	if memoHit(c, 0x2000) {
+		t.Fatal("plain fill armed the memo")
 	}
-	c.FillMissStreamAt(c.Resolve(0x1000), false)
+	streamFill(c, 0x1000)
 	hitsBefore := c.Reads.Hits
-	if !c.SameLineReadHit(0x1008) {
+	if !memoHit(c, 0x1008) {
 		t.Fatal("streamed fill did not arm the memo for its line")
 	}
 	if c.Reads.Hits != hitsBefore+1 {
 		t.Fatalf("replay did not record exactly one read hit: %d -> %d", hitsBefore, c.Reads.Hits)
 	}
-	if c.SameLineReadHit(0x1040) {
+	if memoHit(c, 0x1040) {
 		t.Fatal("memo validated a different line")
 	}
 }
 
-func TestAccessStreamReadArmsOnHit(t *testing.T) {
+func TestArmHotOnStreamReadHit(t *testing.T) {
 	c := small()
-	c.Fill(0x1000, false)
-	if !c.AccessStreamReadAt(c.Resolve(0x1000)) {
+	fill(c, 0x1000, false)
+	if !streamRead(c, 0x1000) {
 		t.Fatal("expected hit")
 	}
-	if !c.SameLineReadHit(0x1010) {
+	if !memoHit(c, 0x1010) {
 		t.Fatal("stream read hit did not arm the memo")
 	}
 	// A plain (non-stream) access of another line must not move the memo.
-	c.Fill(0x2000, false)
+	fill(c, 0x2000, false)
 	c.AccessAt(c.Resolve(0x2000), false)
-	if !c.SameLineReadHit(0x1010) {
+	if !memoHit(c, 0x1010) {
 		t.Fatal("plain access of another line disturbed the memo")
 	}
 }
 
 func TestInvalidateDropsMemo(t *testing.T) {
 	c := small()
-	c.FillMissStreamAt(c.Resolve(0x1000), false)
+	streamFill(c, 0x1000)
 	c.InvalidateAt(c.Resolve(0x1000))
-	if c.SameLineReadHit(0x1000) {
+	if memoHit(c, 0x1000) {
 		t.Fatal("memo survived invalidation of its line")
 	}
 }
@@ -63,26 +95,26 @@ func TestInvalidateDropsMemo(t *testing.T) {
 func TestEvictionDropsMemo(t *testing.T) {
 	c := small() // 2-way, 8 sets, set stride 512 B
 	const stride = 512
-	c.FillMissStreamAt(c.Resolve(0*stride), false)
+	streamFill(c, 0*stride)
 	// Two conflicting fills into the same set evict the memoized way.
-	c.Fill(8*stride, false)
-	c.Fill(16*stride, false)
-	if c.SameLineReadHit(0) {
+	fill(c, 8*stride, false)
+	fill(c, 16*stride, false)
+	if memoHit(c, 0) {
 		t.Fatal("memo survived eviction of its way")
 	}
 }
 
 func TestDropHotForcesReprobeThenRearms(t *testing.T) {
 	c := small()
-	c.FillMissStreamAt(c.Resolve(0x1000), false)
+	streamFill(c, 0x1000)
 	c.DropHot()
-	if c.SameLineReadHit(0x1000) {
+	if memoHit(c, 0x1000) {
 		t.Fatal("memo survived DropHot")
 	}
-	if !c.AccessStreamReadAt(c.Resolve(0x1000)) {
+	if !streamRead(c, 0x1000) {
 		t.Fatal("line should still be present")
 	}
-	if !c.SameLineReadHit(0x1000) {
+	if !memoHit(c, 0x1000) {
 		t.Fatal("stream read did not re-arm after DropHot")
 	}
 }

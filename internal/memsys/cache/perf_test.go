@@ -23,13 +23,13 @@ func benchCache() *Cache {
 func BenchmarkCacheFill(b *testing.B) {
 	c := benchCache()
 	for k := 0; k < benchLines; k++ { // warm: every set full, free masks drained
-		c.Fill(memsys.Addr(k*memsys.LineSize), false)
+		c.FillAt(c.Resolve(memsys.Addr(k*memsys.LineSize)), false)
 	}
 	i := 0
 	b.ReportAllocs()
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {
-		c.Fill(memsys.Addr((i&(benchLines-1))*memsys.LineSize), false)
+		c.FillAt(c.Resolve(memsys.Addr((i&(benchLines-1))*memsys.LineSize)), false)
 		i++
 	}
 }
@@ -39,11 +39,11 @@ func BenchmarkCacheFill(b *testing.B) {
 func TestCacheFillZeroAlloc(t *testing.T) {
 	c := benchCache()
 	for k := 0; k < benchLines; k++ {
-		c.Fill(memsys.Addr(k*memsys.LineSize), false)
+		c.FillAt(c.Resolve(memsys.Addr(k*memsys.LineSize)), false)
 	}
 	i := 0
 	allocs := testing.AllocsPerRun(2000, func() {
-		c.Fill(memsys.Addr((i&(benchLines-1))*memsys.LineSize), false)
+		c.FillAt(c.Resolve(memsys.Addr((i&(benchLines-1))*memsys.LineSize)), false)
 		i++
 	})
 	if allocs != 0 {

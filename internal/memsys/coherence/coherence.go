@@ -204,17 +204,13 @@ func (d *Directory) AcquireShared(line memsys.Addr, core int) ReadOutcome {
 
 // FillShared records that core's L1 installed line after a read miss or
 // prefetch: it marks residency and, exactly when the line is untracked
-// (not modified by core, zero sharers), performs AcquireShared's state
-// change. It folds the owner/sharers guard and the conditional
-// AcquireShared into a single table probe.
+// (zero sharers), performs AcquireShared's state change. With zero
+// sharers there is no owner (an owner is always its line's only sharer),
+// so that change is just adding core as a sharer.
 func (d *Directory) FillShared(line memsys.Addr, core int) {
 	e := &d.entries[d.findOrInsert(line)]
-	if e.owner != int8(core) && e.sharers == 0 {
-		if e.owner >= 0 {
-			d.C2CTransfers.Inc()
-			e.owner = -1
-		}
-		e.sharers |= 1 << uint(core)
+	if e.sharers == 0 {
+		e.sharers = 1 << uint(core)
 	}
 	e.resident |= 1 << uint(core)
 }
@@ -230,7 +226,10 @@ type WriteOutcome struct {
 }
 
 // AcquireExclusive records that core is gaining an exclusive (Modified)
-// copy of line, invalidating all other holders.
+// copy of line, invalidating all other holders. It serves both write
+// paths, the miss and the L1 write hit. When core already owns the line
+// it changes nothing but the resident bit and reports no invalidation
+// and no dirty owner: an owner is always its line's only sharer.
 func (d *Directory) AcquireExclusive(line memsys.Addr, core int) WriteOutcome {
 	e := &d.entries[d.findOrInsert(line)]
 	out := WriteOutcome{DirtyOwner: -1}
@@ -246,50 +245,22 @@ func (d *Directory) AcquireExclusive(line memsys.Addr, core int) WriteOutcome {
 	return out
 }
 
-// Upgrade is the write-hit path: if core already holds line Modified it
-// is a no-op (upgraded=false, matching IsModifiedBy); otherwise it
-// performs exactly AcquireExclusive and reports upgraded=true. It exists
-// so the hierarchy's write-hit check costs one table probe instead of the
-// two an IsModifiedBy+AcquireExclusive pair would pay. Note the same
-// insert-if-absent behaviour as AcquireExclusive: an untracked line
-// (stale L1 copy whose sharer bit was cleared) is inserted and acquired.
-func (d *Directory) Upgrade(line memsys.Addr, core int) (out WriteOutcome, upgraded bool) {
-	e := &d.entries[d.findOrInsert(line)]
-	out = WriteOutcome{DirtyOwner: -1}
-	e.resident |= 1 << uint(core)
-	if e.owner == int8(core) {
-		return out, false
-	}
-	if e.owner >= 0 {
-		out.DirtyOwner = int(e.owner)
-		d.C2CTransfers.Inc()
-	}
-	out.Invalidated = bits.OnesCount64(e.sharers &^ (1 << uint(core)))
-	d.Invalidations.Add(uint64(out.Invalidated))
-	e.sharers = 1 << uint(core)
-	e.owner = int8(core)
-	return out, true
-}
-
 // Drop records that core evicted its copy of line (silent for clean
 // Shared; the caller handles any writeback traffic for Modified).
-// It reports whether the dropped copy was the Modified one.
-func (d *Directory) Drop(line memsys.Addr, core int) (wasModified bool) {
+func (d *Directory) Drop(line memsys.Addr, core int) {
 	i := d.find(line)
 	if i < 0 {
-		return false
+		return
 	}
 	e := &d.entries[i]
 	if e.owner == int8(core) {
 		e.owner = -1
-		wasModified = true
 	}
 	e.sharers &^= 1 << uint(core)
 	e.resident &^= 1 << uint(core)
 	if e.sharers == 0 && e.owner < 0 && e.resident == 0 {
 		d.erase(uint64(i))
 	}
-	return wasModified
 }
 
 // Resident returns the superset mask of cores whose L1 may contain line
